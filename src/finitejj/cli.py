@@ -373,8 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     curv = sub.add_parser("curvature", help="zero-offset curvature vs E_J/E_C")
     curv.add_argument("--kind", choices=("dispersion", "susceptibility"), required=True)
-    curv.add_argument("--scan", choices=("ejec",), default="ejec",
-                      help="scan variable (E_J/E_C only)")
     curv.add_argument("--values", type=_float_list, default=[10.0, 20.0, 50.0, 100.0],
                       help="comma-separated E_J/E_C ratios")
     curv.add_argument("--pairs", type=_positive_count, required=True)

@@ -1,36 +1,39 @@
 """Lowest eigenpairs of a symmetric tridiagonal operator at any dimension.
 
-The workhorse is bisection on the Sturm pivot count: the number of negative
-pivots in the shifted LDL^T recurrence equals the number of eigenvalues
-below the shift, so every returned value carries a certificate (exactly j
-eigenvalues below its bracket).  Pivot counting streams the coefficients in
-fixed-size chunks, costing O(dim) time and O(1) memory per evaluation, which
-is what makes island sizes of order 5e8 tractable.
+LAPACK computes, Sturm certifies.  Every operator that fits in arrays
+(dim <= ARRAY_LIMIT) gets its lowest values from one call to LAPACK
+bisection (``dstebz``, via scipy's ``eigh_tridiagonal``) at the
+floating-point floor.  Each returned value v_j is then certified by two
+Sturm pivot counts: the number of negative pivots in the shifted LDL^T
+recurrence equals the number of eigenvalues below the shift, and
+count(v_j - delta) <= j < count(v_j + delta) puts exactly j eigenvalues
+below the bracket.  A value that fails its certificate is re-bracketed by
+bisection on the same count.  Ground-state vectors come from LAPACK inverse
+iteration (``dstein``) shifted to the lower end of the certified bracket.
 
-Eigenvectors come from inverse iteration seeded with the certified value;
-a dense full-spectrum routine (LAPACK, via scipy) provides the reference
-oracle at small dimensions.
+Pivot counting streams the coefficients in fixed-size chunks, costing
+O(dim) time and O(1) memory per count.  Bisection on it alone is the path
+for operators beyond the array limit.  A dense full-spectrum routine
+(LAPACK, via scipy) provides the reference oracle at small dimensions.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dstein
 
 from .errors import CapacityError, ConvergenceError, NearDegenerateWarning
-from .hamiltonian import DENSE_LIMIT, TridiagonalHamiltonian
+from .hamiltonian import ARRAY_LIMIT, DENSE_LIMIT, TridiagonalHamiltonian
 
 CHUNK = 1 << 16
 MAX_BISECTIONS = 2048
-MAX_INVERSE_ITERATIONS = 50
 
-_SAFMIN = np.finfo(float).tiny
-_EPS = np.finfo(float).eps
+_SAFMIN = float(np.finfo(float).tiny)
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -55,14 +58,21 @@ class Spectrum:
         return np.array([p.value for p in self.pairs])
 
 
-def _pivmin(h: TridiagonalHamiltonian) -> float:
-    _, _, off_max = h.coefficient_bounds()
+def _pivmin(off_max: float) -> float:
     return _SAFMIN * max(1.0, off_max * off_max)
 
 
-def eigenvalue_count_below(h: TridiagonalHamiltonian, x: float) -> int:
-    """Number of eigenvalues strictly below ``x`` (Sturm pivot count)."""
-    pivmin = _pivmin(h)
+def eigenvalue_count_below(
+    h: TridiagonalHamiltonian, x: float, pivmin: float | None = None
+) -> int:
+    """Number of eigenvalues strictly below ``x`` (Sturm pivot count).
+
+    ``pivmin`` is the pivot floor, computed from the operator's coefficient
+    bounds when None; a caller counting at many shifts of one operator
+    passes it once.
+    """
+    if pivmin is None:
+        pivmin = _pivmin(h.coefficient_bounds()[2])
     count = 0
     d = 1.0
     dim = h.dim
@@ -86,15 +96,45 @@ def eigenvalue_count_below(h: TridiagonalHamiltonian, x: float) -> int:
     return count
 
 
+def _bisect(
+    h: TridiagonalHamiltonian, j: int, lo: float, hi: float, pivmin: float
+) -> EigenPair:
+    """Eigenvalue j from a bracket with count(lo) <= j < count(hi).
+
+    Halves the bracket down to a few ulps of its endpoints and returns its
+    midpoint, with the half-width as residual.
+    """
+    width = hi - lo
+    for _ in range(MAX_BISECTIONS):
+        if width <= 2.0 * _EPS * (abs(lo) + abs(hi)) + 2.0 * _SAFMIN:
+            break
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if eigenvalue_count_below(h, mid, pivmin) >= j + 1:
+            hi = mid
+        else:
+            lo = mid
+        width = hi - lo
+    else:
+        raise ConvergenceError(
+            f"bisection for eigenvalue {j} stalled at bracket width {width}",
+            achieved=width,
+        )
+    return EigenPair(value=0.5 * (lo + hi), vector=None, residual=0.5 * width)
+
+
 def lowest_eigenvalues(
     h: TridiagonalHamiltonian, k: int, tol: float | None = None
 ) -> Spectrum:
-    """The k smallest eigenvalues by certified bisection.
+    """The k smallest eigenvalues, each certified by two Sturm pivot counts.
 
-    Each value is the midpoint of a bracket [lo, hi] with pivot counts
-    count(lo) <= j and count(hi) >= j+1, refined until the bracket width
-    drops below max(tol, a few ulps of the endpoints).  ``tol`` is an
-    absolute energy tolerance; None converges to the floating-point floor.
+    Every value v_j is solved to the floating-point floor and returned with
+    a residual r_j such that count(v_j - r_j) <= j and count(v_j + r_j) >= j+1.
+    For a LAPACK value r_j is 4 eps |v_j| + 2 safmin, the bisection floor at
+    v_j; for a bisected one, the half-width of its final bracket.  ``tol`` is
+    an absolute energy tolerance that only sets ``Spectrum.converged``: true
+    when every r_j <= tol (always, for None).
 
     Fixed evaluation order makes results bitwise reproducible.
     """
@@ -103,40 +143,29 @@ def lowest_eigenvalues(
     if tol is not None and not tol > 0:
         raise ValueError("tol must be positive")
     dmin, dmax, off_max = h.coefficient_bounds()
+    pivmin = _pivmin(off_max)
     lo0 = dmin - 2.0 * off_max
     hi0 = dmax + 2.0 * off_max
-    # Known pivot counts, kept sorted for warm bracket starts.
-    known: list[tuple[float, int]] = [(lo0, 0), (hi0, h.dim)]
-
-    abs_tol = 0.0 if tol is None else tol
-    pairs: list[EigenPair] = []
-    converged = True
-    for j in range(k):
-        lo = max((x for x, c in known if c <= j), default=lo0)
-        hi = min((x for x, c in known if c >= j + 1), default=hi0)
-        width = hi - lo
-        for _ in range(MAX_BISECTIONS):
-            floor = 2.0 * _EPS * (abs(lo) + abs(hi)) + 2.0 * _SAFMIN
-            if width <= max(abs_tol, floor):
-                break
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            c = eigenvalue_count_below(h, mid)
-            known.append((mid, c))
-            if c >= j + 1:
-                hi = mid
+    if h.dim > ARRAY_LIMIT:
+        pairs = [_bisect(h, j, lo0, hi0, pivmin) for j in range(k)]
+    else:
+        diag, off = h.to_arrays()
+        values = eigh_tridiagonal(
+            diag, off, eigvals_only=True, select="i", select_range=(0, k - 1),
+            lapack_driver="stebz", tol=2.0 * _SAFMIN,
+        )
+        pairs = []
+        for j, value in enumerate(values.tolist()):
+            delta = 4.0 * _EPS * abs(value) + 2.0 * _SAFMIN
+            below = eigenvalue_count_below(h, value - delta, pivmin)
+            above = eigenvalue_count_below(h, value + delta, pivmin)
+            if below <= j < above:
+                pairs.append(EigenPair(value=value, vector=None, residual=delta))
+            elif below > j:
+                pairs.append(_bisect(h, j, lo0, value - delta, pivmin))
             else:
-                lo = mid
-            width = hi - lo
-        else:
-            raise ConvergenceError(
-                f"bisection for eigenvalue {j} stalled at bracket width {width}",
-                achieved=width,
-            )
-        if tol is not None and width > tol:
-            converged = False
-        pairs.append(EigenPair(value=0.5 * (lo + hi), vector=None, residual=0.5 * width))
+                pairs.append(_bisect(h, j, value + delta, hi0, pivmin))
+    converged = tol is None or all(p.residual <= tol for p in pairs)
     return Spectrum(pairs=pairs, dim=h.dim, converged=converged)
 
 
@@ -145,89 +174,29 @@ def _spectral_scale(h: TridiagonalHamiltonian) -> float:
     return max(abs(dmin), abs(dmax)) + 2.0 * off_max
 
 
-def _inverse_iteration(
-    h: TridiagonalHamiltonian,
-    value: float,
-    prev: tuple[np.ndarray, ...] = (),
-    residual_target: float | None = None,
-) -> tuple[np.ndarray, float]:
-    """Inverse iteration at a fixed certified shift.
-
-    Re-orthogonalizes against ``prev`` each sweep (used when levels cluster).
-    Returns the sign-normalized vector and its residual ||Hv - value*v||.
-    """
-    dim = h.dim
-    scale = _spectral_scale(h)
-    if residual_target is None:
-        residual_target = 64.0 * _EPS * scale * math.sqrt(dim)
-    diag, off = h.to_arrays()
-    if dim == 1:
-        v = np.ones(1)
-        return v, abs(diag[0] - value)
-    if dim == 2:
-        # Closed form; the LAPACK gt factorization wrapper rejects n = 2.
-        row = (off[0], value - diag[0])
-        alt = (value - diag[1], off[0])
-        v = np.array(row if abs(row[1]) >= abs(alt[0]) else alt)
-        v /= np.linalg.norm(v)
-        imax = int(np.argmax(np.abs(v)))
-        if v[imax] < 0:
-            v = -v
-        return v, float(np.linalg.norm(h.matvec(v) - value * v))
-
-    shift = value
-    for attempt in range(3):
-        dl, d, du, du2, ipiv, info = dgttrf(off, diag - shift, off)
-        if info == 0:
-            break
-        # Exact singularity: nudge the shift by a few ulps and refactor.
-        shift = value + (attempt + 1) * 4.0 * _EPS * max(scale, abs(value))
-    else:
-        raise ConvergenceError("shifted tridiagonal factorization failed")
-
-    v = np.full(dim, 1.0 / math.sqrt(dim))
-    residual = math.inf
-    for _ in range(MAX_INVERSE_ITERATIONS):
-        w, info = dgttrs(dl, d, du, du2, ipiv, v)
-        if info != 0:
-            raise ConvergenceError(f"tridiagonal solve failed (info={info})")
-        for u in prev:
-            w -= np.dot(u, w) * u
-        norm = np.linalg.norm(w)
-        if norm == 0.0 or not np.isfinite(norm):
-            # Restart from a deterministic pseudo-random direction.
-            rng = np.random.default_rng(dim)
-            v = rng.standard_normal(dim)
-            v /= np.linalg.norm(v)
-            continue
-        v = w / norm
-        residual = float(np.linalg.norm(h.matvec(v) - value * v))
-        if residual <= residual_target:
-            break
-    else:
-        raise ConvergenceError(
-            f"inverse iteration residual {residual} above target {residual_target}",
-            achieved=residual,
-        )
+def _with_vector(h: TridiagonalHamiltonian, value: float, v: np.ndarray) -> EigenPair:
+    """Pair with ``v`` sign-normalized (largest component positive) and ||Hv - value v||."""
     imax = int(np.argmax(np.abs(v)))
     if v[imax] < 0:
         v = -v
-    return v, residual
+    residual = float(np.linalg.norm(h.matvec(v) - value * v))
+    return EigenPair(value=value, vector=v, residual=residual)
 
 
 def ground_state(h: TridiagonalHamiltonian, tol: float | None = None) -> EigenPair:
-    """Ground eigenpair: certified value plus inverse-iteration vector.
+    """Ground eigenpair: certified value plus its inverse-iteration vector.
 
     The vector is sign-normalized so its largest-magnitude component is
     positive; with all couplings negative it then comes out componentwise
     positive (Perron-Frobenius).  Warns when E_1 - E_0 is within 10x the
     tolerance, where the vector is ill-conditioned.
     """
+    diag, off = h.to_arrays()  # the vector needs arrays: fail before solving
     k = min(2, h.dim)
-    spectrum = lowest_eigenvalues(h, k, tol)
-    e0 = spectrum.pairs[0].value
+    pairs = lowest_eigenvalues(h, k).pairs
+    e0 = pairs[0].value
     if k == 2:
-        gap = spectrum.pairs[1].value - e0
+        gap = pairs[1].value - e0
         gap_floor = 10.0 * max(tol or 0.0, 4.0 * _EPS * _spectral_scale(h))
         if gap < gap_floor:
             warnings.warn(
@@ -235,11 +204,21 @@ def ground_state(h: TridiagonalHamiltonian, tol: float | None = None) -> EigenPa
                 NearDegenerateWarning,
                 stacklevel=2,
             )
-    # The residual cannot drop below the eigenvalue's own bracket error.
-    floor = 64.0 * _EPS * _spectral_scale(h) * math.sqrt(h.dim)
-    target = max(tol or 0.0, floor)
-    vector, residual = _inverse_iteration(h, e0, residual_target=target)
-    return EigenPair(value=e0, vector=vector, residual=residual)
+    dim = h.dim
+    if dim == 1:
+        off = np.zeros(1)  # scipy's dstein wrapper sizes e as max(n - 1, 1)
+    # Shift to the lower end of E_0's certified bracket, below which the
+    # Sturm count found no eigenvalue.  At a shift equal to E_0 to the last
+    # bit, dstein perturbs a near-zero pivot by about eps ||H||, which mixes
+    # up to eps ||H|| / gap of E_1's vector into the result; from r_0 below
+    # E_0, inverse iteration still converges at a rate of r_0 / gap per step.
+    shift = e0 - pairs[0].residual
+    vectors, info = dstein(
+        diag, off, [shift], np.ones(dim, dtype=np.int32), np.full(dim, dim, dtype=np.int32)
+    )
+    if info != 0:
+        raise ConvergenceError("dstein inverse iteration did not converge")
+    return _with_vector(h, e0, vectors[:, 0])
 
 
 def dense_all(h: TridiagonalHamiltonian, dense_limit: int = DENSE_LIMIT) -> Spectrum:
@@ -251,19 +230,6 @@ def dense_all(h: TridiagonalHamiltonian, dense_limit: int = DENSE_LIMIT) -> Spec
     if h.dim > dense_limit:
         raise CapacityError(f"dim {h.dim} exceeds dense limit {dense_limit}")
     diag, off = h.to_arrays()
-    if h.dim == 1:
-        return Spectrum(
-            pairs=[EigenPair(value=float(diag[0]), vector=np.ones(1), residual=0.0)],
-            dim=1,
-            converged=True,
-        )
     values, vectors = eigh_tridiagonal(diag, off)
-    pairs = []
-    for j in range(h.dim):
-        v = vectors[:, j]
-        imax = int(np.argmax(np.abs(v)))
-        if v[imax] < 0:
-            v = -v
-        residual = float(np.linalg.norm(h.matvec(v) - values[j] * v))
-        pairs.append(EigenPair(value=float(values[j]), vector=v, residual=residual))
+    pairs = [_with_vector(h, float(values[j]), vectors[:, j]) for j in range(h.dim)]
     return Spectrum(pairs=pairs, dim=h.dim, converged=True)

@@ -1,10 +1,11 @@
-"""Certified bisection against the dense oracle, plus the solver invariants."""
+"""Certified eigenvalues against dense and mpmath oracles, plus the solver invariants."""
 
 import math
 
 import numpy as np
 import pytest
 
+from finitejj import eigensolve
 from finitejj.errors import CapacityError, NearDegenerateWarning
 from finitejj.eigensolve import (
     dense_all,
@@ -27,6 +28,28 @@ def random_params(rng):
     return params(pairs, ejec, ng=ng)
 
 
+def mpmath_matrix(mpmath, h):
+    """The operator's coefficients as a dense mpmath matrix."""
+    diag, off = h.to_arrays()
+    a = mpmath.diag([mpmath.mpf(d) for d in diag.tolist()])
+    for i, o in enumerate(off.tolist()):
+        a[i, i + 1] = a[i + 1, i] = mpmath.mpf(o)
+    return a
+
+
+@pytest.fixture
+def sturm_counts(monkeypatch):
+    """Shifts of every pivot count the solver makes, in call order."""
+    shifts = []
+
+    def counting(h, x, *rest):
+        shifts.append(x)
+        return eigenvalue_count_below(h, x, *rest)
+
+    monkeypatch.setattr(eigensolve, "eigenvalue_count_below", counting)
+    return shifts
+
+
 class TestLowestEigenvalues:
     def test_two_by_two_closed_form(self):
         spec = lowest_eigenvalues(build(params(1, 1.0)), 2)
@@ -43,6 +66,26 @@ class TestLowestEigenvalues:
             oracle = dense_all(h).values[:k]
             scale = max(np.max(np.abs(oracle)), 1.0)
             assert np.max(np.abs(mine - oracle)) < 1e-10 * scale
+
+    def test_matches_dense_oracle_by_bisection(self, monkeypatch, sturm_counts):
+        # Operators beyond the array limit take the streaming bisection path,
+        # which needs far more than the certificate's two counts per value.
+        monkeypatch.setattr(eigensolve, "ARRAY_LIMIT", 0)
+        self.test_matches_dense_oracle()
+        assert len(sturm_counts) > 2 * 5 * 25
+
+    def test_matches_mpmath_oracle(self):
+        # README charge sweep: 2N = 10, E_J/E_C = 0.2, n_g in [-11, 11] at
+        # step 1/4, against 40-digit eigenvalues of the same coefficients.
+        mpmath = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        with mpmath.workdps(40):
+            for ng in np.linspace(-11.0, 11.0, 89):
+                h = build(params(10, 0.2, ng=float(ng)))
+                exact = sorted(mpmath.eigsy(mpmath_matrix(mpmath, h), eigvals_only=True))[:3]
+                for mine, ref in zip(lowest_eigenvalues(h, 3).values.tolist(), exact):
+                    error = abs(mpmath.mpf(mine) - ref)
+                    assert error <= 2 * eps * max(1.0, abs(ref)), (ng, mine)
 
     def test_saturation_regime_spacings(self):
         # far beyond the basis edge the levels climb by about 2 E_C |n_g| each
@@ -68,6 +111,40 @@ class TestLowestEigenvalues:
         for j, pair in enumerate(spec.pairs):
             assert eigenvalue_count_below(h, pair.value + tol) >= j + 1
             assert eigenvalue_count_below(h, pair.value - tol) <= j
+
+    def test_two_count_certificate(self, sturm_counts):
+        h = build(params(60, 2.0, ng=0.3))
+        spec = lowest_eigenvalues(h, 4)
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        assert len(sturm_counts) == 2 * 4
+        for j, pair in enumerate(spec.pairs):
+            assert pair.residual == 4 * eps * abs(pair.value) + 2 * tiny
+            assert sturm_counts[2 * j : 2 * j + 2] == [pair.value - pair.residual,
+                                                       pair.value + pair.residual]
+            assert eigenvalue_count_below(h, pair.value - pair.residual) <= j
+            assert eigenvalue_count_below(h, pair.value + pair.residual) >= j + 1
+
+    @pytest.mark.parametrize("shift", [1e-3, -1e-3])
+    def test_certificate_catches_wrong_lapack_values(self, monkeypatch, sturm_counts, shift):
+        h = build(params(40, 3.0, ng=0.2))
+        oracle = dense_all(h)
+        lapack = eigensolve.eigh_tridiagonal
+
+        def shifted(*args, **kwargs):
+            return lapack(*args, **kwargs) + shift
+
+        monkeypatch.setattr(eigensolve, "eigh_tridiagonal", shifted)
+        spec = lowest_eigenvalues(h, 3)
+        # Every value fails its certificate and is bisected.
+        assert len(sturm_counts) > 2 * 3
+        assert spec.values == pytest.approx(oracle.values[:3], rel=1e-14, abs=1e-14)
+        for j, pair in enumerate(spec.pairs):
+            assert eigenvalue_count_below(h, pair.value - pair.residual) <= j
+            assert eigenvalue_count_below(h, pair.value + pair.residual) >= j + 1
+        # The ground vector is computed at the corrected value.
+        ground = ground_state(h)
+        assert ground.value == spec.pairs[0].value
+        assert abs(float(np.dot(ground.vector, oracle.pairs[0].vector))) > 1.0 - 1e-12
 
     def test_count_is_monotone_step_function(self):
         h = build(params(12, 0.7, ng=0.1))
@@ -119,6 +196,29 @@ class TestGroundState:
             overlap = abs(float(np.dot(mine.vector, oracle.vector)))
             assert overlap > 1.0 - 1e-10
             assert mine.residual < 1e-10 * max(1.0, abs(mine.value))
+
+    def test_imbalance_matches_mpmath_oracle(self):
+        # Near each charge degeneracy of the README sweep (2N = 10,
+        # E_J/E_C = 0.2), at the offsets of the chi finite difference, <n>
+        # from the ground vector against 40-digit eigenvectors.
+        mpmath = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        with mpmath.workdps(40):
+            for center in np.arange(-10.5, 11.0, 1.0).tolist():
+                for ng in (center - 1e-4 * abs(center), center + 1e-4 * abs(center)):
+                    h = build(params(10, 0.2, ng=ng))
+                    values, vectors = mpmath.eigsy(mpmath_matrix(mpmath, h))
+                    j = min(range(h.dim), key=lambda i: values[i])
+                    charges = h.charges().tolist()
+                    exact = sum(mpmath.mpf(n) * vectors[i, j] ** 2 for i, n in enumerate(charges))
+                    v = ground_state(h).vector
+                    error = abs(mpmath.mpf(float(np.dot(charges, v * v))) - exact)
+                    assert error <= 4 * eps * max(1.0, abs(exact)), ng
+
+    def test_overlap_with_dense_oracle_by_bisection(self, monkeypatch, sturm_counts):
+        monkeypatch.setattr(eigensolve, "ARRAY_LIMIT", 0)
+        self.test_overlap_with_dense_oracle()
+        assert len(sturm_counts) > 2 * 2 * 20
 
     def test_componentwise_positive(self):
         # Mild localization: every true component clears the noise floor,
