@@ -34,7 +34,6 @@ from .hamiltonian import (
     TridiagonalHamiltonian,
     build,
     build_windowed,
-    export_table,
     spin_matrices,
 )
 from .eigensolve import (
@@ -47,7 +46,6 @@ from .eigensolve import (
 )
 from .observables import (
     CurvatureResult,
-    SusceptibilityResult,
     SweepTable,
     WindowPolicy,
     band_sweep,
@@ -98,7 +96,6 @@ __all__ = [
     "Spectrum",
     "SpinMatrices",
     "StepInstabilityWarning",
-    "SusceptibilityResult",
     "SweepTable",
     "TermBudgetError",
     "TridiagonalHamiltonian",
@@ -119,7 +116,6 @@ __all__ = [
     "dispersion_curvature",
     "eigenvalue_count_below",
     "expected_imbalance",
-    "export_table",
     "fock_oracle",
     "fock_oracle_stable",
     "gate_voltage",

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -59,6 +60,13 @@ def _positive_count(text: str) -> int:
     value = _count(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
     return value
 
 
@@ -376,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     curv.add_argument("--values", type=_float_list, default=[10.0, 20.0, 50.0, 100.0],
                       help="comma-separated E_J/E_C ratios")
     curv.add_argument("--pairs", type=_positive_count, required=True)
-    curv.add_argument("--step", type=float, default=0.125,
+    curv.add_argument("--step", type=_positive_float, default=0.125,
                       help="offset-charge step of the stencil")
     _add_window_flags(curv)
     _add_output_flags(curv, "curvature")

@@ -9,7 +9,9 @@ recurrence equals the number of eigenvalues below the shift, and
 count(v_j - delta) <= j < count(v_j + delta) puts exactly j eigenvalues
 below the bracket.  A value that fails its certificate is re-bracketed by
 bisection on the same count.  Ground-state vectors come from LAPACK inverse
-iteration (``dstein``) shifted to the lower end of the certified bracket.
+iteration (``dstein``) shifted to the lower end of the certified bracket,
+and the ground state's static charge response from one LAPACK tridiagonal
+solve (``dgtsv``).
 
 Pivot counting streams the coefficients in fixed-size chunks, costing
 O(dim) time and O(1) memory per count.  Bisection on it alone is the path
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dstein
+from scipy.linalg.lapack import dgtsv, dstein
 
 from .errors import CapacityError, ConvergenceError, NearDegenerateWarning
 from .hamiltonian import ARRAY_LIMIT, DENSE_LIMIT, TridiagonalHamiltonian
@@ -219,6 +221,38 @@ def ground_state(h: TridiagonalHamiltonian, tol: float | None = None) -> EigenPa
     if info != 0:
         raise ConvergenceError("dstein inverse iteration did not converge")
     return _with_vector(h, e0, vectors[:, 0])
+
+
+def charge_response(h: TridiagonalHamiltonian) -> float:
+    """Static charge response of the ground state, sum_{m>0} |<m|n|0>|^2 / (E_m - E_0).
+
+    Sternheimer's route (Phys. Rev. 96, 951, 1954): solve (H - E_0) x = phi
+    for phi = (n - <n>) psi_0 and return phi . x with x orthogonal to psi_0.
+    H - E_0 is singular along psi_0, so the solve drops the row and column j
+    where |psi_0| peaks.  What is left is tridiagonal, nonsingular by strict
+    interlacing, and conditioned like the gap; its solution differs from the
+    wanted one by a multiple of psi_0, which is projected out.  Charges are
+    counted from the window's first state: a constant drops out of n - <n>,
+    and small offsets keep it free of cancellation at large n_g.  A
+    one-state window has no excited states, so its response is 0.
+    """
+    if h.dim == 1:
+        return 0.0
+    pair = ground_state(h)
+    v = pair.vector
+    n = np.arange(h.dim, dtype=float)
+    phi = (n - np.dot(n, v * v)) * v
+    diag, off = h.to_arrays()
+    diag -= pair.value
+    j = int(np.argmax(np.abs(v)))
+    diag[j] = 1.0
+    off[max(j - 1, 0):j + 1] = 0.0
+    _, _, _, x, info = dgtsv(off, diag, off, phi)
+    if info != 0:
+        raise ConvergenceError(f"dgtsv tridiagonal solve failed (info {info})")
+    x[j] = 0.0  # row j returned phi_j; the other rows were solved as if x_j = 0
+    x -= np.dot(v, x) * v
+    return float(np.dot(phi, x))
 
 
 def dense_all(h: TridiagonalHamiltonian, dense_limit: int = DENSE_LIMIT) -> Spectrum:

@@ -221,22 +221,3 @@ def spin_matrices(n_half: float, dense_limit: int = DENSE_LIMIT) -> SpinMatrices
         sz=np.diag(n).astype(complex),
     )
 
-
-def export_table(h: TridiagonalHamiltonian, destination) -> None:
-    """Write a three-column debug table (n, diag, offdiag) to a path or file.
-
-    The offdiag column holds the coupling n <-> n+1; the last row's entry is
-    blank since no coupling leaves the window there.
-    """
-    diag, off = h.to_arrays()
-    charges = h.charges()
-    lines = ["# n diag offdiag"]
-    for i in range(h.dim):
-        tail = format(off[i], ".17g") if i < h.dim - 1 else ""
-        lines.append(f"{charges[i]:.17g} {diag[i]:.17g} {tail}".rstrip())
-    text = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w") as fh:
-            fh.write(text)

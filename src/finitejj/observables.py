@@ -1,5 +1,10 @@
 """Measured quantities: qubit frequency, imbalance, susceptibility, sweeps.
 
+The susceptibility d<n>/dn_g is exact first-order perturbation theory in
+dH/dn_g, taken from the same window operator as <n> by one tridiagonal solve
+(``eigensolve.charge_response``); only the zero-offset curvatures use
+finite-difference stencils, each with its own step-halving check.
+
 Large islands are handled through charge windows: the low-energy states are
 exponentially localized around the offset charge, so a window of a few dozen
 charge states around round(n_g) reproduces full-basis answers to near machine
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RegimeWarning, StepInstabilityWarning, WindowConvergenceError
-from .eigensolve import ground_state, lowest_eigenvalues
+from .eigensolve import charge_response, ground_state, lowest_eigenvalues
 from .hamiltonian import ChargeWindow, TridiagonalHamiltonian, build, build_windowed
 from .model import CircuitParams
 
@@ -142,62 +147,18 @@ def expected_imbalance(params: CircuitParams, policy: WindowPolicy = DEFAULT_POL
     return _solve_windowed(params, policy, imbalance, abs_floor=floor)
 
 
-@dataclass(frozen=True)
-class SusceptibilityResult:
-    """Charge susceptibility with its finite-difference bookkeeping.
+def charge_susceptibility(params: CircuitParams, policy: WindowPolicy = DEFAULT_POLICY) -> float:
+    """Exact d<n>/dn_g = 4 E_C sum_{m>0} |<m|n|0>|^2 / (E_m - E_0).
 
-    ``value`` is the plain central difference of <n> at the requested step;
-    ``richardson`` refines it with one extrapolation level and
-    ``error_estimate`` is their disagreement.  The two slope fields give the
-    independent routes to dE_0/dn_g used by the Hellmann-Feynman check:
-    a central difference of E_0 itself versus -2 E_C (<n> - n_g).
+    First-order perturbation theory in dH/dn_g = -2 E_C (n - n_g), from one
+    tridiagonal solve per window; the window policy checks chi itself.
     """
 
-    value: float
-    step: float
-    richardson: float
-    error_estimate: float
-    e0_slope_fd: float
-    e0_slope_hf: float
+    def chi(h: TridiagonalHamiltonian) -> float:
+        return 4.0 * params.e_c * charge_response(h)
 
-    def __float__(self) -> float:
-        return self.value
-
-
-def charge_susceptibility(
-    params: CircuitParams,
-    policy: WindowPolicy = DEFAULT_POLICY,
-    step: float | None = None,
-) -> SusceptibilityResult:
-    """d<n>/dn_g by central difference, with a Hellmann-Feynman cross-check."""
-    if step is None:
-        step = 1e-4 * max(1.0, abs(params.n_g))
-    if not step > 0:
-        raise ValueError("step must be positive")
-
-    def imbalance_at(ng: float) -> float:
-        return expected_imbalance(params.with_ng(ng), policy)
-
-    def e0_at(ng: float) -> float:
-        def e0(h):
-            return lowest_eigenvalues(h, 1).pairs[0].value
-
-        return _solve_windowed(params.with_ng(ng), policy, e0)
-
-    ng = params.n_g
-    d_h = (imbalance_at(ng + step) - imbalance_at(ng - step)) / (2.0 * step)
-    d_h2 = (imbalance_at(ng + 0.5 * step) - imbalance_at(ng - 0.5 * step)) / step
-    richardson = (4.0 * d_h2 - d_h) / 3.0
-    e0_slope_fd = (e0_at(ng + step) - e0_at(ng - step)) / (2.0 * step)
-    e0_slope_hf = -2.0 * params.e_c * (imbalance_at(ng) - ng)
-    return SusceptibilityResult(
-        value=d_h,
-        step=step,
-        richardson=richardson,
-        error_estimate=abs(richardson - d_h2),
-        e0_slope_fd=e0_slope_fd,
-        e0_slope_hf=e0_slope_hf,
-    )
+    # chi -> 0 in saturation, where a relative settling test alone can stall.
+    return _solve_windowed(params, policy, chi, abs_floor=1e-12)
 
 
 @dataclass(frozen=True)
@@ -225,6 +186,8 @@ def _five_point_curvature(f, h: float) -> float:
 
 
 def _curvature_with_check(f, step: float, label: str) -> tuple[float, float, bool]:
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be positive and finite, got {step}")
     value = _five_point_curvature(f, step)
     half = _five_point_curvature(f, 0.5 * step)
     refined = (16.0 * half - value) / 15.0
@@ -280,7 +243,7 @@ def susceptibility_curvature(
         )
 
     def f(ng: float) -> float:
-        return charge_susceptibility(params.with_ng(ng), policy).value
+        return charge_susceptibility(params.with_ng(ng), policy)
 
     value, refined, unstable = _curvature_with_check(f, step, "susceptibility")
     reference = -3.0 * params.e_j / (2.0 * params.e_c * params.n_half**4)
@@ -432,7 +395,7 @@ def band_sweep(
             if include_imbalance:
                 columns["n_expect"][i] = expected_imbalance(point, policy)
             if include_susceptibility:
-                columns["chi"][i] = charge_susceptibility(point, policy).value
+                columns["chi"][i] = charge_susceptibility(point, policy)
         except WindowConvergenceError:
             flags[i] = 0.0
     columns["converged"] = flags

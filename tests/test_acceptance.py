@@ -101,7 +101,7 @@ def test_criterion_3_cpb_formulas():
         spectrum = lowest_eigenvalues(build(p), 2)
         numeric_gap = spectrum.values[1] - spectrum.values[0]
         worst_gap = max(worst_gap, abs(numeric_gap - cpb_gap(p)) / cpb_gap(p))
-        numeric_chi = charge_susceptibility(p, FULL).value
+        numeric_chi = charge_susceptibility(p, FULL)
         worst_chi = max(
             worst_chi, abs(numeric_chi - cpb_susceptibility(p)) / cpb_susceptibility(p)
         )

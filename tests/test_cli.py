@@ -115,6 +115,13 @@ def test_curvature_table(tmp_path):
     assert np.all(table.columns["reference"] < 0.0)
 
 
+@pytest.mark.parametrize("step", ["0", "nan"])
+def test_curvature_step_must_be_positive_and_finite(step, capsys):
+    code = main(f"curvature --kind susceptibility --pairs 60 --values 10 --step {step}".split())
+    assert code == 1
+    assert "--step" in capsys.readouterr().err
+
+
 def test_wick_verify(tmp_path, capsys):
     code = main("wick-verify --count 40 --degree 5 --format json".split())
     assert code == 0

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from finitejj import eigensolve
-from finitejj.errors import CapacityError, NearDegenerateWarning
+from finitejj.errors import CapacityError, ConvergenceError, NearDegenerateWarning
 from finitejj.eigensolve import (
+    charge_response,
     dense_all,
     eigenvalue_count_below,
     ground_state,
@@ -249,6 +250,25 @@ class TestGroundState:
         h = build(params(10, 0.01, ng=0.5))
         with pytest.warns(NearDegenerateWarning):
             ground_state(h, tol=2e-3)
+
+
+class TestChargeResponse:
+    def test_matches_dense_sum_over_states(self):
+        for pairs, ejec, ng in [(10, 0.2, 0.3), (20, 3.0, 0.8), (30, 1.0, -2.5)]:
+            h = build(params(pairs, ejec, ng=ng))
+            spec = dense_all(h)
+            n = h.charges()
+            v0 = spec.pairs[0].vector
+            exact = sum(
+                np.dot(p.vector, n * v0) ** 2 / (p.value - spec.pairs[0].value)
+                for p in spec.pairs[1:]
+            )
+            assert charge_response(h) == pytest.approx(exact, rel=1e-10)
+
+    def test_failed_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(eigensolve, "dgtsv", lambda dl, d, du, b: (dl, d, du, b, 2))
+        with pytest.raises(ConvergenceError, match="dgtsv"):
+            charge_response(build(params(10, 0.2, ng=0.3)))
 
 
 class TestDenseAll:

@@ -1,6 +1,5 @@
 """Tridiagonal coefficients, charge windows, and the spin-matrix identities."""
 
-import io
 import math
 
 import numpy as np
@@ -12,7 +11,6 @@ from finitejj.hamiltonian import (
     ChargeWindow,
     build,
     build_windowed,
-    export_table,
     spin_matrices,
 )
 from finitejj.model import CircuitParams
@@ -176,25 +174,3 @@ class TestSymmetries:
             v = spec.pairs[0].vector
             assert np.all(v > 0.0)
 
-
-class TestExport:
-    def test_three_column_table(self):
-        h = build(params(2, 1.0))
-        buffer = io.StringIO()
-        export_table(h, buffer)
-        lines = buffer.getvalue().strip().splitlines()
-        assert lines[0].startswith("#")
-        assert len(lines) == 1 + h.dim
-        first = lines[1].split()
-        assert float(first[0]) == -1.0  # charge
-        assert float(first[1]) == 1.0  # diagonal
-        assert float(first[2]) == pytest.approx(-math.sqrt(2.0) / 2.0)
-        assert len(lines[-1].split()) == 2  # no coupling out of the last state
-
-    def test_roundtrip_via_path(self, tmp_path):
-        h = build(params(4, 0.7, ng=0.1))
-        path = tmp_path / "op.txt"
-        export_table(h, path)
-        body = np.loadtxt(path, usecols=(0, 1), comments="#")
-        assert body.shape == (5, 2)
-        assert body[:, 1] == pytest.approx(h.diagonal_block(0, 5))

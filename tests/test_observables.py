@@ -15,7 +15,7 @@ from conftest import (
 )
 from finitejj.errors import RegimeWarning, WindowConvergenceError
 from finitejj.eigensolve import dense_all
-from finitejj.hamiltonian import build
+from finitejj.hamiltonian import ChargeWindow, build, build_windowed
 from finitejj.model import CircuitParams
 from finitejj.observables import (
     SweepTable,
@@ -107,39 +107,75 @@ class TestExpectedImbalance:
 class TestChargeSusceptibility:
     def test_two_level_value_at_zero(self):
         result = charge_susceptibility(params(1, 1.0), FULL)
-        assert result.value == pytest.approx(0.5, rel=1e-7)
-        assert result.value == pytest.approx(two_level_susceptibility(1.0, 1.0, 0.0), rel=1e-7)
+        assert result == pytest.approx(0.5, rel=1e-7)
+        assert result == pytest.approx(two_level_susceptibility(1.0, 1.0, 0.0), rel=1e-7)
 
     def test_peak_matches_degenerate_formula(self):
         # peak at n_g = 1/2 for 2N = 10, E_J/E_C = 0.2
         result = charge_susceptibility(params(10, 0.2, ng=0.5), FULL)
         peak = (10.0 * 1.0) / (0.2 * math.sqrt(11.0**2 - 1.0))
-        assert result.value == pytest.approx(peak, rel=0.02)
+        assert result == pytest.approx(peak, rel=0.02)
 
     def test_vanishes_deep_in_saturation(self):
         result = charge_susceptibility(params(10, 0.2, ng=25.0), FULL)
-        assert abs(result.value) < 1e-6
+        assert abs(result) < 1e-6
 
     def test_even_in_offset_charge(self):
         for pairs, ejec, ng in [(10, 0.2, 0.5), (60, 20.0, 1.0)]:
-            plus = charge_susceptibility(params(pairs, ejec, ng=ng), FULL).value
-            minus = charge_susceptibility(params(pairs, ejec, ng=-ng), FULL).value
+            plus = charge_susceptibility(params(pairs, ejec, ng=ng), FULL)
+            minus = charge_susceptibility(params(pairs, ejec, ng=-ng), FULL)
             assert plus == pytest.approx(minus, abs=1e-8 * max(1.0, abs(plus)))
 
-    def test_richardson_refines(self):
-        result = charge_susceptibility(params(10, 0.2, ng=0.5), FULL)
-        peak_width = 0.2 * math.sqrt(120.0) / (2.0 * 10.0)  # gap / (2 E_C), by hand
-        assert result.error_estimate < 0.05 * abs(result.value)
-        assert result.step == pytest.approx(1e-4)
-        assert peak_width > result.step  # step resolves the feature
+    @pytest.mark.parametrize(
+        "pairs,ejec,ng,half_width",
+        [(1, 1.0, 0.0, None), (10, 0.2, 0.5, None), (10, 0.01, 0.5, None),
+         (10, 0.2, 25.0, None), (11, 1.0, -0.83, None), (60, 50.0, 4.0, None),
+         (10, 0.2, 4.1, None), (10, 0.1, 4.05, None), (500_000_000, 50.0, 1e8 + 0.3, 16)],
+    )
+    def test_matches_mpmath_sum_over_states(self, pairs, ejec, ng, half_width):
+        # 4 E_C sum_{m>0} |<m|n|0>|^2 / (E_m - E_0) at 40 digits, same coefficients.
+        # At n_g = 4.1 and 4.05 an LU solve of H - s, s just below E_0, meets an
+        # exactly zero pivot.
+        mpmath = pytest.importorskip("mpmath")
+        p = params(pairs, ejec, ng=ng)
+        policy = FULL if half_width is None else WindowPolicy.fixed(half_width)
+        if half_width is None:
+            h = build(p)
+        else:
+            h = build_windowed(p, ChargeWindow.centered(p.n_half, p.n_g, half_width))
+        diag, off = h.to_arrays()
+        with mpmath.workdps(40):
+            a = mpmath.diag([mpmath.mpf(d) for d in diag.tolist()])
+            for i, o in enumerate(off.tolist()):
+                a[i, i + 1] = a[i + 1, i] = mpmath.mpf(o)
+            values, vectors = mpmath.eigsy(a)
+            order = sorted(range(h.dim), key=lambda j: values[j])
+            ground = vectors[:, order[0]]
+            n_ground = [mpmath.mpf(n) * ground[i] for i, n in enumerate(h.charges().tolist())]
+            exact = 4 * sum(
+                sum(vectors[i, m] * n_ground[i] for i in range(h.dim)) ** 2
+                / (values[m] - values[order[0]])
+                for m in order[1:]
+            )
+            error = abs((charge_susceptibility(p, policy) - exact) / exact)
+        assert error <= 1e-12
 
-    def test_hellmann_feynman_cross_check_fields(self):
-        result = charge_susceptibility(params(10, 5.0, ng=0.37), FULL)
-        assert result.e0_slope_fd == pytest.approx(result.e0_slope_hf, abs=1e-7)
+    def test_adaptive_agrees_with_full(self):
+        for pairs, ejec, ng in [(400, 50.0, 0.3), (60, 50.0, 4.0), (10, 0.2, 0.5)]:
+            p = params(pairs, ejec, ng=ng)
+            full = charge_susceptibility(p, FULL)
+            assert charge_susceptibility(p, WindowPolicy.adaptive()) == pytest.approx(
+                full, rel=1e-9, abs=1e-12
+            )
 
-    def test_step_validation(self):
-        with pytest.raises(ValueError):
-            charge_susceptibility(params(10, 1.0), FULL, step=-0.1)
+    def test_one_state_window_is_zero(self):
+        # one state has nothing to mix with; a finite difference of <n> across
+        # n_g = 1/2 would jump between two such windows instead
+        table = band_sweep(
+            params(10, 0.2), [0.0, 0.5, 1.0], levels=1,
+            policy=WindowPolicy.fixed(0), include_susceptibility=True,
+        )
+        assert list(table.columns["chi"]) == [0.0, 0.0, 0.0]
 
 
 class TestHellmannFeynman:
@@ -295,6 +331,12 @@ class TestDispersionCurvature:
         even = dispersion_curvature(params(60, 10.0), FULL)
         odd = dispersion_curvature(params(61, 10.0), FULL)
         assert (even.ratio - 1.0) * (odd.ratio - 1.0) < 0.0
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf])
+    def test_step_validation(self, step):
+        for curvature in (dispersion_curvature, susceptibility_curvature):
+            with pytest.raises(ValueError, match="step"):
+                curvature(params(60, 40.0), FULL, step=step)
 
     def test_reference_formula(self):
         result = dispersion_curvature(params(60, 40.0), FULL)

@@ -106,7 +106,7 @@ class TestCpbSusceptibility:
 
     def test_matches_numerical_peak(self):
         p = params(10, 0.01, ng=0.5)
-        numeric = charge_susceptibility(p, WindowPolicy.full()).value
+        numeric = charge_susceptibility(p, WindowPolicy.full())
         assert cpb_susceptibility(p) == pytest.approx(numeric, rel=0.02)
 
     def test_product_with_gap_is_charging_energy(self):
@@ -193,7 +193,7 @@ class TestTransmonSusceptibility:
 
     def test_matches_numerical(self):
         p = params(60, 50.0, ng=4.0)
-        numeric = charge_susceptibility(p, WindowPolicy.full()).value
+        numeric = charge_susceptibility(p, WindowPolicy.full())
         assert quiet(transmon_susceptibility, p) == pytest.approx(numeric, rel=0.05)
 
     def test_even_in_offset_charge(self):
