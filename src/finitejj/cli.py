@@ -31,6 +31,7 @@ from .errors import ConvergenceError
 from .model import (
     DEFAULT_GATE_CAPACITANCE,
     MATERIAL_PRESETS,
+    MAX_PAIRS_TOTAL,
     CircuitParams,
     load_materials,
     validity_min_pairs,
@@ -51,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 def _count(text: str) -> int:
     """Integer flag accepting scientific notation (counts can be ~1e8)."""
     value = float(text)
-    if value < 0 or value != int(value):
+    if not (math.isfinite(value) and value >= 0 and value == int(value)):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(value)
 
@@ -63,6 +64,24 @@ def _positive_count(text: str) -> int:
     return value
 
 
+def _pairs(text: str) -> int:
+    """Total bosons 2N of a charge basis: a positive integer up to 2**53."""
+    value = _positive_count(text)
+    if value > MAX_PAIRS_TOTAL:
+        raise argparse.ArgumentTypeError(
+            f"expected at most 2**53 = {MAX_PAIRS_TOTAL}, where charge offsets stop being"
+            f" exact in doubles, got {text!r}"
+        )
+    return value
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0):
@@ -70,11 +89,20 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _stencil_step(text: str) -> float:
+    try:
+        return observables.checked_step(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(piece) for piece in text.split(",") if piece.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
+        return [_positive_float(piece) for piece in text.split(",") if piece.strip()]
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated positive finite numbers, got {text!r}"
+        ) from exc
 
 
 def _add_window_flags(sub):
@@ -86,7 +114,8 @@ def _add_window_flags(sub):
                      help="starting half-width for --window adaptive")
     sub.add_argument("--w-max", type=_count, default=observables.DEFAULT_W_MAX,
                      help="half-width cap for --window adaptive")
-    sub.add_argument("--window-rtol", type=float, default=observables.DEFAULT_WINDOW_RTOL,
+    sub.add_argument("--window-rtol", type=_positive_float,
+                     default=observables.DEFAULT_WINDOW_RTOL,
                      help="relative settling tolerance for --window adaptive")
 
 
@@ -112,6 +141,8 @@ def _grid_from(args) -> np.ndarray:
         raise CliError("--steps must be at least 1")
     if args.steps > 1 and not args.start < args.stop:
         raise CliError("--from must be smaller than --to")
+    if not math.isfinite(args.stop - args.start):
+        raise CliError("--to minus --from overflows the float range")
     return np.linspace(args.start, args.stop, args.steps)
 
 
@@ -167,6 +198,13 @@ def _sweep_command(args, include_imbalance, include_susceptibility, levels, name
 
 
 def _cmd_bands(args):
+    if args.window == "fixed" and args.half_width is not None:
+        states = 2 * args.half_width + 1
+        if args.levels > states:
+            raise CliError(
+                f"--levels {args.levels} exceeds the {states} charge states of"
+                f" --half-width {args.half_width}"
+            )
     return _sweep_command(args, False, False, args.levels, "bands")
 
 
@@ -353,10 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     bands = sub.add_parser("bands", parents=[], help="lowest bands vs offset charge")
-    bands.add_argument("--pairs", type=_positive_count, required=True, help="total bosons 2N")
-    bands.add_argument("--ejec", type=float, required=True, help="E_J/E_C ratio (E_C = 1)")
-    bands.add_argument("--from", dest="start", type=float, required=True)
-    bands.add_argument("--to", dest="stop", type=float, required=True)
+    bands.add_argument("--pairs", type=_pairs, required=True, help="total bosons 2N")
+    bands.add_argument("--ejec", type=_positive_float, required=True,
+                       help="E_J/E_C ratio (E_C = 1)")
+    bands.add_argument("--from", dest="start", type=_finite_float, required=True)
+    bands.add_argument("--to", dest="stop", type=_finite_float, required=True)
     bands.add_argument("--steps", type=_positive_count, required=True)
     bands.add_argument("--levels", type=_positive_count, default=3)
     bands.add_argument("--subtract-e0", action="store_true",
@@ -370,10 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
         ("susceptibility", "d<n>/dn_g vs offset charge", _cmd_susceptibility),
     ):
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--pairs", type=_positive_count, required=True)
-        p.add_argument("--ejec", type=float, required=True)
-        p.add_argument("--from", dest="start", type=float, required=True)
-        p.add_argument("--to", dest="stop", type=float, required=True)
+        p.add_argument("--pairs", type=_pairs, required=True)
+        p.add_argument("--ejec", type=_positive_float, required=True)
+        p.add_argument("--from", dest="start", type=_finite_float, required=True)
+        p.add_argument("--to", dest="stop", type=_finite_float, required=True)
         p.add_argument("--steps", type=_positive_count, required=True)
         _add_window_flags(p)
         _add_output_flags(p, name)
@@ -383,27 +422,27 @@ def build_parser() -> argparse.ArgumentParser:
     curv.add_argument("--kind", choices=("dispersion", "susceptibility"), required=True)
     curv.add_argument("--values", type=_float_list, default=[10.0, 20.0, 50.0, 100.0],
                       help="comma-separated E_J/E_C ratios")
-    curv.add_argument("--pairs", type=_positive_count, required=True)
-    curv.add_argument("--step", type=_positive_float, default=0.125,
+    curv.add_argument("--pairs", type=_pairs, required=True)
+    curv.add_argument("--step", type=_stencil_step, default=0.125,
                       help="offset-charge step of the stencil")
     _add_window_flags(curv)
     _add_output_flags(curv, "curvature")
     curv.set_defaults(func=_cmd_curvature)
 
     shift = sub.add_parser("transmon-shift", help="windowed numerical frequency shift")
-    shift.add_argument("--ej-ghz", type=float, required=True)
-    shift.add_argument("--ec-ghz", type=float, required=True)
-    shift.add_argument("--pairs", type=_positive_count, required=True)
-    shift.add_argument("--ng", type=float, required=True)
+    shift.add_argument("--ej-ghz", type=_positive_float, required=True)
+    shift.add_argument("--ec-ghz", type=_positive_float, required=True)
+    shift.add_argument("--pairs", type=_pairs, required=True)
+    shift.add_argument("--ng", type=_finite_float, required=True)
     _add_window_flags(shift)
     _add_output_flags(shift, "transmon_shift")
     shift.set_defaults(func=_cmd_transmon_shift)
 
     ana = sub.add_parser("analytic", help="closed-form values for given parameters")
-    ana.add_argument("--ej", type=float, required=True)
-    ana.add_argument("--ec", type=float, required=True)
-    ana.add_argument("--pairs", type=_positive_count, required=True)
-    ana.add_argument("--ng", type=float, default=0.0)
+    ana.add_argument("--ej", type=_positive_float, required=True)
+    ana.add_argument("--ec", type=_positive_float, required=True)
+    ana.add_argument("--pairs", type=_pairs, required=True)
+    ana.add_argument("--ng", type=_finite_float, default=0.0)
     _add_output_flags(ana, "analytic")
     ana.set_defaults(func=_cmd_analytic)
 
@@ -413,8 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="key-value preset file to read instead of the built-ins")
     val.add_argument("--pairs", type=_positive_count, default=None,
                      help="total bosons 2N, fills in the island volume")
-    val.add_argument("--ng", type=float, default=None, help="fills in the gate voltage")
-    val.add_argument("--cg-farad", type=float, default=DEFAULT_GATE_CAPACITANCE,
+    val.add_argument("--ng", type=_finite_float, default=None, help="fills in the gate voltage")
+    val.add_argument("--cg-farad", type=_positive_float, default=DEFAULT_GATE_CAPACITANCE,
                      help="gate capacitance in farads (default 2e per millivolt)")
     _add_output_flags(val, "validity")
     val.set_defaults(func=_cmd_validity)
@@ -423,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     wv.add_argument("--count", type=_positive_count, default=200)
     wv.add_argument("--degree", type=_positive_count, default=6)
     wv.add_argument("--seed", type=_count, default=20240901)
-    wv.add_argument("--rtol", type=float, default=1e-9)
+    wv.add_argument("--rtol", type=_positive_float, default=1e-9)
     _add_output_flags(wv, "wick_verify")
     wv.set_defaults(func=_cmd_wick_verify)
 
@@ -444,6 +483,9 @@ def main(argv=None) -> int:
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:  # overflow or underflow in a closed form
+        print(f"error: {exc}; a parameter is outside the float range", file=sys.stderr)
         return 1
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,6 +17,10 @@ Pivot counting streams the coefficients in fixed-size chunks, costing
 O(dim) time and O(1) memory per count.  Bisection on it alone is the path
 for operators beyond the array limit.  A dense full-spectrum routine
 (LAPACK, via scipy) provides the reference oracle at small dimensions.
+
+scipy is imported inside the functions that call LAPACK, so it loads at
+the first numerical solve: importing this module, or running only the
+closed forms, never loads it.
 """
 
 from __future__ import annotations
@@ -25,8 +29,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv, dstein
 
 from .errors import CapacityError, ConvergenceError, NearDegenerateWarning
 from .hamiltonian import ARRAY_LIMIT, DENSE_LIMIT, TridiagonalHamiltonian
@@ -151,6 +153,8 @@ def lowest_eigenvalues(
     if h.dim > ARRAY_LIMIT:
         pairs = [_bisect(h, j, lo0, hi0, pivmin) for j in range(k)]
     else:
+        from scipy.linalg import eigh_tridiagonal
+
         diag, off = h.to_arrays()
         values = eigh_tridiagonal(
             diag, off, eigvals_only=True, select="i", select_range=(0, k - 1),
@@ -206,6 +210,8 @@ def ground_state(h: TridiagonalHamiltonian, tol: float | None = None) -> EigenPa
                 NearDegenerateWarning,
                 stacklevel=2,
             )
+    from scipy.linalg.lapack import dstein
+
     dim = h.dim
     if dim == 1:
         off = np.zeros(1)  # scipy's dstein wrapper sizes e as max(n - 1, 1)
@@ -247,6 +253,8 @@ def charge_response(h: TridiagonalHamiltonian) -> float:
     j = int(np.argmax(np.abs(v)))
     diag[j] = 1.0
     off[max(j - 1, 0):j + 1] = 0.0
+    from scipy.linalg.lapack import dgtsv
+
     _, _, _, x, info = dgtsv(off, diag, off, phi)
     if info != 0:
         raise ConvergenceError(f"dgtsv tridiagonal solve failed (info {info})")
@@ -263,6 +271,8 @@ def dense_all(h: TridiagonalHamiltonian, dense_limit: int = DENSE_LIMIT) -> Spec
     """
     if h.dim > dense_limit:
         raise CapacityError(f"dim {h.dim} exceeds dense limit {dense_limit}")
+    from scipy.linalg import eigh_tridiagonal
+
     diag, off = h.to_arrays()
     values, vectors = eigh_tridiagonal(diag, off)
     pairs = [_with_vector(h, float(values[j]), vectors[:, j]) for j in range(h.dim)]

@@ -11,6 +11,7 @@ bosons per island.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -20,6 +21,9 @@ from . import constants
 DEFAULT_GATE_CAPACITANCE = 2.0 * constants.ELEMENTARY_CHARGE / 1e-3  # F
 
 _HALF_INT_TOL = 1e-9
+
+# Largest 2N for which every integer charge offset k = n + N is exact in doubles.
+MAX_PAIRS_TOTAL = 2**53
 
 
 @dataclass(frozen=True)
@@ -45,7 +49,8 @@ class CircuitParams:
     """Circuit-level parameter tuple (E_J, E_C, n_g, N) driving every computation.
 
     ``n_half`` is the boson number per island, a positive half-integer.
-    Any real ``n_g`` is accepted; ``|n_g| > n_half`` is the saturation regime.
+    Any finite ``n_g`` is accepted; ``|n_g| > n_half`` is the saturation regime.
+    ``2 * n_half`` is at most :data:`MAX_PAIRS_TOTAL`.
     """
 
     e_j: float
@@ -54,6 +59,9 @@ class CircuitParams:
     n_half: float
 
     def __post_init__(self):
+        for name in ("e_j", "e_c", "n_g", "n_half"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.e_j > 0:
             raise ValueError(f"e_j must be positive, got {self.e_j}")
         if not self.e_c > 0:
@@ -61,6 +69,8 @@ class CircuitParams:
         doubled = 2.0 * self.n_half
         if doubled < 1 or abs(doubled - round(doubled)) > _HALF_INT_TOL:
             raise ValueError(f"2*n_half must be a positive integer, got {doubled}")
+        if doubled > MAX_PAIRS_TOTAL:
+            raise ValueError(f"2*n_half must be at most 2**53, got {doubled:g}")
 
     @classmethod
     def from_pairs(cls, pairs_total: int, e_j: float, e_c: float, n_g: float = 0.0) -> "CircuitParams":

@@ -185,9 +185,16 @@ def _five_point_curvature(f, h: float) -> float:
     )
 
 
+def checked_step(step: float) -> float:
+    """``step`` if the stencils' 12 h**2 at h = step and h = step/2 is positive and finite."""
+    half = 0.5 * step
+    if not (step > 0 and 12.0 * half * half > 0 and math.isfinite(12.0 * step * step)):
+        raise ValueError(f"step must be positive with 12 step**2 in float range, got {step}")
+    return step
+
+
 def _curvature_with_check(f, step: float, label: str) -> tuple[float, float, bool]:
-    if not (math.isfinite(step) and step > 0):
-        raise ValueError(f"step must be positive and finite, got {step}")
+    checked_step(step)
     value = _five_point_curvature(f, step)
     half = _five_point_curvature(f, 0.5 * step)
     refined = (16.0 * half - value) / 15.0
@@ -382,6 +389,11 @@ def band_sweep(
     flags = np.ones(grid.size)
 
     def bands(h: TridiagonalHamiltonian) -> np.ndarray:
+        if h.dim < levels:
+            raise ValueError(
+                f"levels {levels} exceeds the {h.dim} charge states of the window"
+                f" at n_g = {h.params.n_g:g}"
+            )
         return lowest_eigenvalues(h, levels).values
 
     for i, ng in enumerate(grid):

@@ -1,12 +1,20 @@
 """CLI contracts: artifacts, summaries, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from finitejj.cli import main
 from finitejj.observables import SweepTable
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -115,7 +123,7 @@ def test_curvature_table(tmp_path):
     assert np.all(table.columns["reference"] < 0.0)
 
 
-@pytest.mark.parametrize("step", ["0", "nan"])
+@pytest.mark.parametrize("step", ["0", "nan", "1e308"])
 def test_curvature_step_must_be_positive_and_finite(step, capsys):
     code = main(f"curvature --kind susceptibility --pairs 60 --values 10 --step {step}".split())
     assert code == 1
@@ -190,3 +198,127 @@ def test_imbalance_and_susceptibility_tables(tmp_path):
 def test_scientific_notation_counts():
     code = main("bands --pairs 1e1 --ejec 0.2 --from -1 --to 1 --steps 3 --window full".split())
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        ("analytic --ej 1 --ec 1 --pairs 10 --ng inf", "--ng"),
+        ("analytic --ej inf --ec 1 --pairs 10", "--ej"),
+        ("analytic --ej 1 --ec nan --pairs 10", "--ec"),
+        ("bands --pairs 10 --ejec inf --from 0 --to 1 --steps 3", "--ejec"),
+        ("bands --pairs 10 --ejec 1 --from 0 --to inf --steps 3", "--to"),
+        ("bands --pairs 10 --ejec 1 --from nan --to 1 --steps 3", "--from"),
+        ("bands --pairs 10 --ejec 1 --from=-1e308 --to 1e308 --steps 3", "--from"),
+        ("transmon-shift --ej-ghz 10 --ec-ghz 0.2 --pairs 100 --ng inf", "--ng"),
+        ("transmon-shift --ej-ghz nan --ec-ghz 0.2 --pairs 100 --ng 1", "--ej-ghz"),
+        ("transmon-shift --ej-ghz 10 --ec-ghz inf --pairs 100 --ng 1", "--ec-ghz"),
+        ("validity --ng inf", "--ng"),
+        ("curvature --kind dispersion --pairs 60 --values 10,inf", "--values"),
+    ],
+)
+def test_non_finite_inputs_name_the_flag(argv, flag, capsys):
+    assert main(argv.split()) == 1
+    assert flag in capsys.readouterr().err
+
+
+def test_closed_form_overflow_is_parameter_error(capsys):
+    assert main("analytic --ej 1 --ec 1 --pairs 10 --ng 1e308".split()) == 1
+    assert "float range" in capsys.readouterr().err
+
+
+def test_pairs_beyond_exactness_limit_is_parameter_error(capsys):
+    code = main("bands --pairs 1e20 --ejec 1 --from 0 --to 1 --steps 3".split())
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--pairs" in err
+    assert "2**53" in err
+
+
+def test_levels_beyond_fixed_window_names_both_flags(capsys):
+    code = main(
+        "bands --pairs 10 --ejec 1 --from 0 --to 1 --steps 3 --window fixed --half-width 0 "
+        "--levels 3".split()
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--levels" in err
+    assert "--half-width" in err
+
+
+def test_scipy_loads_at_the_first_solve(tmp_path):
+    """Import and the closed-form commands leave scipy unloaded; a solve loads it."""
+    script = """
+import json, sys
+import finitejj.cli
+loaded = {"import": "scipy" in sys.modules}
+for argv in (["analytic", "--ej", "1", "--ec", "1", "--pairs", "10"],
+             ["validity", "--pairs", "1e6", "--ng", "3"],
+             ["wick-verify", "--count", "5"]):
+    assert finitejj.cli.main(argv) == 0
+    loaded[argv[0]] = "scipy" in sys.modules
+argv = ["bands", "--pairs", "4", "--ejec", "1", "--from", "0", "--to", "1", "--steps", "2"]
+assert finitejj.cli.main(argv) == 0
+loaded["bands"] = "scipy" in sys.modules
+print(json.dumps(loaded))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert loaded == {
+        "import": False, "analytic": False, "validity": False, "wick-verify": False,
+        "bands": True,
+    }
+
+
+# Cheap invocations (fixed small windows, few points) and the flags fed hostile values.
+_CHEAP = {
+    "analytic": (
+        "analytic --ej 1 --ec 1 --pairs 10 --ng 0.5",
+        ["--ej", "--ec", "--pairs", "--ng"],
+    ),
+    "validity": (
+        "validity --pairs 1e6 --ng 10 --cg-farad 1e-15",
+        ["--pairs", "--ng", "--cg-farad"],
+    ),
+    "bands": (
+        "bands --pairs 4 --ejec 1 --from 0 --to 1 --steps 3 --levels 2 --window fixed "
+        "--half-width 2",
+        ["--pairs", "--ejec", "--from", "--to", "--levels", "--half-width"],
+    ),
+    "curvature": (
+        "curvature --kind susceptibility --pairs 6 --values 1 --step 0.25 --window fixed "
+        "--half-width 3",
+        ["--pairs", "--values", "--step"],
+    ),
+    "transmon-shift": (
+        "transmon-shift --ej-ghz 10 --ec-ghz 0.2 --pairs 100 --ng 1 --window fixed "
+        "--half-width 4",
+        ["--ej-ghz", "--ec-ghz", "--pairs", "--ng"],
+    ),
+    "wick-verify": ("wick-verify --count 2 --degree 2", ["--rtol", "--seed"]),
+}
+_HOSTILE = st.one_of(
+    st.sampled_from(["inf", "-inf", "nan", "1e308", "-1e308", "1e20", "9007199254740993",
+                     "1e-300", "5e-324", "0", "-1"]),
+    st.floats().map(repr),
+)
+
+
+@given(command=st.sampled_from(sorted(_CHEAP)), data=st.data())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_hostile_numbers_never_raise(command, data):
+    base, flags = _CHEAP[command]
+    flag = data.draw(st.sampled_from(flags))
+    value = data.draw(_HOSTILE)
+    argv = base.split()
+    if flag in argv:
+        i = argv.index(flag)
+        del argv[i:i + 2]
+    # "--flag=value" keeps argparse from reading a negative value as an option.
+    assert main(argv + [f"{flag}={value}"]) in (0, 1, 2)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.linalg.lapack
 
 from finitejj import eigensolve
 from finitejj.errors import CapacityError, ConvergenceError, NearDegenerateWarning
@@ -129,12 +131,12 @@ class TestLowestEigenvalues:
     def test_certificate_catches_wrong_lapack_values(self, monkeypatch, sturm_counts, shift):
         h = build(params(40, 3.0, ng=0.2))
         oracle = dense_all(h)
-        lapack = eigensolve.eigh_tridiagonal
+        lapack = scipy.linalg.eigh_tridiagonal
 
         def shifted(*args, **kwargs):
             return lapack(*args, **kwargs) + shift
 
-        monkeypatch.setattr(eigensolve, "eigh_tridiagonal", shifted)
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", shifted)
         spec = lowest_eigenvalues(h, 3)
         # Every value fails its certificate and is bisected.
         assert len(sturm_counts) > 2 * 3
@@ -266,7 +268,9 @@ class TestChargeResponse:
             assert charge_response(h) == pytest.approx(exact, rel=1e-10)
 
     def test_failed_solve_raises(self, monkeypatch):
-        monkeypatch.setattr(eigensolve, "dgtsv", lambda dl, d, du, b: (dl, d, du, b, 2))
+        monkeypatch.setattr(
+            scipy.linalg.lapack, "dgtsv", lambda dl, d, du, b: (dl, d, du, b, 2)
+        )
         with pytest.raises(ConvergenceError, match="dgtsv"):
             charge_response(build(params(10, 0.2, ng=0.3)))
 

@@ -1,5 +1,7 @@
 """Parameter maps, material properties, and device-scale estimates."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,6 +76,18 @@ class TestCircuitParams:
             CircuitParams(e_j=1.0, e_c=0.0, n_g=0.0, n_half=1.0)
         with pytest.raises(ValueError):
             CircuitParams(e_j=1.0, e_c=1.0, n_g=0.0, n_half=0.75)
+
+    @pytest.mark.parametrize("field", ["e_j", "e_c", "n_g", "n_half"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_inputs_rejected(self, field, value):
+        fields = {"e_j": 1.0, "e_c": 1.0, "n_g": 0.0, "n_half": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            CircuitParams(**fields)
+
+    def test_pairs_limit_is_two_to_the_53(self):
+        assert CircuitParams.from_pairs(2**53, e_j=1.0, e_c=1.0).pairs_total == 2**53
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            CircuitParams.from_pairs(2**54, e_j=1.0, e_c=1.0)
 
 
 class TestCooperPairDensity:

@@ -270,6 +270,9 @@ class TestBandSweep:
             band_sweep(params(10, 0.2), [0.0, 0.0], levels=1, policy=FULL)
         with pytest.raises(ValueError):
             band_sweep(params(10, 0.2), [0.0, 1.0], levels=0, policy=FULL)
+        # The first adaptive window (half-width 16) holds 33 charge states.
+        with pytest.raises(ValueError, match="levels 50 exceeds the 33 charge states"):
+            band_sweep(params(1000, 1.0), [0.0], levels=50)
 
 
 class TestSweepTableSerialization:
