@@ -11,7 +11,6 @@ from .errors import (
     ConvergenceError,
     NearDegenerateWarning,
     RegimeWarning,
-    StepInstabilityWarning,
     TermBudgetError,
     WindowConvergenceError,
 )
@@ -40,8 +39,8 @@ from .eigensolve import (
     EigenPair,
     Spectrum,
     dense_all,
+    eigenpair,
     eigenvalue_count_below,
-    ground_state,
     lowest_eigenvalues,
 )
 from .observables import (
@@ -95,7 +94,6 @@ __all__ = [
     "RegimeWarning",
     "Spectrum",
     "SpinMatrices",
-    "StepInstabilityWarning",
     "SweepTable",
     "TermBudgetError",
     "TridiagonalHamiltonian",
@@ -114,12 +112,12 @@ __all__ = [
     "cpb_susceptibility",
     "dense_all",
     "dispersion_curvature",
+    "eigenpair",
     "eigenvalue_count_below",
     "expected_imbalance",
     "fock_oracle",
     "fock_oracle_stable",
     "gate_voltage",
-    "ground_state",
     "invert_bose_hubbard",
     "load_materials",
     "lowest_eigenvalues",

@@ -21,7 +21,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,7 @@ from .model import (
     MATERIAL_PRESETS,
     MAX_PAIRS_TOTAL,
     CircuitParams,
+    coefficient_overflow,
     load_materials,
     validity_min_pairs,
 )
@@ -45,6 +48,11 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only -12 and -1.5 for values; -1e3 and -1.5E+1 are numbers too.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):  # keep exit-code contract out of argparse's hands
         raise CliError(message)
 
@@ -89,11 +97,15 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _stencil_step(text: str) -> float:
-    try:
-        return observables.checked_step(float(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _circuit(pairs: int, e_j: float, e_c: float, ng_reach: float, flags: dict) -> CircuitParams:
+    """Parameters at n_g = 0 whose operator fits in floats for every |n_g| <= ``ng_reach``.
+
+    ``flags`` names the flags behind the "diagonal" and the "coupling".
+    """
+    part = coefficient_overflow(e_j, e_c, pairs / 2.0, ng_reach)
+    if part is not None:
+        raise CliError(f"{flags[part]}: the operator's {part} overflows the float range")
+    return CircuitParams.from_pairs(pairs, e_j=e_j, e_c=e_c)
 
 
 def _float_list(text: str) -> list[float]:
@@ -177,7 +189,8 @@ def _write_scalars(results: dict, meta: dict, args, default_name) -> Path:
 
 
 def _sweep_command(args, include_imbalance, include_susceptibility, levels, name):
-    params = CircuitParams.from_pairs(args.pairs, e_j=args.ejec, e_c=1.0)
+    params = _circuit(args.pairs, args.ejec, 1.0, max(abs(args.start), abs(args.stop)),
+                      {"coupling": "--ejec", "diagonal": "--from/--to"})
     table = observables.band_sweep(
         params,
         _grid_from(args),
@@ -222,14 +235,11 @@ def _cmd_curvature(args):
     if not ratios:
         raise CliError("--values must list at least one E_J/E_C ratio")
     rows = {"curvature": [], "reference": [], "ratio": []}
-    fn = (
-        observables.dispersion_curvature
-        if args.kind == "dispersion"
-        else observables.susceptibility_curvature
-    )
+    fn = getattr(observables, f"{args.kind}_curvature")
     for ratio in ratios:
-        params = CircuitParams.from_pairs(args.pairs, e_j=ratio, e_c=1.0)
-        result = fn(params, policy, step=args.step)
+        params = _circuit(args.pairs, ratio, 1.0, 0.0,
+                          {"coupling": "--values", "diagonal": "--pairs"})
+        result = fn(params, policy)
         rows["curvature"].append(result.value)
         rows["reference"].append(result.reference)
         rows["ratio"].append(result.ratio)
@@ -240,7 +250,6 @@ def _cmd_curvature(args):
             "grid_label": "ejec",
             "kind": args.kind,
             "pairs_total": args.pairs,
-            "step": args.step,
             "window_mode": policy.mode,
         },
     )
@@ -253,13 +262,12 @@ def _cmd_curvature(args):
 
 
 def _cmd_transmon_shift(args):
-    params = CircuitParams.from_pairs(args.pairs, e_j=args.ej_ghz, e_c=args.ec_ghz)
+    params = _circuit(args.pairs, args.ej_ghz, args.ec_ghz, abs(args.ng),
+                      {"coupling": "--ej-ghz", "diagonal": "--ec-ghz/--ng"})
     policy = _policy_from(args)
     w0 = observables.qubit_frequency(params, policy)
     w1 = observables.qubit_frequency(params.with_ng(args.ng), policy)
     shift_ghz = w1 - w0
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         analytic_ghz = perturbation.transmon_frequency(
@@ -288,9 +296,8 @@ def _cmd_transmon_shift(args):
 
 
 def _cmd_analytic(args):
-    import warnings
-
-    params = CircuitParams.from_pairs(args.pairs, e_j=args.ej, e_c=args.ec, n_g=args.ng)
+    params = _circuit(args.pairs, args.ej, args.ec, abs(args.ng),
+                      {"coupling": "--ej", "diagonal": "--ec/--ng"}).with_ng(args.ng)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         coeffs = perturbation.bogoliubov(params)
@@ -423,8 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     curv.add_argument("--values", type=_float_list, default=[10.0, 20.0, 50.0, 100.0],
                       help="comma-separated E_J/E_C ratios")
     curv.add_argument("--pairs", type=_pairs, required=True)
-    curv.add_argument("--step", type=_stencil_step, default=0.125,
-                      help="offset-charge step of the stencil")
     _add_window_flags(curv)
     _add_output_flags(curv, "curvature")
     curv.set_defaults(func=_cmd_curvature)

@@ -8,10 +8,11 @@ Sturm pivot counts: the number of negative pivots in the shifted LDL^T
 recurrence equals the number of eigenvalues below the shift, and
 count(v_j - delta) <= j < count(v_j + delta) puts exactly j eigenvalues
 below the bracket.  A value that fails its certificate is re-bracketed by
-bisection on the same count.  Ground-state vectors come from LAPACK inverse
-iteration (``dstein``) shifted to the lower end of the certified bracket,
-and the ground state's static charge response from one LAPACK tridiagonal
-solve (``dgtsv``).
+bisection on the same count.  Eigenvectors come from LAPACK inverse
+iteration (``dstein``) shifted to the lower end of the certified bracket.
+Perturbation theory in the charge n applies a level's reduced resolvent by
+LAPACK tridiagonal solves (``dgtsv``): once for its static charge response,
+twice for the ground state's fourth-order energy.
 
 Pivot counting streams the coefficients in fixed-size chunks, costing
 O(dim) time and O(1) memory per count.  Bisection on it alone is the path
@@ -55,7 +56,6 @@ class Spectrum:
 
     pairs: list[EigenPair]
     dim: int
-    converged: bool
 
     @property
     def values(self) -> np.ndarray:
@@ -128,56 +128,43 @@ def _bisect(
     return EigenPair(value=0.5 * (lo + hi), vector=None, residual=0.5 * width)
 
 
-def lowest_eigenvalues(
-    h: TridiagonalHamiltonian, k: int, tol: float | None = None
-) -> Spectrum:
+def lowest_eigenvalues(h: TridiagonalHamiltonian, k: int) -> Spectrum:
     """The k smallest eigenvalues, each certified by two Sturm pivot counts.
 
     Every value v_j is solved to the floating-point floor and returned with
     a residual r_j such that count(v_j - r_j) <= j and count(v_j + r_j) >= j+1.
     For a LAPACK value r_j is 4 eps |v_j| + 2 safmin, the bisection floor at
-    v_j; for a bisected one, the half-width of its final bracket.  ``tol`` is
-    an absolute energy tolerance that only sets ``Spectrum.converged``: true
-    when every r_j <= tol (always, for None).
+    v_j; for a bisected one, the half-width of its final bracket.
 
     Fixed evaluation order makes results bitwise reproducible.
     """
     if k < 1 or k > h.dim:
         raise ValueError(f"k must be in [1, {h.dim}], got {k}")
-    if tol is not None and not tol > 0:
-        raise ValueError("tol must be positive")
     dmin, dmax, off_max = h.coefficient_bounds()
     pivmin = _pivmin(off_max)
     lo0 = dmin - 2.0 * off_max
     hi0 = dmax + 2.0 * off_max
     if h.dim > ARRAY_LIMIT:
-        pairs = [_bisect(h, j, lo0, hi0, pivmin) for j in range(k)]
-    else:
-        from scipy.linalg import eigh_tridiagonal
+        return Spectrum([_bisect(h, j, lo0, hi0, pivmin) for j in range(k)], h.dim)
+    from scipy.linalg import eigh_tridiagonal
 
-        diag, off = h.to_arrays()
-        values = eigh_tridiagonal(
-            diag, off, eigvals_only=True, select="i", select_range=(0, k - 1),
-            lapack_driver="stebz", tol=2.0 * _SAFMIN,
-        )
-        pairs = []
-        for j, value in enumerate(values.tolist()):
-            delta = 4.0 * _EPS * abs(value) + 2.0 * _SAFMIN
-            below = eigenvalue_count_below(h, value - delta, pivmin)
-            above = eigenvalue_count_below(h, value + delta, pivmin)
-            if below <= j < above:
-                pairs.append(EigenPair(value=value, vector=None, residual=delta))
-            elif below > j:
-                pairs.append(_bisect(h, j, lo0, value - delta, pivmin))
-            else:
-                pairs.append(_bisect(h, j, value + delta, hi0, pivmin))
-    converged = tol is None or all(p.residual <= tol for p in pairs)
-    return Spectrum(pairs=pairs, dim=h.dim, converged=converged)
-
-
-def _spectral_scale(h: TridiagonalHamiltonian) -> float:
-    dmin, dmax, off_max = h.coefficient_bounds()
-    return max(abs(dmin), abs(dmax)) + 2.0 * off_max
+    diag, off = h.to_arrays()
+    values = eigh_tridiagonal(
+        diag, off, eigvals_only=True, select="i", select_range=(0, k - 1),
+        lapack_driver="stebz", tol=2.0 * _SAFMIN,
+    )
+    pairs = []
+    for j, value in enumerate(values.tolist()):
+        delta = 4.0 * _EPS * abs(value) + 2.0 * _SAFMIN
+        below = eigenvalue_count_below(h, value - delta, pivmin)
+        above = eigenvalue_count_below(h, value + delta, pivmin)
+        if below <= j < above:
+            pairs.append(EigenPair(value=value, vector=None, residual=delta))
+        elif below > j:
+            pairs.append(_bisect(h, j, lo0, value - delta, pivmin))
+        else:
+            pairs.append(_bisect(h, j, value + delta, hi0, pivmin))
+    return Spectrum(pairs, h.dim)
 
 
 def _with_vector(h: TridiagonalHamiltonian, value: float, v: np.ndarray) -> EigenPair:
@@ -189,78 +176,102 @@ def _with_vector(h: TridiagonalHamiltonian, value: float, v: np.ndarray) -> Eige
     return EigenPair(value=value, vector=v, residual=residual)
 
 
-def ground_state(h: TridiagonalHamiltonian, tol: float | None = None) -> EigenPair:
-    """Ground eigenpair: certified value plus its inverse-iteration vector.
+def eigenpair(h: TridiagonalHamiltonian, level: int = 0) -> EigenPair:
+    """Eigenpair ``level``: certified value plus its inverse-iteration vector.
 
     The vector is sign-normalized so its largest-magnitude component is
-    positive; with all couplings negative it then comes out componentwise
-    positive (Perron-Frobenius).  Warns when E_1 - E_0 is within 10x the
-    tolerance, where the vector is ill-conditioned.
+    positive; with all couplings negative the ground vector then comes out
+    componentwise positive (Perron-Frobenius).  Warns when a neighbouring
+    level lies within 40 eps ||H||, where the vector is ill-conditioned.
     """
     diag, off = h.to_arrays()  # the vector needs arrays: fail before solving
-    k = min(2, h.dim)
-    pairs = lowest_eigenvalues(h, k).pairs
-    e0 = pairs[0].value
-    if k == 2:
-        gap = pairs[1].value - e0
-        gap_floor = 10.0 * max(tol or 0.0, 4.0 * _EPS * _spectral_scale(h))
-        if gap < gap_floor:
-            warnings.warn(
-                f"levels nearly degenerate (gap {gap:.3e}); ground vector may be ill-conditioned",
-                NearDegenerateWarning,
-                stacklevel=2,
-            )
+    pairs = lowest_eigenvalues(h, min(level + 2, h.dim)).pairs
+    value = pairs[level].value
+    gap = min([abs(p.value - value) for p in pairs if p is not pairs[level]], default=np.inf)
+    dmin, dmax, off_max = h.coefficient_bounds()
+    if gap < 40.0 * _EPS * (max(abs(dmin), abs(dmax)) + 2.0 * off_max):
+        warnings.warn(
+            f"levels nearly degenerate (gap {gap:.3e}); eigenvector may be ill-conditioned",
+            NearDegenerateWarning,
+            stacklevel=2,
+        )
     from scipy.linalg.lapack import dstein
 
     dim = h.dim
     if dim == 1:
         off = np.zeros(1)  # scipy's dstein wrapper sizes e as max(n - 1, 1)
-    # Shift to the lower end of E_0's certified bracket, below which the
-    # Sturm count found no eigenvalue.  At a shift equal to E_0 to the last
-    # bit, dstein perturbs a near-zero pivot by about eps ||H||, which mixes
-    # up to eps ||H|| / gap of E_1's vector into the result; from r_0 below
-    # E_0, inverse iteration still converges at a rate of r_0 / gap per step.
-    shift = e0 - pairs[0].residual
+    # Shift to the lower end of the certified bracket.  At the value itself
+    # dstein perturbs a near-zero pivot by about eps ||H||, mixing up to
+    # eps ||H|| / gap of a neighbour's vector into the result; from r_j below
+    # it, inverse iteration still converges at a rate of r_j / gap per step.
+    shift = value - pairs[level].residual
     vectors, info = dstein(
         diag, off, [shift], np.ones(dim, dtype=np.int32), np.full(dim, dim, dtype=np.int32)
     )
     if info != 0:
         raise ConvergenceError("dstein inverse iteration did not converge")
-    return _with_vector(h, e0, vectors[:, 0])
+    return _with_vector(h, value, vectors[:, 0])
 
 
-def charge_response(h: TridiagonalHamiltonian) -> float:
-    """Static charge response of the ground state, sum_{m>0} |<m|n|0>|^2 / (E_m - E_0).
+def _reduced_resolvent(h: TridiagonalHamiltonian, level: int):
+    """(psi, a, solve) of level m: its vector, a = n - <n>, and phi -> R phi.
 
-    Sternheimer's route (Phys. Rev. 96, 951, 1954): solve (H - E_0) x = phi
-    for phi = (n - <n>) psi_0 and return phi . x with x orthogonal to psi_0.
-    H - E_0 is singular along psi_0, so the solve drops the row and column j
-    where |psi_0| peaks.  What is left is tridiagonal, nonsingular by strict
-    interlacing, and conditioned like the gap; its solution differs from the
-    wanted one by a multiple of psi_0, which is projected out.  Charges are
-    counted from the window's first state: a constant drops out of n - <n>,
-    and small offsets keep it free of cancellation at large n_g.  A
-    one-state window has no excited states, so its response is 0.
+    R is (H - E_m)^-1 on the complement of psi (Sternheimer, Phys. Rev. 96,
+    951, 1954), for phi orthogonal to psi.  The solve drops the row and
+    column j where |psi| peaks; what is left is nonsingular (its determinant
+    is a product of eigenvalue differences times psi_j^2) and solves to R phi
+    plus a multiple of psi, which is projected out.  Charges count from the
+    window's first state, which keeps a free of cancellation at large n_g.
+    A one-state window has no other states, so there R is 0.
     """
-    if h.dim == 1:
-        return 0.0
-    pair = ground_state(h)
+    pair = eigenpair(h, level)
     v = pair.vector
     n = np.arange(h.dim, dtype=float)
-    phi = (n - np.dot(n, v * v)) * v
+    a = n - np.dot(n, v * v)
+    if h.dim == 1:
+        return v, a, np.zeros_like
+    from scipy.linalg.lapack import dgtsv
+
     diag, off = h.to_arrays()
     diag -= pair.value
     j = int(np.argmax(np.abs(v)))
     diag[j] = 1.0
     off[max(j - 1, 0):j + 1] = 0.0
-    from scipy.linalg.lapack import dgtsv
 
-    _, _, _, x, info = dgtsv(off, diag, off, phi)
-    if info != 0:
-        raise ConvergenceError(f"dgtsv tridiagonal solve failed (info {info})")
-    x[j] = 0.0  # row j returned phi_j; the other rows were solved as if x_j = 0
-    x -= np.dot(v, x) * v
-    return float(np.dot(phi, x))
+    def solve(phi: np.ndarray) -> np.ndarray:
+        _, _, _, x, info = dgtsv(off, diag, off, phi)
+        if info != 0:
+            raise ConvergenceError(f"dgtsv tridiagonal solve failed (info {info})")
+        x[j] = 0.0  # row j returned phi_j; the other rows were solved as if x_j = 0
+        x -= np.dot(v, x) * v
+        return x
+
+    return v, a, solve
+
+
+def charge_response(h: TridiagonalHamiltonian, level: int = 0) -> float:
+    """Static charge response S_m = sum_{k != m} |<k|n|m>|^2 / (E_k - E_m) of a level.
+
+    phi . R phi for phi = (n - <n>) psi_m: one tridiagonal solve.
+    """
+    v, a, solve = _reduced_resolvent(h, level)
+    phi = a * v
+    return float(np.dot(phi, solve(phi)))
+
+
+def fourth_order_energy(h: TridiagonalHamiltonian) -> float:
+    """Ground-state Rayleigh-Schroedinger E^(4) in V = n, by Wigner's 2n+1 rule.
+
+    The first-order state is -x1 with x1 = R a psi_0, the second-order state
+    x2 = R r2 with r2 = a x1 - S_0 psi_0, and E^(4) = S_0 |x1|^2 - r2 . x2,
+    where S_0 = a psi_0 . x1.  Two solves with one decoupled matrix.
+    """
+    v, a, solve = _reduced_resolvent(h, 0)
+    phi = a * v
+    x1 = solve(phi)
+    s0 = float(np.dot(phi, x1))
+    r2 = a * x1 - s0 * v
+    return s0 * float(np.dot(x1, x1)) - float(np.dot(r2, solve(r2)))
 
 
 def dense_all(h: TridiagonalHamiltonian, dense_limit: int = DENSE_LIMIT) -> Spectrum:
@@ -276,4 +287,4 @@ def dense_all(h: TridiagonalHamiltonian, dense_limit: int = DENSE_LIMIT) -> Spec
     diag, off = h.to_arrays()
     values, vectors = eigh_tridiagonal(diag, off)
     pairs = [_with_vector(h, float(values[j]), vectors[:, j]) for j in range(h.dim)]
-    return Spectrum(pairs=pairs, dim=h.dim, converged=True)
+    return Spectrum(pairs, h.dim)

@@ -26,8 +26,5 @@ class RegimeWarning(UserWarning):
 
 
 class NearDegenerateWarning(UserWarning):
-    """Neighboring level lies within 10x the tolerance; eigenvector may be ill-conditioned."""
+    """A neighboring level lies within 40 eps ||H||; the eigenvector may be ill-conditioned."""
 
-
-class StepInstabilityWarning(UserWarning):
-    """Finite-difference step check disagrees; the derivative estimate is suspect."""

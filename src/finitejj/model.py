@@ -44,13 +44,27 @@ class BoseHubbardParams:
             raise ValueError(f"pairs_total must be a positive integer, got {self.pairs_total}")
 
 
+def coefficient_overflow(e_j: float, e_c: float, n_half: float, n_g: float) -> str | None:
+    """The charge-basis coefficient that leaves the float range, or None.
+
+    "diagonal": E_C (n - n_g)^2 peaks at E_C (N + |n_g|)^2.  "coupling": the
+    couplings peak at E_J (2N + 1) / 4N, and the eigensolver squares them.
+    """
+    reach = n_half + abs(n_g)
+    coupling = e_j * (2.0 * n_half + 1.0) / (4.0 * n_half)
+    if not math.isfinite(e_c * reach * reach):
+        return "diagonal"
+    return None if math.isfinite(coupling * coupling) else "coupling"
+
+
 @dataclass(frozen=True)
 class CircuitParams:
     """Circuit-level parameter tuple (E_J, E_C, n_g, N) driving every computation.
 
     ``n_half`` is the boson number per island, a positive half-integer.
     Any finite ``n_g`` is accepted; ``|n_g| > n_half`` is the saturation regime.
-    ``2 * n_half`` is at most :data:`MAX_PAIRS_TOTAL`.
+    ``2 * n_half`` is at most :data:`MAX_PAIRS_TOTAL`, and every operator
+    coefficient must stay in float range (:func:`coefficient_overflow`).
     """
 
     e_j: float
@@ -71,6 +85,9 @@ class CircuitParams:
             raise ValueError(f"2*n_half must be a positive integer, got {doubled}")
         if doubled > MAX_PAIRS_TOTAL:
             raise ValueError(f"2*n_half must be at most 2**53, got {doubled:g}")
+        part = coefficient_overflow(self.e_j, self.e_c, self.n_half, self.n_g)
+        if part is not None:
+            raise ValueError(f"the operator's {part} overflows the float range: {self}")
 
     @classmethod
     def from_pairs(cls, pairs_total: int, e_j: float, e_c: float, n_g: float = 0.0) -> "CircuitParams":

@@ -1,9 +1,12 @@
 """Measured quantities: qubit frequency, imbalance, susceptibility, sweeps.
 
-The susceptibility d<n>/dn_g is exact first-order perturbation theory in
-dH/dn_g, taken from the same window operator as <n> by one tridiagonal solve
-(``eigensolve.charge_response``); only the zero-offset curvatures use
-finite-difference stencils, each with its own step-halving check.
+Every derivative in n_g is Rayleigh-Schroedinger perturbation theory in
+dH/dn_g = -2 E_C (n - n_g), evaluated on the same window operator as the
+value it differentiates: the susceptibility d<n>/dn_g and the zero-offset
+dispersion curvature from one response solve per level
+(``eigensolve.charge_response``), the zero-offset susceptibility curvature
+from the ground state's fourth-order energy
+(``eigensolve.fourth_order_energy``).  No finite differences, so no step.
 
 Large islands are handled through charge windows: the low-energy states are
 exponentially localized around the offset charge, so a window of a few dozen
@@ -21,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RegimeWarning, StepInstabilityWarning, WindowConvergenceError
-from .eigensolve import charge_response, ground_state, lowest_eigenvalues
+from .errors import RegimeWarning, WindowConvergenceError
+from .eigensolve import charge_response, eigenpair, fourth_order_energy, lowest_eigenvalues
 from .hamiltonian import ChargeWindow, TridiagonalHamiltonian, build, build_windowed
 from .model import CircuitParams
 
@@ -88,10 +91,11 @@ def _windowed_operator(params: CircuitParams, half_width: int) -> TridiagonalHam
     return build_windowed(params, window)
 
 
-def _solve_windowed(params, policy, compute, abs_floor=0.0):
+def _solve_windowed(params, policy, compute, abs_floor=0.0, min_half_width=0):
     """Run ``compute(h)`` under the window policy; adaptive mode doubles W.
 
-    Convergence between consecutive widths W and 2W requires
+    Adaptive mode starts at no less than ``min_half_width``.  Convergence
+    between consecutive widths W and 2W requires
     |f(2W) - f(W)| <= rtol * max(|f|) + abs_floor.  A window that swallows
     the whole basis is exact, so it short-circuits the doubling.
     """
@@ -101,6 +105,7 @@ def _solve_windowed(params, policy, compute, abs_floor=0.0):
         return compute(_windowed_operator(params, policy.half_width))
 
     w = policy.w_initial if policy.w_initial is not None else initial_half_width(params)
+    w = max(w, min_half_width)
     previous = None
     while True:
         h = _windowed_operator(params, w)
@@ -121,15 +126,13 @@ def _solve_windowed(params, policy, compute, abs_floor=0.0):
         w = min(2 * w, max(policy.w_max, 1))
 
 
-def qubit_frequency(
-    params: CircuitParams, policy: WindowPolicy = DEFAULT_POLICY, tol: float | None = None
-) -> float:
+def qubit_frequency(params: CircuitParams, policy: WindowPolicy = DEFAULT_POLICY) -> float:
     """First spectral gap E_1 - E_0 under the window policy."""
 
     def gap(h: TridiagonalHamiltonian) -> float:
         if h.dim < 2:
             raise ValueError("qubit frequency needs at least two charge states")
-        spectrum = lowest_eigenvalues(h, 2, tol)
+        spectrum = lowest_eigenvalues(h, 2)
         return spectrum.pairs[1].value - spectrum.pairs[0].value
 
     return _solve_windowed(params, policy, gap)
@@ -139,8 +142,7 @@ def expected_imbalance(params: CircuitParams, policy: WindowPolicy = DEFAULT_POL
     """Ground-state charge imbalance <n> = sum_n n |psi_0(n)|^2."""
 
     def imbalance(h: TridiagonalHamiltonian) -> float:
-        pair = ground_state(h)
-        v = pair.vector
+        v = eigenpair(h).vector
         return float(np.dot(h.charges(), v * v))
 
     floor = 1e-12 * max(1.0, abs(params.n_g))
@@ -167,96 +169,63 @@ class CurvatureResult:
 
     value: float
     reference: float
-    step: float
-    refined: float
-    unstable: bool
 
     @property
     def ratio(self) -> float:
         return self.value / self.reference
 
-    def __float__(self) -> float:
-        return self.value
 
-
-def _five_point_curvature(f, h: float) -> float:
-    return (-f(2.0 * h) + 16.0 * f(h) - 30.0 * f(0.0) + 16.0 * f(-h) - f(-2.0 * h)) / (
-        12.0 * h * h
-    )
-
-
-def checked_step(step: float) -> float:
-    """``step`` if the stencils' 12 h**2 at h = step and h = step/2 is positive and finite."""
-    half = 0.5 * step
-    if not (step > 0 and 12.0 * half * half > 0 and math.isfinite(12.0 * step * step)):
-        raise ValueError(f"step must be positive with 12 step**2 in float range, got {step}")
-    return step
-
-
-def _curvature_with_check(f, step: float, label: str) -> tuple[float, float, bool]:
-    checked_step(step)
-    value = _five_point_curvature(f, step)
-    half = _five_point_curvature(f, 0.5 * step)
-    refined = (16.0 * half - value) / 15.0
-    # The step-halved extrapolation estimates the returned stencil's error.
-    denom = max(abs(refined), 1e-300)
-    unstable = abs(refined - value) > 0.10 * denom
-    if unstable:
+def _warn_outside_transmon(params: CircuitParams, kind: str) -> None:
+    if params.e_j / params.e_c < 10.0:
         warnings.warn(
-            f"{label} curvature: step-halving check disagrees by more than 10%",
-            StepInstabilityWarning,
+            f"{kind} curvature is a transmon-regime diagnostic; "
+            f"E_J/E_C = {params.e_j / params.e_c:.3g} is outside it",
+            RegimeWarning,
             stacklevel=3,
         )
-    return value, refined, unstable
 
 
 def dispersion_curvature(
-    params: CircuitParams, policy: WindowPolicy = DEFAULT_POLICY, step: float = 0.125
+    params: CircuitParams, policy: WindowPolicy = DEFAULT_POLICY
 ) -> CurvatureResult:
-    """d^2(qubit frequency)/dn_g^2 at zero offset charge.
+    """Exact d^2(qubit frequency)/dn_g^2 at zero offset charge.
 
-    Referenced against the large-island transmon value
-    -sqrt(2 E_C E_J) / (2 N^2); band extrema are unit-spaced in n_g, so the
-    default step 1/8 stays well inside one period.
+    Second-order perturbation theory gives E_m'' = 2 E_C - 8 E_C^2 S_m, so
+    the gap curves by 8 E_C^2 (S_0 - S_1), from one response solve around
+    each of the two lowest levels per window.  Referenced against the
+    large-island transmon value -sqrt(2 E_C E_J) / (2 N^2).
     """
-    if params.e_j / params.e_c < 10.0:
-        warnings.warn(
-            "dispersion curvature is a transmon-regime diagnostic; "
-            f"E_J/E_C = {params.e_j / params.e_c:.3g} is outside it",
-            RegimeWarning,
-            stacklevel=2,
-        )
+    _warn_outside_transmon(params, "dispersion")
 
-    def f(ng: float) -> float:
-        return qubit_frequency(params.with_ng(ng), policy)
+    def curvature(h: TridiagonalHamiltonian) -> float:
+        if h.dim < 2:
+            raise ValueError("dispersion curvature needs at least two charge states")
+        return 8.0 * params.e_c**2 * (charge_response(h, 0) - charge_response(h, 1))
 
-    value, refined, unstable = _curvature_with_check(f, step, "dispersion")
+    # S_0 and S_1 are each about 1/(4 E_C) in the transmon regime and cancel.
+    value = _solve_windowed(params.with_ng(0.0), policy, curvature, abs_floor=1e-12 * params.e_c)
     reference = -math.sqrt(2.0 * params.e_c * params.e_j) / (2.0 * params.n_half**2)
-    return CurvatureResult(
-        value=value, reference=reference, step=step, refined=refined, unstable=unstable
-    )
+    return CurvatureResult(value=value, reference=reference)
 
 
 def susceptibility_curvature(
-    params: CircuitParams, policy: WindowPolicy = DEFAULT_POLICY, step: float = 0.125
+    params: CircuitParams, policy: WindowPolicy = DEFAULT_POLICY
 ) -> CurvatureResult:
-    """d^2(d<n>/dn_g)/dn_g^2 at zero offset charge vs -3 E_J / (2 E_C N^4)."""
-    if params.e_j / params.e_c < 10.0:
-        warnings.warn(
-            "susceptibility curvature is a transmon-regime diagnostic; "
-            f"E_J/E_C = {params.e_j / params.e_c:.3g} is outside it",
-            RegimeWarning,
-            stacklevel=2,
-        )
+    """Exact d^2(d<n>/dn_g)/dn_g^2 at zero offset charge vs -3 E_J / (2 E_C N^4).
 
-    def f(ng: float) -> float:
-        return charge_susceptibility(params.with_ng(ng), policy)
+    chi = 1 - E_0''/(2 E_C), so d^2 chi/dn_g^2 = -E_0''''/(2 E_C) = -(12/E_C) E4,
+    where E4 is the ground state's fourth-order energy in
+    dH/dn_g = -2 E_C (n - n_g): (2 E_C)^4 times the one in n, which takes two
+    response solves per window.
+    """
+    _warn_outside_transmon(params, "susceptibility")
 
-    value, refined, unstable = _curvature_with_check(f, step, "susceptibility")
+    def curvature(h: TridiagonalHamiltonian) -> float:
+        return -192.0 * params.e_c**3 * fourth_order_energy(h)
+
+    value = _solve_windowed(params.with_ng(0.0), policy, curvature, abs_floor=1e-12)
     reference = -3.0 * params.e_j / (2.0 * params.e_c * params.n_half**4)
-    return CurvatureResult(
-        value=value, reference=reference, step=step, refined=refined, unstable=unstable
-    )
+    return CurvatureResult(value=value, reference=reference)
 
 
 @dataclass
@@ -399,7 +368,8 @@ def band_sweep(
     for i, ng in enumerate(grid):
         point = params.with_ng(float(ng))
         try:
-            values = _solve_windowed(point, policy, bands, abs_floor=0.0)
+            # Half-width levels - 1 holds ``levels`` states even at the basis edge.
+            values = _solve_windowed(point, policy, bands, min_half_width=levels - 1)
             if subtract_ground:
                 values = values - values[0]
             for j in range(levels):

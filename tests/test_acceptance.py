@@ -15,7 +15,7 @@ import numpy as np
 
 from conftest import random_poly
 from finitejj import wick
-from finitejj.eigensolve import dense_all, ground_state, lowest_eigenvalues
+from finitejj.eigensolve import dense_all, eigenpair, lowest_eigenvalues
 from finitejj.errors import RegimeWarning
 from finitejj.hamiltonian import build, spin_matrices
 from finitejj.model import ALUMINUM, CircuitParams, validity_min_pairs
@@ -187,7 +187,7 @@ def test_criterion_6_oracle_equivalence():
         worst_value = max(
             worst_value, float(np.max(np.abs(mine.values - oracle.values[:k]))) / scale
         )
-        vector = ground_state(h).vector
+        vector = eigenpair(h).vector
         worst_overlap = min(
             worst_overlap, abs(float(np.dot(vector, oracle.pairs[0].vector)))
         )
@@ -258,7 +258,7 @@ def test_criterion_7_invariant_suite():
     # ground-vector positivity
     positive = True
     for pairs, ejec, ng in [(10, 0.2, 0.0), (10, 0.2, 0.4), (14, 1.0, -0.7), (8, 0.3, 2.1)]:
-        vector = ground_state(build(params(pairs, ejec, ng=ng))).vector
+        vector = eigenpair(build(params(pairs, ejec, ng=ng))).vector
         positive = positive and bool(np.all(vector > 0.0))
     checks.append(("ground-vector positivity", positive))
 

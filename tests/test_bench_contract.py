@@ -1,0 +1,67 @@
+"""The benchmark's tracer and per-layer metrics find ``finitejj`` names by string.
+
+``bench/layers.py`` silently drops a name it cannot find, so a rename under
+``src/`` would zero a per-layer metric without failing anything.  These
+checks fail instead.
+"""
+
+import ast
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture(scope="module")
+def bench_modules():
+    sys.path.insert(0, str(BENCH))
+    try:
+        yield importlib.import_module("layers"), importlib.import_module("tracer")
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+def resolves(name: str) -> bool:
+    """Whether "layer.attr[.attr...]" names an attribute of module finitejj.<layer>."""
+    layer, *path = name.split(".")
+    owner = importlib.import_module(f"finitejj.{layer}")
+    for part in path:
+        if not hasattr(owner, part):
+            return False
+        owner = getattr(owner, part)
+    return True
+
+
+def picked_literals() -> list[str]:
+    """Every string literal that bench/layers.py passes to ``pick``."""
+    tree = ast.parse((BENCH / "layers.py").read_text())
+    return [
+        arg.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "pick"
+        for arg in node.args
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+    ]
+
+
+def test_layer_names_resolve_in_finitejj(bench_modules):
+    layers, _ = bench_modules
+    names = [*layers.SOLVES, *layers.ROW_SPANS, *picked_literals()]
+    assert len(names) > len(layers.SOLVES) + len(layers.ROW_SPANS)
+    assert [name for name in names if not resolves(name)] == []
+
+
+def test_tracer_installs_and_restores(bench_modules):
+    _, tracer = bench_modules
+    from finitejj import eigensolve
+
+    original = eigensolve.lowest_eigenvalues
+    undo = tracer.instrument(tracer.Tracer())
+    try:
+        assert eigensolve.lowest_eigenvalues is not original
+    finally:
+        tracer.restore(undo)
+    assert eigensolve.lowest_eigenvalues is original

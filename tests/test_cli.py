@@ -121,13 +121,95 @@ def test_curvature_table(tmp_path):
     assert table.meta["grid_label"] == "ejec"
     assert list(table.grid) == [10.0, 20.0]
     assert np.all(table.columns["reference"] < 0.0)
+    assert "step" not in table.meta
 
 
 @pytest.mark.parametrize("step", ["0", "nan", "1e308"])
 def test_curvature_step_must_be_positive_and_finite(step, capsys):
+    # The curvatures are exact and take no step: every --step is refused.
     code = main(f"curvature --kind susceptibility --pairs 60 --values 10 --step {step}".split())
     assert code == 1
     assert "--step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window, per_ratio", [("--window fixed --half-width 10", 1), ("", 2)])
+@pytest.mark.parametrize("kind", ["dispersion", "susceptibility"])
+def test_curvature_builds_one_window_walk_per_ratio(kind, window, per_ratio, monkeypatch):
+    # At 2N = 60 the adaptive walk tries half-width 16, then 32, which holds
+    # the whole basis; a fixed window is one operator.
+    from finitejj.hamiltonian import TridiagonalHamiltonian
+
+    built = []
+    init = TridiagonalHamiltonian.__init__
+
+    def counting(self, params, charge_window):
+        built.append(charge_window)
+        init(self, params, charge_window)
+
+    monkeypatch.setattr(TridiagonalHamiltonian, "__init__", counting)
+    argv = f"curvature --kind {kind} --pairs 60 --values 50,100 {window}".split()
+    assert main(argv) == 0
+    assert len(built) == 2 * per_ratio
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("analytic --ej 1 --ec 1 --pairs 10", "--ng", "-1e3"),
+        ("bands --pairs 10 --ejec 0.2 --to 0 --steps 3 --window full", "--from", "-1.5e1"),
+    ],
+)
+def test_negative_scientific_notation_is_a_value(command, flag, value, tmp_path):
+    spaced = command.split() + [flag, value, "--output", "spaced.csv"]
+    joined = command.split() + [f"{flag}={value}", "--output", "joined.csv"]
+    assert main(spaced) == 0
+    assert main(joined) == 0
+    assert (tmp_path / "spaced.csv").read_bytes() == (tmp_path / "joined.csv").read_bytes()
+
+
+def test_bands_levels_beyond_the_first_adaptive_window(tmp_path):
+    base = "bands --pairs 1000 --ejec 1 --from 0 --to 1 --steps 3 --levels 50"
+    assert main(f"{base} --output adaptive.csv".split()) == 0
+    assert main(f"{base} --window full --output full.csv".split()) == 0
+    adaptive = SweepTable.read_csv(tmp_path / "adaptive.csv")
+    full = SweepTable.read_csv(tmp_path / "full.csv")
+    assert list(adaptive.columns) == list(full.columns)
+    for name, column in full.columns.items():
+        assert adaptive.columns[name] == pytest.approx(column, rel=1e-9), name
+
+
+# Coefficients overflow from about 1e154: the diagonal E_C (N + |n_g|)^2 and
+# the squared coupling (E_J / 2)^2.
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        ("transmon-shift --ej-ghz 10 --ec-ghz 0.2 --pairs 100 --ng 1e155", "--ng"),
+        ("transmon-shift --ej-ghz 1e155 --ec-ghz 0.2 --pairs 100 --ng 1", "--ej-ghz"),
+        ("bands --pairs 4 --ejec 1e155 --from 0 --to 1 --steps 3", "--ejec"),
+        ("bands --pairs 4 --ejec 1 --from 0 --to 1e155 --steps 3", "--to"),
+        ("curvature --kind dispersion --pairs 4 --values 1e155", "--values"),
+        ("analytic --ej 1e155 --ec 1 --pairs 10", "--ej"),
+    ],
+)
+def test_overflowing_coefficients_name_the_flag(argv, flag, capsys):
+    assert main(argv.split()) == 1
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "overflows" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "transmon-shift --ej-ghz 10 --ec-ghz 0.2 --pairs 100 --ng 1e153 --window fixed "
+        "--half-width 4",
+        "transmon-shift --ej-ghz 1e153 --ec-ghz 0.2 --pairs 100 --ng 1",
+        "bands --pairs 4 --ejec 1e153 --from 0 --to 1 --steps 3",
+        "bands --pairs 4 --ejec 1 --from 0 --to 1e153 --steps 3",
+    ],
+)
+def test_coefficients_below_overflow_are_solved(argv):
+    assert main(argv.split()) == 0
 
 
 def test_wick_verify(tmp_path, capsys):
@@ -291,9 +373,8 @@ _CHEAP = {
         ["--pairs", "--ejec", "--from", "--to", "--levels", "--half-width"],
     ),
     "curvature": (
-        "curvature --kind susceptibility --pairs 6 --values 1 --step 0.25 --window fixed "
-        "--half-width 3",
-        ["--pairs", "--values", "--step"],
+        "curvature --kind susceptibility --pairs 6 --values 1 --window fixed --half-width 3",
+        ["--pairs", "--values"],
     ),
     "transmon-shift": (
         "transmon-shift --ej-ghz 10 --ec-ghz 0.2 --pairs 100 --ng 1 --window fixed "

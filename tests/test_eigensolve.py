@@ -12,8 +12,9 @@ from finitejj.errors import CapacityError, ConvergenceError, NearDegenerateWarni
 from finitejj.eigensolve import (
     charge_response,
     dense_all,
+    eigenpair,
     eigenvalue_count_below,
-    ground_state,
+    fourth_order_energy,
     lowest_eigenvalues,
 )
 from finitejj.hamiltonian import build
@@ -57,7 +58,6 @@ class TestLowestEigenvalues:
     def test_two_by_two_closed_form(self):
         spec = lowest_eigenvalues(build(params(1, 1.0)), 2)
         assert spec.values == pytest.approx([-0.75, 1.25], abs=1e-13)
-        assert spec.converged
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(42)
@@ -110,7 +110,7 @@ class TestLowestEigenvalues:
     def test_sturm_certification(self):
         tol = 1e-8
         h = build(params(60, 2.0, ng=0.3))
-        spec = lowest_eigenvalues(h, 4, tol=tol)
+        spec = lowest_eigenvalues(h, 4)
         for j, pair in enumerate(spec.pairs):
             assert eigenvalue_count_below(h, pair.value + tol) >= j + 1
             assert eigenvalue_count_below(h, pair.value - tol) <= j
@@ -145,7 +145,7 @@ class TestLowestEigenvalues:
             assert eigenvalue_count_below(h, pair.value - pair.residual) <= j
             assert eigenvalue_count_below(h, pair.value + pair.residual) >= j + 1
         # The ground vector is computed at the corrected value.
-        ground = ground_state(h)
+        ground = eigenpair(h)
         assert ground.value == spec.pairs[0].value
         assert abs(float(np.dot(ground.vector, oracle.pairs[0].vector))) > 1.0 - 1e-12
 
@@ -163,8 +163,6 @@ class TestLowestEigenvalues:
             lowest_eigenvalues(h, 0)
         with pytest.raises(ValueError):
             lowest_eigenvalues(h, 6)
-        with pytest.raises(ValueError):
-            lowest_eigenvalues(h, 2, tol=-1.0)
 
     def test_bitwise_determinism(self):
         h = build(params(100, 5.0, ng=0.37))
@@ -172,20 +170,10 @@ class TestLowestEigenvalues:
         second = lowest_eigenvalues(h, 3).values
         assert all(a == b for a, b in zip(first, second))
 
-    def test_unreachable_tolerance_clears_converged_flag(self):
-        # a tolerance below the floating-point floor cannot be certified
-        h = build(params(40, 3.0, ng=0.2))
-        spec = lowest_eigenvalues(h, 2, tol=1e-300)
-        assert not spec.converged
-        assert all(p.residual > 1e-300 for p in spec.pairs)
-        loose = lowest_eigenvalues(h, 2, tol=1e-6)
-        assert loose.converged
-        assert all(p.residual <= 1e-6 for p in loose.pairs)
-
 
 class TestGroundState:
     def test_symmetric_two_state_vector(self):
-        pair = ground_state(build(params(1, 1.0)))
+        pair = eigenpair(build(params(1, 1.0)))
         assert pair.value == pytest.approx(-0.75, abs=1e-13)
         assert pair.vector == pytest.approx([1 / math.sqrt(2)] * 2, rel=1e-12)
 
@@ -194,7 +182,7 @@ class TestGroundState:
         for _ in range(20):
             p = random_params(rng)
             h = build(p)
-            mine = ground_state(h)
+            mine = eigenpair(h)
             oracle = dense_all(h).pairs[0]
             overlap = abs(float(np.dot(mine.vector, oracle.vector)))
             assert overlap > 1.0 - 1e-10
@@ -214,7 +202,7 @@ class TestGroundState:
                     j = min(range(h.dim), key=lambda i: values[i])
                     charges = h.charges().tolist()
                     exact = sum(mpmath.mpf(n) * vectors[i, j] ** 2 for i, n in enumerate(charges))
-                    v = ground_state(h).vector
+                    v = eigenpair(h).vector
                     error = abs(mpmath.mpf(float(np.dot(charges, v * v))) - exact)
                     assert error <= 4 * eps * max(1.0, abs(exact)), ng
 
@@ -227,31 +215,40 @@ class TestGroundState:
         # Mild localization: every true component clears the noise floor,
         # so strict positivity is numerically meaningful.
         for pairs, ejec, ng in [(8, 0.3, 0.0), (10, 0.2, 0.4), (14, 1.0, -0.7)]:
-            pair = ground_state(build(params(pairs, ejec, ng=ng)))
+            pair = eigenpair(build(params(pairs, ejec, ng=ng)))
             assert np.all(pair.vector > 0.0)
 
     def test_positive_above_noise_floor_when_strongly_localized(self):
         # Far tails of a localized state underflow double precision; the
         # Perron sign statement applies to components above solver noise.
-        pair = ground_state(build(params(60, 4.0, ng=1.3)))
+        pair = eigenpair(build(params(60, 4.0, ng=1.3)))
         v = pair.vector
         floor = 64 * np.finfo(float).eps
         assert np.all(v[np.abs(v) > floor] > 0.0)
         assert np.min(v) > -floor
 
     def test_unit_norm_and_residual(self):
-        pair = ground_state(build(params(80, 10.0, ng=0.4)))
+        pair = eigenpair(build(params(80, 10.0, ng=0.4)))
         assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-12)
         h = build(params(80, 10.0, ng=0.4))
         direct = np.linalg.norm(h.matvec(pair.vector) - pair.value * pair.vector)
         assert pair.residual == pytest.approx(direct, rel=1e-6, abs=1e-14)
 
     def test_near_degenerate_warning(self):
-        # half-integer offset in the charge regime: gap ~ 1.1e-2, so a
-        # tolerance of 2e-3 puts the pair inside the 10x guard band
-        h = build(params(10, 0.01, ng=0.5))
+        # half-integer offset deep in the charge regime: the gap, about
+        # 1.1e-14, is below the guard band 40 eps ||H|| ~ 2.7e-13
+        h = build(params(10, 1e-14, ng=0.5))
         with pytest.warns(NearDegenerateWarning):
-            ground_state(h, tol=2e-3)
+            pair = eigenpair(h)
+        assert pair.vector is not None
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_excited_vector_matches_dense_oracle(self, level):
+        h = build(params(60, 10.0, ng=0.3))
+        mine = eigenpair(h, level)
+        oracle = dense_all(h).pairs[level]
+        assert mine.value == pytest.approx(oracle.value, rel=1e-14)
+        assert abs(float(np.dot(mine.vector, oracle.vector))) > 1.0 - 1e-12
 
 
 class TestChargeResponse:
@@ -266,6 +263,31 @@ class TestChargeResponse:
                 for p in spec.pairs[1:]
             )
             assert charge_response(h) == pytest.approx(exact, rel=1e-10)
+
+    @pytest.mark.parametrize("pairs,ejec,ng", [(10, 0.2, 0.3), (20, 3.0, 0.0), (61, 10.0, 0.0)])
+    def test_excited_and_fourth_order_match_dense_sum_over_states(self, pairs, ejec, ng):
+        h = build(params(pairs, ejec, ng=ng))
+        spec = dense_all(h)
+        energies = spec.values
+        vectors = np.array([p.vector for p in spec.pairs]).T
+        n = vectors.T @ (h.charges()[:, None] * vectors)  # <k|n|m>
+        m = np.arange(h.dim)
+
+        def response(level):
+            others = m != level
+            return float(np.sum(n[others, level] ** 2 / (energies[others] - energies[level])))
+
+        assert charge_response(h, 1) == pytest.approx(response(1), rel=1e-10)
+        # Rayleigh-Schroedinger E^(4) in V = n from the sum over states:
+        # sum V0k Vkl Vlm Vm0 / (D_k D_l D_m) - E2 sum |V0k|^2 / D_k^2,
+        # with D_k = E_0 - E_k and the diagonal of V shifted by <n>.
+        v = n - n[0, 0] * np.eye(h.dim)
+        denom = energies[0] - energies[1:]
+        first = v[1:, 0] / denom
+        e2 = float(np.dot(v[0, 1:], first))
+        inner = v[1:, 1:] @ first / denom
+        exact = float(first @ v[1:, 1:] @ inner) - e2 * float(first @ first)
+        assert fourth_order_energy(h) == pytest.approx(exact, rel=1e-9)
 
     def test_failed_solve_raises(self, monkeypatch):
         monkeypatch.setattr(

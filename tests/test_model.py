@@ -89,6 +89,22 @@ class TestCircuitParams:
         with pytest.raises(ValueError, match="2\\*\\*53"):
             CircuitParams.from_pairs(2**54, e_j=1.0, e_c=1.0)
 
+    @pytest.mark.parametrize(
+        "fields, reason",
+        [
+            ({"n_g": 1e155}, "diagonal"),
+            ({"n_g": -1e155}, "diagonal"),
+            ({"e_c": 1e306}, "diagonal"),  # E_C N^2 at 2N = 200
+            ({"e_j": 1e155}, "coupling"),
+        ],
+    )
+    def test_overflowing_coefficients_rejected(self, fields, reason):
+        values = {"e_j": 1.0, "e_c": 1.0, "n_g": 0.0, "n_half": 100.0, **fields}
+        with pytest.raises(ValueError, match=reason):
+            CircuitParams(**values)
+        below = {k: v * 1e-2 for k, v in fields.items()}
+        CircuitParams(**{**values, **below})
+
 
 class TestCooperPairDensity:
     def test_aluminum_value(self):

@@ -270,9 +270,18 @@ class TestBandSweep:
             band_sweep(params(10, 0.2), [0.0, 0.0], levels=1, policy=FULL)
         with pytest.raises(ValueError):
             band_sweep(params(10, 0.2), [0.0, 1.0], levels=0, policy=FULL)
-        # The first adaptive window (half-width 16) holds 33 charge states.
-        with pytest.raises(ValueError, match="levels 50 exceeds the 33 charge states"):
-            band_sweep(params(1000, 1.0), [0.0], levels=50)
+        # A fixed window clipped at the basis edge: 2 states at n_g = 4.5.
+        with pytest.raises(ValueError, match="levels 3 exceeds the 2 charge states"):
+            band_sweep(params(10, 1.0), [4.5], levels=3, policy=WindowPolicy.fixed(1))
+
+    def test_adaptive_window_starts_wide_enough_for_levels(self):
+        # The default first window (half-width 16) holds 33 states; 50 levels
+        # start it at half-width 49.
+        grid = [0.0, 0.5, 1.0]
+        adaptive = band_sweep(params(1000, 1.0), grid, levels=50)
+        full = band_sweep(params(1000, 1.0), grid, levels=50, policy=FULL)
+        for j in range(50):
+            assert adaptive.columns[f"E{j}"] == pytest.approx(full.columns[f"E{j}"], rel=1e-9)
 
 
 class TestSweepTableSerialization:
@@ -319,8 +328,8 @@ class TestDispersionCurvature:
     def test_minimal_junction_sanity(self):
         # exact two-level gap curvature is 2 E_C^2 / E_J
         with pytest.warns(RegimeWarning):
-            result = dispersion_curvature(params(1, 1.0), FULL, step=1.0 / 64.0)
-        assert result.value == pytest.approx(two_level_gap_curvature(1.0, 1.0, 0.0), rel=1e-6)
+            result = dispersion_curvature(params(1, 1.0), FULL)
+        assert result.value == pytest.approx(two_level_gap_curvature(1.0, 1.0, 0.0), rel=1e-12)
 
     def test_transmon_ratio_approaches_one(self):
         deviations = []
@@ -337,8 +346,10 @@ class TestDispersionCurvature:
 
     @pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf])
     def test_step_validation(self, step):
+        # The curvatures are exact and take no step; a caller's step is
+        # refused rather than ignored.
         for curvature in (dispersion_curvature, susceptibility_curvature):
-            with pytest.raises(ValueError, match="step"):
+            with pytest.raises(TypeError, match="step"):
                 curvature(params(60, 40.0), FULL, step=step)
 
     def test_reference_formula(self):
@@ -352,8 +363,8 @@ class TestDispersionCurvature:
         assert any(isinstance(w.message, RegimeWarning) for w in caught)
 
     def test_cpb_curvature_negative_for_even_total(self):
-        # Sharp charge-regime features also trip the step check; only the
-        # stencil-stable signs are asserted here.
+        # Charge regime: at n_g = 0 the gap peaks for 2N even (n = 0 lies
+        # midway between degeneracies) and dips for 2N odd (n = +-1/2 cross).
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             even = dispersion_curvature(params(10, 0.2), FULL)
@@ -378,21 +389,18 @@ class TestSusceptibilityCurvature:
         result = susceptibility_curvature(params(60, 40.0), FULL)
         assert result.reference == pytest.approx(-3.0 * 40.0 / (2.0 * 30.0**4))
 
-    def test_step_instability_flagged_for_underresolved_peak(self):
-        # 2N odd puts a susceptibility peak at n_g = 0 whose width is far
-        # below the stencil step, so halving the step must disagree loudly.
-        from finitejj.errors import StepInstabilityWarning
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = susceptibility_curvature(params(11, 0.05), FULL)
-        assert result.unstable
-        assert any(isinstance(w.message, StepInstabilityWarning) for w in caught)
-
     def test_smooth_case_not_flagged(self):
-        result = susceptibility_curvature(params(400, 50.0), FULL)
-        assert not result.unstable
-        assert result.refined == pytest.approx(result.value, rel=0.05)
+        # No warning in the transmon regime, and the exact curvature agrees
+        # with a five-point difference of the exact susceptibility.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = susceptibility_curvature(params(400, 50.0), FULL)
+            h = 0.1
+            chi = [
+                charge_susceptibility(params(400, 50.0, ng=k * h), FULL) for k in (-2, -1, 0, 1, 2)
+            ]
+        stencil = (-chi[0] + 16.0 * chi[1] - 30.0 * chi[2] + 16.0 * chi[3] - chi[4]) / (12.0 * h * h)
+        assert result.value == pytest.approx(stencil, rel=1e-3)
 
     def test_cpb_sign_between_peaks(self):
         # Between the half-integer peaks the susceptibility has a local
@@ -406,3 +414,77 @@ class TestSusceptibilityCurvature:
             odd = susceptibility_curvature(params(11, 0.2), FULL)
         assert even.value > 0.0
         assert odd.value < 0.0
+
+
+def _mp_levels(mpmath, off, charges, ng, levels):
+    """Lowest eigenvalues of diag (n - ng)^2 (E_C = 1, exact) plus float couplings ``off``.
+
+    Sturm bisection at the working precision, from brackets seeded by LAPACK.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    diag = [(q - ng) ** 2 for q in charges]
+    offsq = [mpmath.mpf(o) ** 2 for o in off]
+    tiny = mpmath.mpf(10) ** -200
+
+    def count(x):
+        c, d = 0, mpmath.mpf(1)
+        for i, di in enumerate(diag):
+            d = di - x - (offsq[i - 1] / d if i else 0)
+            if d == 0:
+                d = -tiny
+            if d < 0:
+                c += 1
+        return c
+
+    seeds = eigh_tridiagonal(np.array([float(x) for x in diag]), off, eigvals_only=True,
+                             select="i", select_range=(0, levels - 1))
+    out = []
+    for j, seed in enumerate(seeds.tolist()):
+        margin = mpmath.mpf(1e-9) * max(1.0, abs(seed))
+        lo, hi = mpmath.mpf(seed) - margin, mpmath.mpf(seed) + margin
+        while count(lo) > j:
+            lo -= 10 * (hi - lo)
+        while count(hi) <= j:
+            hi += 10 * (hi - lo)
+        while hi - lo > mpmath.mpf(10) ** -45:
+            mid = (lo + hi) / 2
+            if count(mid) > j:
+                hi = mid
+            else:
+                lo = mid
+        out.append((lo + hi) / 2)
+    return out
+
+
+@pytest.mark.parametrize("pairs", [60, 61])
+@pytest.mark.parametrize("ejec", [10.0, 20.0, 50.0, 100.0])
+def test_curvatures_match_mpmath_central_differences(pairs, ejec):
+    """Both exact curvatures against 50-digit eigenvalues, differentiated numerically.
+
+    The oracle keeps the program's float couplings, puts the offset charge
+    into an exact diagonal, and takes central differences at h = 1e-6: the
+    second difference of the gap and the fourth difference of E_0, with
+    chi'' = -E_0''''/(2 E_C).  It uses eigenvalues only, none of the
+    perturbation formulas.  Worst measured relative error: 3.1e-12
+    (dispersion) and 2.8e-11 (susceptibility), where the fourth-order energy
+    is 1e-5 to 1e-4 of the two terms whose difference gives it.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    p = params(pairs, ejec)
+    _, off = build(p).to_arrays()
+    with mpmath.workdps(50):
+        charges = [mpmath.mpf(k) - mpmath.mpf(pairs) / 2 for k in range(pairs + 1)]
+        h = mpmath.mpf("1e-6")
+        e = {s: _mp_levels(mpmath, off, charges, s * h, 2 if abs(s) < 2 else 1)
+             for s in (-2, -1, 0, 1, 2)}
+        gap = {s: e[s][1] - e[s][0] for s in (-1, 0, 1)}
+        dispersion = (gap[1] - 2 * gap[0] + gap[-1]) / h**2
+        fourth = (e[2][0] - 4 * e[1][0] + 6 * e[0][0] - 4 * e[-1][0] + e[-2][0]) / h**4
+        susceptibility = -fourth / 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            mine_d = dispersion_curvature(p, FULL).value
+            mine_s = susceptibility_curvature(p, FULL).value
+        assert abs(mine_d - dispersion) <= 1e-9 * abs(dispersion)
+        assert abs(mine_s - susceptibility) <= 1e-9 * abs(susceptibility)
