@@ -29,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import observables, perturbation
-from .errors import ConvergenceError
+from .errors import CapacityError, ConvergenceError
+from .hamiltonian import ARRAY_LIMIT
 from .model import (
     DEFAULT_GATE_CAPACITANCE,
     MATERIAL_PRESETS,
@@ -138,14 +139,23 @@ def _add_output_flags(sub, default_name):
 
 
 def _policy_from(args) -> WindowPolicy:
+    """The window policy of the flags; a full or fixed window must fit in an operator."""
+    if args.window == "adaptive":
+        if args.w_initial is not None and args.w_initial < 4:
+            raise CliError("--w-initial must be at least 4")
+        return WindowPolicy.adaptive(rtol=args.window_rtol, w_initial=args.w_initial,
+                                     w_max=args.w_max)
     if args.window == "full":
-        return WindowPolicy.full()
-    if args.window == "fixed":
-        if args.half_width is None:
-            raise CliError("--window fixed requires --half-width")
-        return WindowPolicy.fixed(args.half_width)
-    return WindowPolicy.adaptive(rtol=args.window_rtol, w_initial=args.w_initial,
-                                 w_max=args.w_max)
+        policy, flag, states = WindowPolicy.full(), "--window full", args.pairs + 1
+    elif args.half_width is None:
+        raise CliError("--window fixed requires --half-width")
+    else:
+        policy, flag = WindowPolicy.fixed(args.half_width), "--half-width"
+        states = min(2 * args.half_width + 1, args.pairs + 1)
+    if states > ARRAY_LIMIT:
+        raise CliError(f"{flag}: a window of {states} charge states exceeds the operator"
+                       f" limit of 2**26 = {ARRAY_LIMIT}")
+    return policy
 
 
 def _grid_from(args) -> np.ndarray:
@@ -488,6 +498,9 @@ def main(argv=None) -> int:
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except CapacityError as exc:  # an adaptive window grew past the operator limit
+        print(f"error: {exc}; lower --w-max or --w-initial", file=sys.stderr)
         return 1
     except ArithmeticError as exc:  # overflow or underflow in a closed form
         print(f"error: {exc}; a parameter is outside the float range", file=sys.stderr)

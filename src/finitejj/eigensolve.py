@@ -1,8 +1,8 @@
-"""Lowest eigenpairs of a symmetric tridiagonal operator at any dimension.
+"""Lowest eigenpairs of a symmetric tridiagonal operator.
 
-LAPACK computes, Sturm certifies.  Every operator that fits in arrays
-(dim <= ARRAY_LIMIT) gets its lowest values from one call to LAPACK
-bisection (``dstebz``, via scipy's ``eigh_tridiagonal``) at the
+LAPACK computes, Sturm certifies.  Every operator (at most ARRAY_LIMIT
+states, enforced when it is built) gets its lowest values from one call to
+LAPACK bisection (``dstebz``, via scipy's ``eigh_tridiagonal``) at the
 floating-point floor.  Each returned value v_j is then certified by two
 Sturm pivot counts: the number of negative pivots in the shifted LDL^T
 recurrence equals the number of eigenvalues below the shift, and
@@ -14,10 +14,9 @@ Perturbation theory in the charge n applies a level's reduced resolvent by
 LAPACK tridiagonal solves (``dgtsv``): once for its static charge response,
 twice for the ground state's fourth-order energy.
 
-Pivot counting streams the coefficients in fixed-size chunks, costing
-O(dim) time and O(1) memory per count.  Bisection on it alone is the path
-for operators beyond the array limit.  A dense full-spectrum routine
-(LAPACK, via scipy) provides the reference oracle at small dimensions.
+A pivot count is one O(dim) pass over the operator's two arrays.  A dense
+full-spectrum routine (LAPACK, via scipy) provides the reference oracle at
+small dimensions.
 
 scipy is imported inside the functions that call LAPACK, so it loads at
 the first numerical solve: importing this module, or running only the
@@ -32,9 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ConvergenceError, NearDegenerateWarning
-from .hamiltonian import ARRAY_LIMIT, DENSE_LIMIT, TridiagonalHamiltonian
+from .hamiltonian import DENSE_LIMIT, TridiagonalHamiltonian
 
-CHUNK = 1 << 16
 MAX_BISECTIONS = 2048
 
 _SAFMIN = float(np.finfo(float).tiny)
@@ -77,26 +75,18 @@ def eigenvalue_count_below(
     """
     if pivmin is None:
         pivmin = _pivmin(h.coefficient_bounds()[2])
+    diag = (h.diagonal_block(0, h.dim) - x).tolist()
+    offsq = np.empty(h.dim)
+    offsq[0] = 0.0
+    np.square(h.offdiagonal_block(0, h.dim - 1), out=offsq[1:])
     count = 0
     d = 1.0
-    dim = h.dim
-    for start in range(0, dim, CHUNK):
-        stop = min(start + CHUNK, dim)
-        diag = (h.diagonal_block(start, stop) - x).tolist()
-        if start == 0:
-            offsq = np.empty(stop - start)
-            offsq[0] = 0.0
-            if stop > 1:
-                np.square(h.offdiagonal_block(0, stop - 1), out=offsq[1:])
-        else:
-            offsq = np.square(h.offdiagonal_block(start - 1, stop - 1))
-        offsq_list = offsq.tolist()
-        for dj, oj in zip(diag, offsq_list):
-            d = dj - oj / d
-            if abs(d) <= pivmin:
-                d = -pivmin
-            if d < 0.0:
-                count += 1
+    for dj, oj in zip(diag, offsq.tolist()):
+        d = dj - oj / d
+        if abs(d) <= pivmin:
+            d = -pivmin
+        if d < 0.0:
+            count += 1
     return count
 
 
@@ -144,13 +134,10 @@ def lowest_eigenvalues(h: TridiagonalHamiltonian, k: int) -> Spectrum:
     pivmin = _pivmin(off_max)
     lo0 = dmin - 2.0 * off_max
     hi0 = dmax + 2.0 * off_max
-    if h.dim > ARRAY_LIMIT:
-        return Spectrum([_bisect(h, j, lo0, hi0, pivmin) for j in range(k)], h.dim)
     from scipy.linalg import eigh_tridiagonal
 
-    diag, off = h.to_arrays()
     values = eigh_tridiagonal(
-        diag, off, eigvals_only=True, select="i", select_range=(0, k - 1),
+        h.diag, h.off, eigvals_only=True, select="i", select_range=(0, k - 1),
         lapack_driver="stebz", tol=2.0 * _SAFMIN,
     )
     pairs = []
@@ -184,7 +171,6 @@ def eigenpair(h: TridiagonalHamiltonian, level: int = 0) -> EigenPair:
     componentwise positive (Perron-Frobenius).  Warns when a neighbouring
     level lies within 40 eps ||H||, where the vector is ill-conditioned.
     """
-    diag, off = h.to_arrays()  # the vector needs arrays: fail before solving
     pairs = lowest_eigenvalues(h, min(level + 2, h.dim)).pairs
     value = pairs[level].value
     gap = min([abs(p.value - value) for p in pairs if p is not pairs[level]], default=np.inf)
@@ -198,15 +184,15 @@ def eigenpair(h: TridiagonalHamiltonian, level: int = 0) -> EigenPair:
     from scipy.linalg.lapack import dstein
 
     dim = h.dim
-    if dim == 1:
-        off = np.zeros(1)  # scipy's dstein wrapper sizes e as max(n - 1, 1)
+    # scipy's dstein wrapper sizes e as max(n - 1, 1)
+    off = h.off if dim > 1 else np.zeros(1)
     # Shift to the lower end of the certified bracket.  At the value itself
     # dstein perturbs a near-zero pivot by about eps ||H||, mixing up to
     # eps ||H|| / gap of a neighbour's vector into the result; from r_j below
     # it, inverse iteration still converges at a rate of r_j / gap per step.
     shift = value - pairs[level].residual
     vectors, info = dstein(
-        diag, off, [shift], np.ones(dim, dtype=np.int32), np.full(dim, dim, dtype=np.int32)
+        h.diag, off, [shift], np.ones(dim, dtype=np.int32), np.full(dim, dim, dtype=np.int32)
     )
     if info != 0:
         raise ConvergenceError("dstein inverse iteration did not converge")
@@ -284,7 +270,6 @@ def dense_all(h: TridiagonalHamiltonian, dense_limit: int = DENSE_LIMIT) -> Spec
         raise CapacityError(f"dim {h.dim} exceeds dense limit {dense_limit}")
     from scipy.linalg import eigh_tridiagonal
 
-    diag, off = h.to_arrays()
-    values, vectors = eigh_tridiagonal(diag, off)
+    values, vectors = eigh_tridiagonal(h.diag, h.off)
     pairs = [_with_vector(h, float(values[j]), vectors[:, j]) for j in range(h.dim)]
     return Spectrum(pairs, h.dim)

@@ -4,9 +4,10 @@ In the basis of population-imbalance eigenstates |n>, n in {-N, ..., N},
 the junction Hamiltonian has diagonal entries ``E_C (n - n_g)^2`` and
 couplings ``-(E_J / 2N) sqrt(N(N+1) - n(n+1))`` between n and n+1.
 
-Coefficients are computed on demand from the parameters and the index, so
-the operator never materializes storage: dimensions of order 5e8 stream
-through the eigensolver's pivot counts without allocation.  Internally the
+An operator over a charge window stores both as two read-only arrays,
+computed once at construction, and holds at most ``ARRAY_LIMIT`` (2^26)
+states whether the window is full or not.  Large islands fit through
+windows: the low-energy states are localized in charge.  Internally the
 basis is indexed by the integer offset ``k = n + N`` in [0, 2N]; the square
 root argument then factors as ``(2N - k)(k + 1)``, which stays
 cancellation-free for n near the boundary at any island size.
@@ -23,7 +24,7 @@ from .model import CircuitParams
 
 # Largest dimension for dense (matrix) materialization.
 DENSE_LIMIT = 4001
-# Largest dimension for one-dimensional coefficient arrays.
+# Largest dimension of an operator: its two coefficient arrays.
 ARRAY_LIMIT = 1 << 26
 
 _LATTICE_TOL = 1e-9
@@ -60,15 +61,15 @@ class ChargeWindow:
 
 
 class TridiagonalHamiltonian:
-    """Matrix-free symmetric tridiagonal operator over a charge window.
+    """Symmetric tridiagonal operator over a charge window, held as two arrays.
 
-    Local index i in [0, dim) addresses charge ``n = n_lo + i``.
-    ``diagonal(i)`` is exact up to floating point; ``offdiagonal(i)`` couples
-    local states i and i+1 and is strictly negative away from the physical
-    boundary, where it vanishes.
+    Local index i in [0, dim) addresses charge ``n = n_lo + i``.  ``diag[i]``
+    is exact up to floating point; ``off[i]`` couples local states i and i+1
+    and is strictly negative away from the physical boundary, where it
+    vanishes.  Both arrays are computed at construction and are read-only.
     """
 
-    __slots__ = ("params", "window", "_k_lo", "_k_hi", "_center", "dim")
+    __slots__ = ("params", "window", "dim", "diag", "off", "_k_lo")
 
     def __init__(self, params: CircuitParams, window: ChargeWindow):
         two_n = params.pairs_total
@@ -83,102 +84,61 @@ class TridiagonalHamiltonian:
                 f"window [{window.n_lo}, {window.n_hi}] outside physical basis "
                 f"[{-params.n_half}, {params.n_half}]"
             )
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "_k_lo", int(k_lo))
-        object.__setattr__(self, "_k_hi", int(k_hi))
+        dim = int(k_hi - k_lo) + 1
+        if dim > ARRAY_LIMIT:
+            raise CapacityError(f"dim {dim} exceeds array limit {ARRAY_LIMIT}")
+        k = k_lo + np.arange(dim, dtype=float)
         # One rounding for n - n_g = k - center, same value at every index.
-        object.__setattr__(self, "_center", params.n_half + params.n_g)
-        object.__setattr__(self, "dim", int(k_hi - k_lo) + 1)
+        delta = k - (params.n_half + params.n_g)
+        diag = params.e_c * delta * delta
+        off = -(params.e_j / (2.0 * params.n_half)) * np.sqrt((two_n - k[:-1]) * (k[:-1] + 1.0))
+        diag.flags.writeable = off.flags.writeable = False
+        for name, value in (("params", params), ("window", window), ("dim", dim),
+                            ("diag", diag), ("off", off), ("_k_lo", int(k_lo))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("TridiagonalHamiltonian is immutable")
 
     @property
     def is_full_window(self) -> bool:
-        return self._k_lo == 0 and self._k_hi == self.params.pairs_total
-
-    def charge(self, i: int) -> float:
-        return (self._k_lo + i) - self.params.n_half
+        return self._k_lo == 0 and self.dim == self.params.pairs_total + 1
 
     def charges(self) -> np.ndarray:
-        if self.dim > ARRAY_LIMIT:
-            raise CapacityError(f"dim {self.dim} exceeds array limit {ARRAY_LIMIT}")
         return (self._k_lo + np.arange(self.dim, dtype=float)) - self.params.n_half
 
-    def diagonal(self, i: int) -> float:
-        delta = (self._k_lo + i) - self._center
-        return self.params.e_c * delta * delta
-
-    def offdiagonal(self, i: int) -> float:
-        """Coupling between local states i and i+1 (defined for i < dim - 1)."""
-        k = self._k_lo + i
-        two_n = self.params.pairs_total
-        return (
-            -(self.params.e_j / (2.0 * self.params.n_half))
-            * ((two_n - k) * (k + 1.0)) ** 0.5
-        )
-
     def diagonal_block(self, lo: int, hi: int) -> np.ndarray:
-        """diag values for local indices [lo, hi), vectorized."""
-        k = self._k_lo + np.arange(lo, hi, dtype=float)
-        delta = k - self._center
-        return self.params.e_c * delta * delta
+        """Read-only view of the diagonal for local indices [lo, hi)."""
+        return self.diag[lo:hi]
 
     def offdiagonal_block(self, lo: int, hi: int) -> np.ndarray:
-        """offdiag values for local indices [lo, hi), each coupling i to i+1."""
-        k = self._k_lo + np.arange(lo, hi, dtype=float)
-        two_n = self.params.pairs_total
-        return -(self.params.e_j / (2.0 * self.params.n_half)) * np.sqrt(
-            (two_n - k) * (k + 1.0)
-        )
+        """Read-only view of the couplings of local indices [lo, hi), each to i+1."""
+        return self.off[lo:hi]
 
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Materialize (diag, offdiag) arrays; guarded by the array limit."""
-        if self.dim > ARRAY_LIMIT:
-            raise CapacityError(f"dim {self.dim} exceeds array limit {ARRAY_LIMIT}")
-        return self.diagonal_block(0, self.dim), self.offdiagonal_block(0, self.dim - 1)
+        """Writable copies of (diag, off)."""
+        return self.diag.copy(), self.off.copy()
 
     def to_dense(self) -> np.ndarray:
         if self.dim > DENSE_LIMIT:
             raise CapacityError(f"dim {self.dim} exceeds dense limit {DENSE_LIMIT}")
-        diag, off = self.to_arrays()
-        return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        return np.diag(self.diag) + np.diag(self.off, 1) + np.diag(self.off, -1)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        diag, off = self.to_arrays()
-        out = diag * v
+        out = self.diag * v
         if self.dim > 1:
-            out[:-1] += off * v[1:]
-            out[1:] += off * v[:-1]
+            out[:-1] += self.off * v[1:]
+            out[1:] += self.off * v[:-1]
         return out
 
     def coefficient_bounds(self) -> tuple[float, float, float]:
-        """(min diag, max diag, max |offdiag|) in closed form, O(1).
-
-        The diagonal is a parabola in the offset k with vertex at the window
-        center; |offdiag|^2 = (E_J/2N)^2 (2N-k)(k+1) is concave with vertex
-        at k = (2N-1)/2.  Extremes therefore sit at clamped vertices or window
-        endpoints.
-        """
-        lo_k, hi_k = self._k_lo, self._k_hi
-        vertex = min(max(int(round(self._center)), lo_k), hi_k)
-        dmin = min(self.diagonal(vertex - lo_k), self.diagonal(0), self.diagonal(self.dim - 1))
-        dmax = max(self.diagonal(0), self.diagonal(self.dim - 1))
-        if self.dim == 1:
-            return dmin, dmax, 0.0
-        two_n = self.params.pairs_total
-        candidates = {lo_k, hi_k - 1}
-        mid = (two_n - 1) // 2
-        for k in (mid, mid + 1):
-            if lo_k <= k <= hi_k - 1:
-                candidates.add(k)
-        off_max = max(abs(self.offdiagonal(k - lo_k)) for k in candidates)
-        return dmin, dmax, off_max
+        """(min diag, max diag, max |off|)."""
+        off_max = float(np.max(np.abs(self.off), initial=0.0))
+        return float(self.diag.min()), float(self.diag.max()), off_max
 
 
 def build(params: CircuitParams) -> TridiagonalHamiltonian:
-    """Full-basis operator; coefficient access never allocates."""
+    """Full-basis operator."""
     return TridiagonalHamiltonian(params, ChargeWindow.full(params.n_half))
 
 

@@ -1,8 +1,9 @@
 """The benchmark's tracer and per-layer metrics find ``finitejj`` names by string.
 
 ``bench/layers.py`` silently drops a name it cannot find, so a rename under
-``src/`` would zero a per-layer metric without failing anything.  These
-checks fail instead.
+``src/`` would zero a per-layer metric without failing anything, and
+``bench/tracer.py`` would fail inside ``instrument`` with a bare KeyError.
+These checks name the missing attribute instead.
 """
 
 import ast
@@ -25,14 +26,18 @@ def bench_modules():
 
 
 def resolves(name: str) -> bool:
-    """Whether "layer.attr[.attr...]" names an attribute of module finitejj.<layer>."""
-    layer, *path = name.split(".")
+    """Whether "layer.attr[.attr...]" names an attribute of module finitejj.<layer>.
+
+    The last attribute must be defined on its owner itself (``vars(owner)``),
+    which is where ``tracer.instrument`` looks it up.
+    """
+    layer, *path, attr = name.split(".")
     owner = importlib.import_module(f"finitejj.{layer}")
     for part in path:
         if not hasattr(owner, part):
             return False
         owner = getattr(owner, part)
-    return True
+    return attr in vars(owner)
 
 
 def picked_literals() -> list[str]:
@@ -48,9 +53,11 @@ def picked_literals() -> list[str]:
 
 
 def test_layer_names_resolve_in_finitejj(bench_modules):
-    layers, _ = bench_modules
-    names = [*layers.SOLVES, *layers.ROW_SPANS, *picked_literals()]
-    assert len(names) > len(layers.SOLVES) + len(layers.ROW_SPANS)
+    layers, tracer = bench_modules
+    traced = [f"{layer}.{name}" for layer, names in tracer.EXTRA.items() for name in names]
+    names = [*layers.SOLVES, *layers.ROW_SPANS, *picked_literals(), *traced]
+    assert len(names) > len(layers.SOLVES) + len(layers.ROW_SPANS) + len(traced)
+    assert "hamiltonian.TridiagonalHamiltonian.coefficient_bounds" in traced
     assert [name for name in names if not resolves(name)] == []
 
 

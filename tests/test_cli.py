@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from finitejj import observables
 from finitejj.cli import main
 from finitejj.observables import SweepTable
 
@@ -232,7 +233,7 @@ def test_byte_identical_reruns(tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
-def test_parameter_error_names_flag(capsys):
+def test_parameter_error_names_flag(capsys, monkeypatch):
     code = main("bands --pairs nonsense --ejec 0.2 --from -1 --to 1 --steps 3".split())
     assert code == 1
     err = capsys.readouterr().err
@@ -241,6 +242,26 @@ def test_parameter_error_names_flag(capsys):
     code = main("bands --pairs 10 --ejec 0.2 --from -1 --to 1 --steps 3 --bogus 1".split())
     assert code == 1
     assert "--bogus" in capsys.readouterr().err
+
+    # Windows beyond the 2**26-state operator limit, and a too-small start,
+    # are refused before any solve.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver called")
+
+    for name in ("lowest_eigenvalues", "eigenpair", "charge_response", "fourth_order_energy"):
+        monkeypatch.setattr(observables, name, no_solve)
+    for argv, flag in [
+        ("curvature --kind dispersion --pairs 2e8 --values 50 --window full", "--window full"),
+        ("imbalance --pairs 2e8 --ejec 50 --from 0 --to 1 --steps 2 --window full",
+         "--window full"),
+        ("bands --pairs 5e8 --ejec 50 --from 0 --to 1 --steps 2 --window fixed "
+         "--half-width 4e7", "--half-width"),
+        ("transmon-shift --ej-ghz 10 --ec-ghz 0.2 --pairs 5e8 --ng 1e6 --w-initial 4e7 "
+         "--w-max 1e8", "--w-max"),
+        ("bands --pairs 100 --ejec 1 --from 0 --to 1 --steps 3 --w-initial 2", "--w-initial"),
+    ]:
+        assert main(argv.split()) == 1, argv
+        assert flag in capsys.readouterr().err, argv
 
 
 def test_invalid_range_is_parameter_error(capsys):

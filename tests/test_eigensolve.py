@@ -42,6 +42,19 @@ def mpmath_matrix(mpmath, h):
 
 
 @pytest.fixture
+def wrong_lapack_values(monkeypatch):
+    """LAPACK's selected eigenvalues shifted by 1e-3: each fails its certificate
+    and is bisected.  The full spectrum that ``dense_all`` asks for stays exact."""
+    lapack = scipy.linalg.eigh_tridiagonal
+
+    def shifted(*args, **kwargs):
+        values = lapack(*args, **kwargs)
+        return values + 1e-3 if kwargs.get("select") == "i" else values
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", shifted)
+
+
+@pytest.fixture
 def sturm_counts(monkeypatch):
     """Shifts of every pivot count the solver makes, in call order."""
     shifts = []
@@ -70,10 +83,9 @@ class TestLowestEigenvalues:
             scale = max(np.max(np.abs(oracle)), 1.0)
             assert np.max(np.abs(mine - oracle)) < 1e-10 * scale
 
-    def test_matches_dense_oracle_by_bisection(self, monkeypatch, sturm_counts):
-        # Operators beyond the array limit take the streaming bisection path,
-        # which needs far more than the certificate's two counts per value.
-        monkeypatch.setattr(eigensolve, "ARRAY_LIMIT", 0)
+    def test_matches_dense_oracle_by_bisection(self, wrong_lapack_values, sturm_counts):
+        # Values that fail their certificate are bisected, which needs far
+        # more than the certificate's two counts per value.
         self.test_matches_dense_oracle()
         assert len(sturm_counts) > 2 * 5 * 25
 
@@ -206,8 +218,7 @@ class TestGroundState:
                     error = abs(mpmath.mpf(float(np.dot(charges, v * v))) - exact)
                     assert error <= 4 * eps * max(1.0, abs(exact)), ng
 
-    def test_overlap_with_dense_oracle_by_bisection(self, monkeypatch, sturm_counts):
-        monkeypatch.setattr(eigensolve, "ARRAY_LIMIT", 0)
+    def test_overlap_with_dense_oracle_by_bisection(self, wrong_lapack_values, sturm_counts):
         self.test_overlap_with_dense_oracle()
         assert len(sturm_counts) > 2 * 2 * 20
 
@@ -330,4 +341,4 @@ class TestDenseAll:
         h = build_windowed(p, ChargeWindow(2.0, 2.0))
         spec = dense_all(h)
         assert spec.dim == 1
-        assert spec.values[0] == pytest.approx(h.diagonal(0))
+        assert spec.values[0] == pytest.approx(h.diag[0])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from finitejj.errors import CapacityError
-from finitejj.eigensolve import dense_all, lowest_eigenvalues
+from finitejj.eigensolve import charge_response, dense_all, fourth_order_energy, lowest_eigenvalues
 from finitejj.hamiltonian import (
     ChargeWindow,
     build,
@@ -23,15 +23,15 @@ def params(pairs, ejec, ng=0.0, ec=1.0):
 class TestCoefficients:
     def test_minimal_junction(self):
         h = build(params(1, 1.0))
-        assert [h.diagonal(0), h.diagonal(1)] == [0.25, 0.25]
-        assert h.offdiagonal(0) == pytest.approx(-1.0)
+        assert h.diag.tolist() == [0.25, 0.25]
+        assert h.off[0] == pytest.approx(-1.0)
 
     def test_three_state_junction(self):
         h = build(params(2, 1.0))
-        assert [h.diagonal(i) for i in range(3)] == [1.0, 0.0, 1.0]
+        assert h.diag.tolist() == [1.0, 0.0, 1.0]
         # sqrt(2 - 0) = sqrt2 and E_J/2N = 1/2 on both links
-        assert h.offdiagonal(0) == pytest.approx(-math.sqrt(2.0) / 2.0)
-        assert h.offdiagonal(1) == pytest.approx(-math.sqrt(2.0) / 2.0)
+        assert h.off[0] == pytest.approx(-math.sqrt(2.0) / 2.0)
+        assert h.off[1] == pytest.approx(-math.sqrt(2.0) / 2.0)
 
     def test_boundary_coupling_value(self):
         # coupling out of n = N-1 is -(E_J/2N) sqrt(2N) for any island size
@@ -39,7 +39,7 @@ class TestCoefficients:
             p = params(pairs, 3.0)
             h = build(p)
             expected = -(p.e_j / pairs) * math.sqrt(pairs)
-            assert h.offdiagonal(h.dim - 2) == pytest.approx(expected, rel=1e-14)
+            assert h.off[h.dim - 2] == pytest.approx(expected, rel=1e-14)
 
     def test_bulk_coupling_approaches_half_ej(self):
         # at fixed charge the coupling tends to -E_J/2 as the island grows
@@ -48,7 +48,7 @@ class TestCoefficients:
             p = params(pairs, 2.0)
             h = build(p)
             center = h.dim // 2
-            ratios.append(h.offdiagonal(center) / (-p.e_j / 2.0))
+            ratios.append(h.off[center] / (-p.e_j / 2.0))
         assert abs(ratios[-1] - 1.0) < 1e-6
         assert abs(ratios[0] - 1.0) > abs(ratios[-1] - 1.0)
 
@@ -58,19 +58,37 @@ class TestCoefficients:
         assert np.all(off < 0.0)
 
     def test_blocks_match_scalars(self):
-        h = build(params(8, 1.7, ng=0.21))
-        diag = h.diagonal_block(0, h.dim)
-        off = h.offdiagonal_block(0, h.dim - 1)
-        assert diag == pytest.approx([h.diagonal(i) for i in range(h.dim)], rel=1e-15)
-        assert off == pytest.approx([h.offdiagonal(i) for i in range(h.dim - 1)], rel=1e-15)
+        # Each element against E_C (n - n_g)^2 and -(E_J/2N) sqrt(N(N+1) - n(n+1)).
+        p = params(8, 1.7, ng=0.21)
+        h = build(p)
+        n = [i - p.n_half for i in range(h.dim)]
+        diag = [p.e_c * (m - p.n_g) ** 2 for m in n]
+        off = [-(p.e_j / p.pairs_total) * math.sqrt(p.n_half * (p.n_half + 1) - m * (m + 1))
+               for m in n[:-1]]
+        assert h.diagonal_block(0, h.dim) == pytest.approx(diag, rel=1e-15)
+        assert h.offdiagonal_block(0, h.dim - 1) == pytest.approx(off, rel=1e-15)
 
-    def test_huge_dimension_is_matrix_free(self):
-        h = build(params(500_000_000, 50.0, ng=1e6))
-        assert h.dim == 500_000_001
-        assert np.isfinite(h.diagonal(250_000_000))
-        assert h.offdiagonal(0) < 0.0
-        with pytest.raises(CapacityError):
-            h.to_arrays()
+    def test_huge_dimension_is_refused_but_its_window_builds(self):
+        p = params(500_000_000, 50.0, ng=1e6)
+        with pytest.raises(CapacityError, match="array limit"):
+            build(p)
+        h = build_windowed(p, ChargeWindow.centered(p.n_half, p.n_g, 16))
+        assert h.dim == 33
+        assert np.all(np.isfinite(h.diag))
+        assert np.all(h.off < 0.0)
+
+    def test_operator_and_its_arrays_are_immutable(self):
+        h = build(params(20, 3.0, ng=0.3))
+        with pytest.raises(AttributeError):
+            h.dim = 3
+        for array in (h.diag, h.off):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        diag, off = h.diag.copy(), h.off.copy()
+        charge_response(h, 1)
+        fourth_order_energy(h)
+        assert np.array_equal(h.diag, diag)
+        assert np.array_equal(h.off, off)
 
 
 class TestWindows:
@@ -93,9 +111,9 @@ class TestWindows:
         win = build_windowed(p, ChargeWindow.centered(p.n_half, 1.0, 4))
         offset = round(win.window.n_lo - full.window.n_lo)
         for i in range(win.dim):
-            assert win.diagonal(i) == full.diagonal(i + offset)
+            assert win.diag[i] == full.diag[i + offset]
             if i < win.dim - 1:
-                assert win.offdiagonal(i) == full.offdiagonal(i + offset)
+                assert win.off[i] == full.off[i + offset]
 
     def test_large_island_window_reproduces_full_gap(self):
         # 2N = 2e4 at E_J/E_C = 50: +-50 charge states around the offset hold
