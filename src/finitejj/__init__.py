@@ -4,7 +4,14 @@ Exact charge-basis diagonalization of the two-site junction Hamiltonian at
 any island size, the closed-form charge-qubit and transmon corrections, and
 the device-scale validity estimates, with a CLI that writes every result as
 a CSV/JSON artifact.
+
+``import finitejj`` loads only the numpy-free layers (``errors``, ``model``,
+``perturbation``, ``wick``).  Names from ``hamiltonian``, ``eigensolve`` and
+``observables`` resolve on first access through the module ``__getattr__``,
+which imports their home module, so numpy loads at the first array.
 """
+
+import importlib
 
 from .errors import (
     CapacityError,
@@ -26,33 +33,6 @@ from .model import (
     load_materials,
     map_bose_hubbard,
     validity_min_pairs,
-)
-from .hamiltonian import (
-    ChargeWindow,
-    SpinMatrices,
-    TridiagonalHamiltonian,
-    build,
-    build_windowed,
-    spin_matrices,
-)
-from .eigensolve import (
-    EigenPair,
-    Spectrum,
-    dense_all,
-    eigenpair,
-    eigenvalue_count_below,
-    lowest_eigenvalues,
-)
-from .observables import (
-    CurvatureResult,
-    SweepTable,
-    WindowPolicy,
-    band_sweep,
-    charge_susceptibility,
-    dispersion_curvature,
-    expected_imbalance,
-    qubit_frequency,
-    susceptibility_curvature,
 )
 from .perturbation import (
     BogoliubovCoeffs,
@@ -76,6 +56,18 @@ from .wick import (
 )
 
 __version__ = "0.1.0"
+
+# Names of the numpy-backed layers, by home module, resolved on first access.
+_LAZY = {
+    "hamiltonian": ("ChargeWindow", "SpinMatrices", "TridiagonalHamiltonian", "build",
+                    "build_windowed", "spin_matrices"),
+    "eigensolve": ("EigenPair", "Spectrum", "dense_all", "eigenpair", "eigenvalue_count_below",
+                   "lowest_eigenvalues"),
+    "observables": ("CurvatureResult", "SweepTable", "WindowPolicy", "band_sweep",
+                    "charge_susceptibility", "dispersion_curvature", "expected_imbalance",
+                    "qubit_frequency", "susceptibility_curvature"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 __all__ = [
     "ALUMINUM",
@@ -133,3 +125,20 @@ __all__ = [
     "vacuum_expectation",
     "validity_min_pairs",
 ]
+
+
+def __getattr__(name):
+    """Import the home module of a numpy-backed name, or that module, on access.
+
+    The name is read from its home module every time and never bound here, so
+    it always reads what the home module holds now, even after a patch is undone.
+    """
+    if name in _LAZY:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

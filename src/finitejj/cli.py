@@ -14,6 +14,11 @@ Subcommands:
 Outputs are CSV (RFC-4180 body, '#'-prefixed meta lines, 17 significant
 digits) or JSON; identical configurations produce byte-identical files.
 Exit codes: 0 success, 1 parameter error, 2 numerical non-convergence.
+
+Each command imports the layers it runs: the solver commands load numpy with
+the array layers (``hamiltonian``, ``eigensolve``, ``observables``) and scipy
+at the first solve, ``wick-verify`` loads numpy only, and ``analytic`` and
+``validity`` load neither.
 """
 
 from __future__ import annotations
@@ -26,13 +31,13 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
-from . import observables, perturbation
+from . import perturbation, wick
 from .errors import CapacityError, ConvergenceError
-from .hamiltonian import ARRAY_LIMIT
 from .model import (
+    ARRAY_LIMIT,
     DEFAULT_GATE_CAPACITANCE,
+    DEFAULT_W_MAX,
+    DEFAULT_WINDOW_RTOL,
     MATERIAL_PRESETS,
     MAX_PAIRS_TOTAL,
     CircuitParams,
@@ -40,8 +45,6 @@ from .model import (
     load_materials,
     validity_min_pairs,
 )
-from .observables import SweepTable, WindowPolicy
-from . import wick
 
 
 class CliError(Exception):
@@ -125,10 +128,9 @@ def _add_window_flags(sub):
                      help="half-width for --window fixed")
     sub.add_argument("--w-initial", type=_count, default=None,
                      help="starting half-width for --window adaptive")
-    sub.add_argument("--w-max", type=_count, default=observables.DEFAULT_W_MAX,
+    sub.add_argument("--w-max", type=_count, default=DEFAULT_W_MAX,
                      help="half-width cap for --window adaptive")
-    sub.add_argument("--window-rtol", type=_positive_float,
-                     default=observables.DEFAULT_WINDOW_RTOL,
+    sub.add_argument("--window-rtol", type=_positive_float, default=DEFAULT_WINDOW_RTOL,
                      help="relative settling tolerance for --window adaptive")
 
 
@@ -140,6 +142,8 @@ def _add_output_flags(sub, default_name):
 
 def _policy_from(args) -> WindowPolicy:
     """The window policy of the flags; a full or fixed window must fit in an operator."""
+    from .observables import WindowPolicy
+
     if args.window == "adaptive":
         if args.w_initial is not None and args.w_initial < 4:
             raise CliError("--w-initial must be at least 4")
@@ -159,6 +163,8 @@ def _policy_from(args) -> WindowPolicy:
 
 
 def _grid_from(args) -> np.ndarray:
+    import numpy as np
+
     if not args.steps >= 1:
         raise CliError("--steps must be at least 1")
     if args.steps > 1 and not args.start < args.stop:
@@ -199,6 +205,8 @@ def _write_scalars(results: dict, meta: dict, args, default_name) -> Path:
 
 
 def _sweep_command(args, include_imbalance, include_susceptibility, levels, name):
+    from . import observables
+
     params = _circuit(args.pairs, args.ejec, 1.0, max(abs(args.start), abs(args.stop)),
                       {"coupling": "--ejec", "diagonal": "--from/--to"})
     table = observables.band_sweep(
@@ -211,7 +219,7 @@ def _sweep_command(args, include_imbalance, include_susceptibility, levels, name
         subtract_ground=getattr(args, "subtract_e0", False),
     )
     path = _write_table(table, args, name)
-    bad = int(np.sum(table.columns["converged"] == 0.0))
+    bad = int((table.columns["converged"] == 0.0).sum())
     flagged = f", {bad} unconverged points" if bad else ""
     print(
         f"{name}: {table.grid.size} points, 2N={args.pairs}, EJ/EC={args.ejec:g}"
@@ -240,6 +248,8 @@ def _cmd_susceptibility(args):
 
 
 def _cmd_curvature(args):
+    from . import observables
+
     policy = _policy_from(args)
     ratios = args.values
     if not ratios:
@@ -253,9 +263,9 @@ def _cmd_curvature(args):
         rows["curvature"].append(result.value)
         rows["reference"].append(result.reference)
         rows["ratio"].append(result.ratio)
-    table = SweepTable(
-        grid=np.array(ratios),
-        columns={k: np.array(v) for k, v in rows.items()},
+    table = observables.SweepTable(
+        grid=ratios,
+        columns=rows,
         meta={
             "grid_label": "ejec",
             "kind": args.kind,
@@ -272,6 +282,8 @@ def _cmd_curvature(args):
 
 
 def _cmd_transmon_shift(args):
+    from . import observables
+
     params = _circuit(args.pairs, args.ej_ghz, args.ec_ghz, abs(args.ng),
                       {"coupling": "--ej-ghz", "diagonal": "--ec-ghz/--ng"})
     policy = _policy_from(args)
@@ -374,6 +386,8 @@ def _cmd_validity(args):
 
 
 def _cmd_wick_verify(args):
+    import numpy as np
+
     rng = np.random.default_rng(args.seed)
     deviations = []
     for _ in range(args.count):

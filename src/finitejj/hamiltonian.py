@@ -20,12 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .model import CircuitParams
+from .model import ARRAY_LIMIT, CircuitParams
 
 # Largest dimension for dense (matrix) materialization.
 DENSE_LIMIT = 4001
-# Largest dimension of an operator: its two coefficient arrays.
-ARRAY_LIMIT = 1 << 26
 
 _LATTICE_TOL = 1e-9
 

@@ -24,6 +24,11 @@ _HALF_INT_TOL = 1e-9
 
 # Largest 2N for which every integer charge offset k = n + N is exact in doubles.
 MAX_PAIRS_TOTAL = 2**53
+# Largest dimension of an operator: its two coefficient arrays.
+ARRAY_LIMIT = 1 << 26
+# Adaptive charge windows: relative settling tolerance and half-width cap.
+DEFAULT_WINDOW_RTOL = 1e-9
+DEFAULT_W_MAX = 1 << 22
 
 
 @dataclass(frozen=True)

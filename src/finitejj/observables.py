@@ -27,10 +27,7 @@ import numpy as np
 from .errors import RegimeWarning, WindowConvergenceError
 from .eigensolve import charge_response, eigenpair, fourth_order_energy, lowest_eigenvalues
 from .hamiltonian import ChargeWindow, TridiagonalHamiltonian, build, build_windowed
-from .model import CircuitParams
-
-DEFAULT_WINDOW_RTOL = 1e-9
-DEFAULT_W_MAX = 1 << 22
+from .model import DEFAULT_W_MAX, DEFAULT_WINDOW_RTOL, CircuitParams
 
 
 @dataclass(frozen=True)
@@ -278,52 +275,6 @@ class SweepTable:
         else:
             with open(destination, "w") as fh:
                 fh.write(text)
-
-    @classmethod
-    def read_csv(cls, source) -> "SweepTable":
-        if hasattr(source, "read"):
-            text = source.read()
-        else:
-            with open(source, "r", newline="") as fh:
-                text = fh.read()
-        meta = {}
-        header: list[str] | None = None
-        grid = []
-        data: list[list[float]] = []
-        for line in text.splitlines():
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("meta "):
-                    meta = json.loads(body[5:])
-                continue
-            cells = line.split(",")
-            if header is None:
-                header = cells
-                continue
-            grid.append(float(cells[0]))
-            data.append([float(c) for c in cells[1:]])
-        if header is None:
-            raise ValueError("no header row found")
-        columns = {
-            name: np.array([row[j] for row in data])
-            for j, name in enumerate(header[1:])
-        }
-        return cls(grid=np.array(grid), columns=columns, meta=meta)
-
-    @classmethod
-    def read_json(cls, source) -> "SweepTable":
-        if hasattr(source, "read"):
-            payload = json.load(source)
-        else:
-            with open(source) as fh:
-                payload = json.load(fh)
-        return cls(
-            grid=np.array(payload["grid"], dtype=float),
-            columns={k: np.array(v, dtype=float) for k, v in payload["columns"].items()},
-            meta=payload["meta"],
-        )
 
 
 def band_sweep(

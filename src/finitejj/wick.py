@@ -12,15 +12,14 @@ conjugate) is supported by exact inversion, so polynomials written in the
 original mode can be evaluated in the quasiparticle vacuum.
 
 A truncated Fock-space representation serves as the independent oracle: a
-degree-d word is exact in any Fock dimension above d.
+degree-d word is exact in any Fock dimension above d.  It is the module's only
+array code, so numpy loads at the first Fock matrix, not at import.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import ConvergenceError, TermBudgetError
 
@@ -287,6 +286,8 @@ def substitute_affine(
 
 def fock_matrix(p: OperatorPoly, dim: int) -> np.ndarray:
     """Dense matrix of the polynomial in a Fock space truncated at ``dim`` states."""
+    import numpy as np
+
     if dim < 1:
         raise ValueError("dim must be at least 1")
     lower = np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)

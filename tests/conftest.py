@@ -1,4 +1,4 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles and the artifact reader for the test suite.
 
 The two-level formulas below are the exact closed forms for the minimal
 (N = 1/2) junction, worked out by hand from the 2x2 matrix
@@ -6,11 +6,33 @@ The two-level formulas below are the exact closed forms for the minimal
 of every code path they are used to check.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
+from finitejj.observables import SweepTable
 from finitejj.wick import LOWER, RAISE, OperatorPoly
+
+
+def read_table(source, fmt: str = "csv") -> SweepTable:
+    """A sweep artifact, from a path or an open text file, as the table that wrote it.
+
+    CSV: one '# meta {json}' line, a header row, then one row per grid point.
+    JSON: the {"meta", "grid", "columns"} object of ``SweepTable.to_json``.
+    """
+    text = source.read() if hasattr(source, "read") else Path(source).read_text()
+    if fmt == "json":
+        payload = json.loads(text)
+        return SweepTable(grid=payload["grid"], columns=payload["columns"], meta=payload["meta"])
+    meta_line, header, *rows = text.splitlines()
+    assert meta_line.startswith("# meta ")
+    names = header.split(",")
+    data = [[float(cell) for cell in row.split(",")] for row in rows if row]
+    columns = {name: [row[j] for row in data] for j, name in enumerate(names)}
+    return SweepTable(grid=columns.pop(names[0]), columns=columns,
+                      meta=json.loads(meta_line[len("# meta "):]))
 
 
 def two_level_gap(e_j: float, e_c: float, n_g: float) -> float:

@@ -72,3 +72,22 @@ def test_tracer_installs_and_restores(bench_modules):
     finally:
         tracer.restore(undo)
     assert eigensolve.lowest_eigenvalues is original
+
+
+def test_traced_pass_leaves_the_package_namespace_unchanged(bench_modules):
+    """A lazy name read while traced gives the wrapper, and is not kept after ``restore``."""
+    _, tracer = bench_modules
+    import finitejj
+    from finitejj import observables
+
+    for layer in tracer.LAYERS:
+        importlib.import_module(f"finitejj.{layer}")
+    before = dict(vars(finitejj))
+    original = observables.band_sweep
+    undo = tracer.instrument(tracer.Tracer())
+    try:
+        assert finitejj.band_sweep is observables.band_sweep is not original
+    finally:
+        tracer.restore(undo)
+    assert vars(finitejj) == before
+    assert finitejj.band_sweep is original

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import read_table
 from finitejj import observables
 from finitejj.cli import main
-from finitejj.observables import SweepTable
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -30,7 +30,7 @@ def test_bands_row_column_contract(tmp_path, capsys):
         "--window full".split()
     )
     assert code == 0
-    table = SweepTable.read_csv(tmp_path / "bands.csv")
+    table = read_table(tmp_path / "bands.csv")
     assert table.grid.size == 441
     assert list(table.columns) == ["E0", "E1", "E2", "converged"]
     assert np.all(table.columns["converged"] == 1.0)
@@ -118,7 +118,7 @@ def test_curvature_table(tmp_path):
         "--format json".split()
     )
     assert code == 0
-    table = SweepTable.read_json(tmp_path / "curvature.json")
+    table = read_table(tmp_path / "curvature.json", "json")
     assert table.meta["grid_label"] == "ejec"
     assert list(table.grid) == [10.0, 20.0]
     assert np.all(table.columns["reference"] < 0.0)
@@ -172,8 +172,8 @@ def test_bands_levels_beyond_the_first_adaptive_window(tmp_path):
     base = "bands --pairs 1000 --ejec 1 --from 0 --to 1 --steps 3 --levels 50"
     assert main(f"{base} --output adaptive.csv".split()) == 0
     assert main(f"{base} --window full --output full.csv".split()) == 0
-    adaptive = SweepTable.read_csv(tmp_path / "adaptive.csv")
-    full = SweepTable.read_csv(tmp_path / "full.csv")
+    adaptive = read_table(tmp_path / "adaptive.csv")
+    full = read_table(tmp_path / "full.csv")
     assert list(adaptive.columns) == list(full.columns)
     for name, column in full.columns.items():
         assert adaptive.columns[name] == pytest.approx(column, rel=1e-9), name
@@ -284,7 +284,7 @@ def test_imbalance_and_susceptibility_tables(tmp_path):
         "imbalance --pairs 10 --ejec 0.2 --from -3 --to 3 --steps 13 --window full".split()
     )
     assert code == 0
-    table = SweepTable.read_csv(tmp_path / "imbalance.csv")
+    table = read_table(tmp_path / "imbalance.csv")
     assert "n_expect" in table.columns
     center = table.columns["n_expect"][6]
     assert abs(center) < 1e-10
@@ -293,7 +293,7 @@ def test_imbalance_and_susceptibility_tables(tmp_path):
         "susceptibility --pairs 10 --ejec 0.2 --from -1 --to 1 --steps 5 --window full".split()
     )
     assert code == 0
-    table = SweepTable.read_csv(tmp_path / "susceptibility.csv")
+    table = read_table(tmp_path / "susceptibility.csv")
     assert "chi" in table.columns
     assert np.all(table.columns["chi"] > 0.0)
 
@@ -375,6 +375,40 @@ print(json.dumps(loaded))
     assert loaded == {
         "import": False, "analytic": False, "validity": False, "wick-verify": False,
         "bands": True,
+    }
+
+
+def test_numpy_loads_at_the_first_array(tmp_path):
+    """Import, analytic and validity load neither numpy nor scipy; wick-verify loads numpy."""
+    script = """
+import json, sys
+loaded = {}
+def record(step):
+    loaded[step] = [name in sys.modules for name in ("numpy", "scipy")]
+import finitejj
+record("import finitejj")
+import finitejj.cli
+record("import finitejj.cli")
+for argv in (["analytic", "--ej", "1", "--ec", "1", "--pairs", "10", "--ng", "0.5"],
+             ["validity", "--pairs", "1e6", "--ng", "3"],
+             ["wick-verify", "--count", "5"],
+             ["bands", "--pairs", "4", "--ejec", "1", "--from", "0", "--to", "1",
+              "--steps", "2"]):
+    assert finitejj.cli.main(argv) == 0
+    record(argv[0])
+print(json.dumps(loaded))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert loaded == {
+        "import finitejj": [False, False], "import finitejj.cli": [False, False],
+        "analytic": [False, False], "validity": [False, False],
+        "wick-verify": [True, False], "bands": [True, True],
     }
 
 

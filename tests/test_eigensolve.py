@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.linalg.lapack
+from scipy.special import mathieu_a, mathieu_b
 
 from finitejj import eigensolve
 from finitejj.errors import CapacityError, ConvergenceError, NearDegenerateWarning
@@ -17,7 +18,7 @@ from finitejj.eigensolve import (
     fourth_order_energy,
     lowest_eigenvalues,
 )
-from finitejj.hamiltonian import build
+from finitejj.hamiltonian import ChargeWindow, build, build_windowed
 from finitejj.model import CircuitParams
 
 
@@ -335,10 +336,43 @@ class TestDenseAll:
             dense_all(build(params(4002, 1.0)))
 
     def test_dim_one_window(self):
-        from finitejj.hamiltonian import ChargeWindow, build_windowed
-
         p = params(10, 1.0, ng=2.0)
         h = build_windowed(p, ChargeWindow(2.0, 2.0))
         spec = dense_all(h)
         assert spec.dim == 1
         assert spec.values[0] == pytest.approx(h.diag[0])
+
+
+class TestMathieuLimit:
+    """Large islands approach the Cooper-pair box, whose levels are Mathieu values.
+
+    With q = 2E_J/E_C the box's levels are a_r(q)/4 or b_r(q)/4 (E_C = 1;
+    Koch et al., PRA 76, 042319, 2007): orders 0, 2, 2 at n_g = 0, and at
+    n_g = 1/2 orders 1, 1, 3 with a and b swapped.  Near n = 0 the couplings
+    are -(E_J/2)(1 + 1/(2N) + O(1/N^2)), so the island is the box with E_J
+    scaled by 1 + 1/(2N), and by Hellmann-Feynman each level's relative error
+    times 2N tends to q a'(q)/a(q): the 1/N rate and its coefficient.
+    """
+
+    EJEC = 5.0
+    HALF_WIDTH = 64
+
+    @pytest.mark.parametrize("ng,levels", [
+        (0.0, ((mathieu_a, 0), (mathieu_b, 2), (mathieu_a, 2))),
+        (0.5, ((mathieu_b, 1), (mathieu_a, 1), (mathieu_b, 3))),
+    ])
+    def test_levels_converge_at_rate_one_over_n(self, ng, levels):
+        q, dq = 2.0 * self.EJEC, 1e-4
+        limit = np.array([fn(order, q) / 4.0 for fn, order in levels])
+        slope = np.array([(fn(order, q + dq) - fn(order, q - dq)) / (2.0 * dq)
+                          for fn, order in levels])
+        predicted = q * slope / (4.0 * limit)
+        for pairs in (2 * 10**4, 2 * 10**5, 2 * 10**6):
+            p = params(pairs, self.EJEC, ng=ng)
+            h = build_windowed(p, ChargeWindow.centered(p.n_half, ng, self.HALF_WIDTH))
+            rel_err = (lowest_eigenvalues(h, 3).values - limit) / limit
+            scaled = rel_err * pairs
+            assert np.all(np.abs(predicted) > 0.4)
+            # The next order, O(1/N^2) in rel_err, leaves O(1/N) in the scaled error.
+            assert scaled == pytest.approx(predicted, rel=100.0 / pairs), pairs
+        assert np.max(np.abs(rel_err)) < 3e-6

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    read_table,
     two_level_gap,
     two_level_gap_curvature,
     two_level_imbalance,
@@ -18,7 +19,6 @@ from finitejj.eigensolve import dense_all
 from finitejj.hamiltonian import ChargeWindow, build, build_windowed
 from finitejj.model import CircuitParams
 from finitejj.observables import (
-    SweepTable,
     WindowPolicy,
     band_sweep,
     charge_susceptibility,
@@ -298,7 +298,7 @@ class TestSweepTableSerialization:
         table = self.make_table()
         buffer = io.StringIO()
         table.to_csv(buffer)
-        back = SweepTable.read_csv(io.StringIO(buffer.getvalue()))
+        back = read_table(io.StringIO(buffer.getvalue()))
         assert np.array_equal(back.grid, table.grid)
         for name, col in table.columns.items():
             assert np.array_equal(back.columns[name], col), name
@@ -309,7 +309,7 @@ class TestSweepTableSerialization:
         buffer = io.StringIO()
         table.to_json(buffer)
         buffer.seek(0)
-        back = SweepTable.read_json(buffer)
+        back = read_table(buffer, "json")
         assert np.array_equal(back.grid, table.grid)
         for name, col in table.columns.items():
             assert np.array_equal(back.columns[name], col), name
