@@ -69,62 +69,43 @@ _LAZY = {
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
 
-__all__ = [
+# The names imported above, then every name of ``_LAZY``.
+__all__ = sorted([
     "ALUMINUM",
     "BogoliubovCoeffs",
     "BoseHubbardParams",
     "CapacityError",
-    "ChargeWindow",
     "CircuitParams",
     "ConvergenceError",
-    "CurvatureResult",
-    "EigenPair",
     "FirstOrderResult",
     "MaterialProps",
     "NearDegenerateWarning",
     "OperatorPoly",
     "RegimeWarning",
-    "Spectrum",
-    "SpinMatrices",
-    "SweepTable",
     "TermBudgetError",
-    "TridiagonalHamiltonian",
     "TwoLevelEffective",
     "ValidityReport",
     "WindowConvergenceError",
-    "WindowPolicy",
-    "band_sweep",
     "bogoliubov",
-    "build",
-    "build_windowed",
-    "charge_susceptibility",
     "cooper_pair_density",
     "cpb_effective",
     "cpb_gap",
     "cpb_susceptibility",
-    "dense_all",
-    "dispersion_curvature",
-    "eigenpair",
-    "eigenvalue_count_below",
-    "expected_imbalance",
     "fock_oracle",
     "fock_oracle_stable",
     "gate_voltage",
     "invert_bose_hubbard",
     "load_materials",
-    "lowest_eigenvalues",
     "map_bose_hubbard",
     "normal_order",
-    "qubit_frequency",
-    "spin_matrices",
     "substitute_affine",
-    "susceptibility_curvature",
     "transmon_first_order_numeric",
     "transmon_frequency",
     "transmon_susceptibility",
     "vacuum_expectation",
     "validity_min_pairs",
-]
+    *_HOME,
+])
 
 
 def __getattr__(name):

@@ -12,7 +12,9 @@ Subcommands:
     wick-verify     random-polynomial check of the normal-ordering engine
 
 Outputs are CSV (RFC-4180 body, '#'-prefixed meta lines, 17 significant
-digits) or JSON; identical configurations produce byte-identical files.
+digits) or JSON; identical configurations produce byte-identical files.  The
+CLI is the only artifact writer: ``_write_artifact`` holds the whole format,
+and the library layers return values and tables without writing files.
 Exit codes: 0 success, 1 parameter error, 2 numerical non-convergence.
 
 Each command imports the layers it runs: the solver commands load numpy with
@@ -83,6 +85,23 @@ def _pairs(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"expected at most 2**53 = {MAX_PAIRS_TOTAL}, where charge offsets stop being"
             f" exact in doubles, got {text!r}"
+        )
+    return value
+
+
+# The Fock oracle's matrices have dim degree + 2, and a word's entries there
+# reach (degree + 1)^(degree / 2) for (b b^dag)^(degree / 2): past the float
+# range from degree 256 on.  The engine's vacuum counts, at most (degree / 2)!,
+# fit a float up to degree 340.
+MAX_WICK_DEGREE = 250
+
+
+def _wick_degree(text: str) -> int:
+    value = _positive_count(text)
+    if value > MAX_WICK_DEGREE:
+        raise argparse.ArgumentTypeError(
+            f"expected at most {MAX_WICK_DEGREE}, where the Fock oracle stays inside the"
+            f" float range, got {text!r}"
         )
     return value
 
@@ -174,34 +193,44 @@ def _grid_from(args) -> np.ndarray:
     return np.linspace(args.start, args.stop, args.steps)
 
 
-def _out_path(args, default_name) -> Path:
-    if args.output is not None:
-        return Path(args.output)
-    return Path(f"{default_name}.{args.format}")
+def _write_artifact(args, default_name, meta: dict, header, rows, body: dict) -> Path:
+    """Write one artifact to --output (default ``<default_name>.<format>``).
+
+    CSV: a '# meta {json}' line, the ``header`` row, then ``rows``, whose text
+    cells are written as they are, numbers at 17 significant digits and None
+    as an empty cell; CRLF after every line.  JSON: the object
+    {"meta": meta, **body}.  JSON keys are sorted in both.
+    """
+    path = Path(args.output if args.output is not None else f"{default_name}.{args.format}")
+    if args.format == "json":
+        text = json.dumps({"meta": meta, **body}, sort_keys=True)
+    else:
+        def cell(value):
+            if value is None:
+                return ""
+            return value if isinstance(value, str) else format(value, ".17g")
+
+        lines = [f"# meta {json.dumps(meta, sort_keys=True)}", ",".join(header)]
+        lines += [",".join(map(cell, row)) for row in rows]
+        text = "\r\n".join(lines) + "\r\n"
+    path.write_text(text, newline="")
+    return path
 
 
 def _write_table(table: SweepTable, args, default_name) -> Path:
-    path = _out_path(args, default_name)
-    if args.format == "csv":
-        table.to_csv(path)
-    else:
-        table.to_json(path)
-    return path
+    """A sweep as one CSV row per grid point, or a {meta, grid, columns} JSON object."""
+    header = [table.meta.get("grid_label", "n_g"), *table.columns]
+    body = {"grid": table.grid.tolist(),
+            "columns": {name: col.tolist() for name, col in table.columns.items()}}
+    return _write_artifact(args, default_name, table.meta, header,
+                           zip(table.grid, *table.columns.values()), body)
 
 
 def _write_scalars(results: dict, meta: dict, args, default_name) -> Path:
     """Scalar results as a two-column CSV or a {meta, results} JSON object."""
-    path = _out_path(args, default_name)
-    if args.format == "json":
-        path.write_text(json.dumps({"meta": meta, "results": results}, sort_keys=True))
-        return path
-    lines = [f"# meta {json.dumps(meta, sort_keys=True)}", "quantity,value"]
-    for key in sorted(results):
-        value = results[key]
-        text = "" if value is None else format(value, ".17g")
-        lines.append(f"{key},{text}")
-    path.write_text("\r\n".join(lines) + "\r\n", newline="")
-    return path
+    rows = [(key, results[key]) for key in sorted(results)]
+    return _write_artifact(args, default_name, meta, ["quantity", "value"], rows,
+                           {"results": results})
 
 
 def _sweep_command(args, include_imbalance, include_susceptibility, levels, name):
@@ -489,7 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     wv = sub.add_parser("wick-verify", help="random-polynomial oracle suite")
     wv.add_argument("--count", type=_positive_count, default=200)
-    wv.add_argument("--degree", type=_positive_count, default=6)
+    wv.add_argument("--degree", type=_wick_degree, default=6,
+                    help=f"longest word (at most {MAX_WICK_DEGREE})")
     wv.add_argument("--seed", type=_count, default=20240901)
     wv.add_argument("--rtol", type=_positive_float, default=1e-9)
     _add_output_flags(wv, "wick_verify")

@@ -13,11 +13,13 @@ exponentially localized around the offset charge, so a window of a few dozen
 charge states around round(n_g) reproduces full-basis answers to near machine
 precision.  The adaptive policy doubles the half-width until the observable
 stops moving, and every result remembers whether that check passed.
+
+Results are values and ``SweepTable`` containers; this module writes no
+files (the CLI is the only artifact writer).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -227,7 +229,11 @@ def susceptibility_curvature(
 
 @dataclass
 class SweepTable:
-    """Columnar observable-vs-n_g results with full parameter provenance."""
+    """Columnar observable-vs-n_g results with full parameter provenance.
+
+    A validated container only: the CLI writes it as an artifact, naming the
+    grid column ``meta["grid_label"]`` (default n_g).
+    """
 
     grid: np.ndarray
     columns: dict[str, np.ndarray]
@@ -242,39 +248,6 @@ class SweepTable:
             if col.shape != self.grid.shape:
                 raise ValueError(f"column {name!r} length does not match grid")
             self.columns[name] = col
-
-    @property
-    def grid_label(self) -> str:
-        return self.meta.get("grid_label", "n_g")
-
-    def to_csv(self, destination) -> None:
-        """RFC-4180 rows preceded by '#'-prefixed meta lines, 17 significant digits."""
-        names = list(self.columns)
-        lines = [f"# meta {json.dumps(self.meta, sort_keys=True)}"]
-        lines.append(",".join([self.grid_label] + names))
-        for i in range(self.grid.size):
-            row = [format(self.grid[i], ".17g")]
-            row += [format(self.columns[name][i], ".17g") for name in names]
-            lines.append(",".join(row))
-        text = "\r\n".join(lines) + "\r\n"
-        if hasattr(destination, "write"):
-            destination.write(text)
-        else:
-            with open(destination, "w", newline="") as fh:
-                fh.write(text)
-
-    def to_json(self, destination) -> None:
-        payload = {
-            "meta": self.meta,
-            "grid": [float(x) for x in self.grid],
-            "columns": {name: [float(x) for x in col] for name, col in self.columns.items()},
-        }
-        text = json.dumps(payload, sort_keys=True)
-        if hasattr(destination, "write"):
-            destination.write(text)
-        else:
-            with open(destination, "w") as fh:
-                fh.write(text)
 
 
 def band_sweep(

@@ -2,10 +2,11 @@
 
 Operators are polynomials in ladder-operator words: each word is a tuple of
 ``RAISE``/``LOWER`` symbols read left to right in operator order, and a
-polynomial maps words to complex coefficients.  Normal ordering rewrites
-``LOWER, RAISE`` pairs via the canonical commutator until every word has all
-raising symbols first; the identity (empty word) coefficient of the normal
-form is then the vacuum expectation value.
+polynomial maps words to complex coefficients.  Normal ordering reads each
+word once from left to right, commuting every raising symbol past the
+lowering symbols before it (b^n b^dag = b^dag b^n + n b^(n-1)), so every word
+ends with all raising symbols first; the identity (empty word) coefficient of
+the normal form is then the vacuum expectation value.
 
 An affine frame change ``b = u_plus a + u_minus a^dag - i u_0`` (with its
 conjugate) is supported by exact inversion, so polynomials written in the
@@ -204,18 +205,24 @@ def dump(p: OperatorPoly) -> str:
 
 @lru_cache(maxsize=None)
 def _normal_order_word(word: Word) -> tuple[tuple[Word, int], ...]:
-    """Normal form of a single word as ((canonical word, integer count), ...)."""
-    for i in range(len(word) - 1):
-        if word[i] == LOWER and word[i + 1] == RAISE:
-            swapped = word[:i] + (RAISE, LOWER) + word[i + 2 :]
-            contracted = word[:i] + word[i + 2 :]
-            merged: dict[Word, int] = {}
-            for w, n in _normal_order_word(swapped):
-                merged[w] = merged.get(w, 0) + n
-            for w, n in _normal_order_word(contracted):
-                merged[w] = merged.get(w, 0) + n
-            return tuple(sorted(merged.items()))
-    return ((word, 1),)
+    """Normal form of a single word as ((canonical word, integer count), ...).
+
+    One left-to-right pass keeps the prefix's normal form as integer counts of
+    b†^m b^n, keyed by (m, n).  Appending b gives b†^m b^(n+1); appending b†
+    uses b^n b† = b† b^n + n b^(n-1).
+    """
+    form = {(0, 0): 1}
+    for sym in word:
+        if sym == LOWER:
+            form = {(m, n + 1): count for (m, n), count in form.items()}
+            continue
+        grown: dict[tuple[int, int], int] = {}
+        for (m, n), count in form.items():
+            grown[m + 1, n] = grown.get((m + 1, n), 0) + count
+            if n:
+                grown[m, n - 1] = grown.get((m, n - 1), 0) + n * count
+        form = grown
+    return tuple(sorted(((RAISE,) * m + (LOWER,) * n, count) for (m, n), count in form.items()))
 
 
 def normal_order(p: OperatorPoly) -> OperatorPoly:

@@ -16,13 +16,13 @@ from finitejj.observables import SweepTable
 from finitejj.wick import LOWER, RAISE, OperatorPoly
 
 
-def read_table(source, fmt: str = "csv") -> SweepTable:
-    """A sweep artifact, from a path or an open text file, as the table that wrote it.
+def read_table(path, fmt: str = "csv") -> SweepTable:
+    """A sweep artifact, read from ``path``, as the table that wrote it.
 
     CSV: one '# meta {json}' line, a header row, then one row per grid point.
-    JSON: the {"meta", "grid", "columns"} object of ``SweepTable.to_json``.
+    JSON: the {"meta", "grid", "columns"} object that ``cli._write_table`` writes.
     """
-    text = source.read() if hasattr(source, "read") else Path(source).read_text()
+    text = Path(path).read_text()
     if fmt == "json":
         payload = json.loads(text)
         return SweepTable(grid=payload["grid"], columns=payload["columns"], meta=payload["meta"])

@@ -1,9 +1,11 @@
 """CLI contracts: artifacts, summaries, determinism, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +14,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import read_table
-from finitejj import observables
-from finitejj.cli import main
+from finitejj import observables, wick
+from finitejj.cli import (
+    MAX_WICK_DEGREE,
+    _write_scalars,
+    _write_table,
+    build_parser,
+    main,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -47,6 +55,47 @@ def test_bands_csv_body_is_rfc4180(tmp_path):
     # every data cell parses back to a float exactly (17 significant digits)
     cells = lines[2].split(",")
     assert float(cells[0]) == -1.0
+
+
+GOLDEN_TABLE = {
+    "csv": b'# meta {"e_c": 1.0, "pairs_total": 10, "window_mode": "full"}\r\n'
+           b"n_g,E0,n_expect,converged\r\n"
+           b"-0.5,-1.25,0,1\r\n"
+           b"0,0.10000000000000001,-1e-300,1\r\n"
+           b"0.25,0.66666666666666663,3.5,0\r\n",
+    "json": b'{"columns": {"E0": [-1.25, 0.1, 0.6666666666666666], "converged": [1.0, 1.0, 0.0],'
+            b' "n_expect": [0.0, -1e-300, 3.5]}, "grid": [-0.5, 0.0, 0.25],'
+            b' "meta": {"e_c": 1.0, "pairs_total": 10, "window_mode": "full"}}',
+}
+GOLDEN_SCALARS = {
+    "csv": b'# meta {"degree": 6, "name": "x", "seed": 7}\r\n'
+           b"quantity,value\r\n"
+           b"count,3\r\n"
+           b"gap,0.10000000000000001\r\n"
+           b"huge,1.5000000000000001e+300\r\n"
+           b"missing,\r\n",
+    "json": b'{"meta": {"degree": 6, "name": "x", "seed": 7},'
+            b' "results": {"count": 3.0, "gap": 0.1, "huge": 1.5e+300, "missing": null}}',
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_artifact_bytes_are_pinned(fmt, tmp_path):
+    """Meta keys sorted, header in column order, 17 digits, CRLF endings, None empty/null."""
+    table = observables.SweepTable(
+        grid=[-0.5, 0.0, 0.25],
+        columns={"E0": [-1.25, 0.1, 2.0 / 3.0], "n_expect": [0.0, -1e-300, 3.5],
+                 "converged": [1.0, 1.0, 0.0]},
+        meta={"window_mode": "full", "pairs_total": 10, "e_c": 1.0},
+    )
+    path = _write_table(table, argparse.Namespace(format=fmt, output=None), "table")
+    assert path == Path(f"table.{fmt}")
+    assert (tmp_path / path).read_bytes() == GOLDEN_TABLE[fmt]
+
+    results = {"gap": 0.1, "missing": None, "count": 3.0, "huge": 1.5e300}
+    args = argparse.Namespace(format=fmt, output=str(tmp_path / f"scalars.{fmt}"))
+    path = _write_scalars(results, {"seed": 7, "degree": 6, "name": "x"}, args, "scalars")
+    assert path.read_bytes() == GOLDEN_SCALARS[fmt]
 
 
 def test_transmon_shift_summary(tmp_path, capsys):
@@ -219,6 +268,30 @@ def test_wick_verify(tmp_path, capsys):
     payload = json.loads((tmp_path / "wick_verify.json").read_text())
     assert payload["results"]["max_abs_deviation"] < 1e-9
     assert "ok" in capsys.readouterr().out
+
+
+def test_wick_verify_long_words(tmp_path):
+    assert main("wick-verify --count 3 --degree 80".split()) == 0
+
+
+def test_wick_degree_bound(capsys, monkeypatch):
+    def no_oracle(*args):
+        raise AssertionError("a Fock matrix was built")
+
+    monkeypatch.setattr(wick, "fock_oracle", no_oracle)
+    args = build_parser().parse_args(f"wick-verify --degree {MAX_WICK_DEGREE}".split())
+    assert args.degree == MAX_WICK_DEGREE
+    assert main(f"wick-verify --count 3 --degree {MAX_WICK_DEGREE + 1}".split()) == 1
+    assert "--degree" in capsys.readouterr().err
+
+
+def test_fock_oracle_is_finite_at_the_degree_bound():
+    # (b b†)^(d/2) has the largest entries of any degree-d word in dim d + 2.
+    half = MAX_WICK_DEGREE // 2
+    word = wick.OperatorPoly.from_word((wick.LOWER, wick.RAISE) * half)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(wick.fock_matrix(word, MAX_WICK_DEGREE + 2)).all()
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -1,6 +1,6 @@
 """Qubit frequency, imbalance, susceptibility, sweeps, and curvatures."""
 
-import io
+import argparse
 import math
 import warnings
 
@@ -14,6 +14,7 @@ from conftest import (
     two_level_imbalance,
     two_level_susceptibility,
 )
+from finitejj.cli import _write_table
 from finitejj.errors import RegimeWarning, WindowConvergenceError
 from finitejj.eigensolve import dense_all
 from finitejj.hamiltonian import ChargeWindow, build, build_windowed
@@ -294,31 +295,28 @@ class TestSweepTableSerialization:
             include_imbalance=True,
         )
 
-    def test_csv_round_trip_exact(self):
+    def write(self, table, fmt, tmp_path):
+        args = argparse.Namespace(format=fmt, output=str(tmp_path / f"table.{fmt}"))
+        return _write_table(table, args, "table")
+
+    def test_csv_round_trip_exact(self, tmp_path):
         table = self.make_table()
-        buffer = io.StringIO()
-        table.to_csv(buffer)
-        back = read_table(io.StringIO(buffer.getvalue()))
+        back = read_table(self.write(table, "csv", tmp_path))
         assert np.array_equal(back.grid, table.grid)
         for name, col in table.columns.items():
             assert np.array_equal(back.columns[name], col), name
         assert back.meta == table.meta
 
-    def test_json_round_trip_exact(self):
+    def test_json_round_trip_exact(self, tmp_path):
         table = self.make_table()
-        buffer = io.StringIO()
-        table.to_json(buffer)
-        buffer.seek(0)
-        back = read_table(buffer, "json")
+        back = read_table(self.write(table, "json", tmp_path), "json")
         assert np.array_equal(back.grid, table.grid)
         for name, col in table.columns.items():
             assert np.array_equal(back.columns[name], col), name
 
-    def test_csv_shape(self):
+    def test_csv_shape(self, tmp_path):
         table = self.make_table()
-        buffer = io.StringIO()
-        table.to_csv(buffer)
-        lines = buffer.getvalue().strip().split("\r\n")
+        lines = self.write(table, "csv", tmp_path).read_bytes().decode().strip().split("\r\n")
         assert lines[0].startswith("# meta ")
         assert lines[1] == "n_g,E0,E1,n_expect,converged"
         assert len(lines) == 2 + 7

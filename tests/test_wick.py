@@ -78,6 +78,12 @@ class TestVacuumExpectation:
         # Three pairings of (b + b†)^4 survive in the vacuum.
         assert wick.vacuum_expectation((lowering() + raising()) ** 4) == 3
 
+    @pytest.mark.parametrize("n", [30, 60])
+    def test_long_word_is_n_factorial(self, n):
+        # <0| b^n b†^n |0> = n!: n(n+1)/2 commutations, past any recursion limit.
+        word = OperatorPoly.from_word((LOWER,) * n + (RAISE,) * n)
+        assert wick.vacuum_expectation(word) == float(math.factorial(n))
+
     @given(
         alpha=st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False),
         beta=st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False),
