@@ -2,31 +2,38 @@
 
 LAPACK computes, Sturm certifies.  Every operator (at most ARRAY_LIMIT
 states, enforced when it is built) gets its lowest values from one call to
-LAPACK bisection (``dstebz``, via scipy's ``eigh_tridiagonal``) at the
-floating-point floor.  Each returned value v_j is then certified by two
-Sturm pivot counts: the number of negative pivots in the shifted LDL^T
-recurrence equals the number of eigenvalues below the shift, and
-count(v_j - delta) <= j < count(v_j + delta) puts exactly j eigenvalues
-below the bracket.  A value that fails its certificate is re-bracketed by
-bisection on the same count.  Eigenvectors come from LAPACK inverse
-iteration (``dstein``) shifted to the lower end of the certified bracket.
-Perturbation theory in the charge n applies a level's reduced resolvent by
-LAPACK tridiagonal solves (``dgtsv``): once for its static charge response,
-twice for the ground state's fourth-order energy.
+LAPACK bisection (``dstebz``) at the floating-point floor.  Each returned
+value v_j is then certified by two Sturm pivot counts: the number of
+negative pivots in the shifted LDL^T recurrence equals the number of
+eigenvalues below the shift, and count(v_j - delta) <= j < count(v_j + delta)
+puts exactly j eigenvalues below the bracket.  A value that fails its
+certificate is re-bracketed by bisection on the same count.  Eigenvectors
+come from LAPACK inverse iteration (``dstein``) shifted to the lower end of
+the certified bracket.  Perturbation theory in the charge n applies a
+level's reduced resolvent by LAPACK tridiagonal solves (``dgtsv``): once for
+its static charge response, twice for the ground state's fourth-order
+energy.
 
 A pivot count is one O(dim) pass over the operator's two arrays.  A dense
-full-spectrum routine (LAPACK, via scipy) provides the reference oracle at
+full-spectrum routine (LAPACK ``dstevd``) provides the reference oracle at
 small dimensions.
 
-scipy is imported inside the functions that call LAPACK, so it loads at
-the first numerical solve: importing this module, or running only the
-closed forms, never loads it.
+Every LAPACK routine comes from scipy's compiled wrappers
+``scipy.linalg._flapack``, which ``_lapack`` loads at the first solve.  The
+``scipy.linalg`` package never loads: its import pulls in most of numpy's
+submodules and costs more than numpy itself.  Importing this module, or
+running only the closed forms, loads no part of scipy.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import sys
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -58,6 +65,29 @@ class Spectrum:
     @property
     def values(self) -> np.ndarray:
         return np.array([p.value for p in self.pairs])
+
+
+@functools.cache
+def _lapack():
+    """scipy's compiled LAPACK wrappers, ``scipy.linalg._flapack``.
+
+    Reuses the loaded module if there is one.  Otherwise loads the extension
+    from the installed scipy's ``linalg`` directory, without running any
+    package ``__init__``, and registers it, so a later ``import scipy.linalg``
+    binds this same module.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    dirs = [str(Path(d) / "linalg") for d in scipy.submodule_search_locations] if scipy else []
+    spec = importlib.machinery.PathFinder.find_spec(name, dirs)
+    if spec is None:
+        raise ImportError(f"cannot find scipy's LAPACK wrappers {name}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
 
 
 def _pivmin(off_max: float) -> float:
@@ -134,14 +164,16 @@ def lowest_eigenvalues(h: TridiagonalHamiltonian, k: int) -> Spectrum:
     pivmin = _pivmin(off_max)
     lo0 = dmin - 2.0 * off_max
     hi0 = dmax + 2.0 * off_max
-    from scipy.linalg import eigh_tridiagonal
-
-    values = eigh_tridiagonal(
-        h.diag, h.off, eigvals_only=True, select="i", select_range=(0, k - 1),
-        lapack_driver="stebz", tol=2.0 * _SAFMIN,
-    )
+    if h.dim == 1:
+        values = [float(h.diag[0])]
+    else:
+        # Values with indices 1..k (range 2), in ascending order ("E").
+        m, w, _, _, info = _lapack().dstebz(h.diag, h.off, 2, 0.0, 1.0, 1, k, 2.0 * _SAFMIN, "E")
+        if info != 0:
+            raise ConvergenceError(f"dstebz bisection did not converge (info {info})")
+        values = w[:m].tolist()
     pairs = []
-    for j, value in enumerate(values.tolist()):
+    for j, value in enumerate(values):
         delta = 4.0 * _EPS * abs(value) + 2.0 * _SAFMIN
         below = eigenvalue_count_below(h, value - delta, pivmin)
         above = eigenvalue_count_below(h, value + delta, pivmin)
@@ -181,8 +213,6 @@ def eigenpair(h: TridiagonalHamiltonian, level: int = 0) -> EigenPair:
             NearDegenerateWarning,
             stacklevel=2,
         )
-    from scipy.linalg.lapack import dstein
-
     dim = h.dim
     # scipy's dstein wrapper sizes e as max(n - 1, 1)
     off = h.off if dim > 1 else np.zeros(1)
@@ -191,7 +221,7 @@ def eigenpair(h: TridiagonalHamiltonian, level: int = 0) -> EigenPair:
     # eps ||H|| / gap of a neighbour's vector into the result; from r_j below
     # it, inverse iteration still converges at a rate of r_j / gap per step.
     shift = value - pairs[level].residual
-    vectors, info = dstein(
+    vectors, info = _lapack().dstein(
         h.diag, off, [shift], np.ones(dim, dtype=np.int32), np.full(dim, dim, dtype=np.int32)
     )
     if info != 0:
@@ -216,8 +246,7 @@ def _reduced_resolvent(h: TridiagonalHamiltonian, level: int):
     a = n - np.dot(n, v * v)
     if h.dim == 1:
         return v, a, np.zeros_like
-    from scipy.linalg.lapack import dgtsv
-
+    dgtsv = _lapack().dgtsv
     diag, off = h.to_arrays()
     diag -= pair.value
     j = int(np.argmax(np.abs(v)))
@@ -268,8 +297,11 @@ def dense_all(h: TridiagonalHamiltonian, dense_limit: int = DENSE_LIMIT) -> Spec
     """
     if h.dim > dense_limit:
         raise CapacityError(f"dim {h.dim} exceeds dense limit {dense_limit}")
-    from scipy.linalg import eigh_tridiagonal
-
-    values, vectors = eigh_tridiagonal(h.diag, h.off)
+    if h.dim == 1:
+        values, vectors = h.diag[:1], np.ones((1, 1))
+    else:
+        values, vectors, info = _lapack().dstevd(h.diag, h.off, compute_v=1)
+        if info != 0:
+            raise ConvergenceError(f"dstevd eigensolve did not converge (info {info})")
     pairs = [_with_vector(h, float(values[j]), vectors[:, j]) for j in range(h.dim)]
     return Spectrum(pairs, h.dim)

@@ -270,6 +270,28 @@ def test_wick_verify(tmp_path, capsys):
     assert "ok" in capsys.readouterr().out
 
 
+def test_wick_verify_tolerance_is_relative_to_the_engine_value(capsys, monkeypatch):
+    # Oracle rounding of large vacuum values reaches 1.1e-8 here: within 1e-9 relative.
+    assert main("wick-verify --count 200 --degree 60".split()) == 0
+    assert "ok" in capsys.readouterr().out
+    engine = wick.vacuum_expectation
+    monkeypatch.setattr(wick, "vacuum_expectation",
+                        lambda poly: engine(poly) + 1e-6 * max(1.0, abs(engine(poly))))
+    assert main("wick-verify --count 20 --degree 6".split()) == 2
+    assert "FAILED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    "analytic --ej 1 --ec 1 --pairs 10",
+    "bands --pairs 4 --ejec 1 --from 0 --to 1 --steps 2",
+])
+def test_unwritable_output_names_the_flag_and_path(argv, capsys):
+    assert main(argv.split() + ["--output", "nodir/x.csv"]) == 1
+    err = capsys.readouterr().err
+    assert "--output" in err
+    assert str(Path("nodir/x.csv")) in err
+
+
 def test_wick_verify_long_words(tmp_path):
     assert main("wick-verify --count 3 --degree 80".split()) == 0
 
@@ -423,19 +445,22 @@ def test_levels_beyond_fixed_window_names_both_flags(capsys):
 
 
 def test_scipy_loads_at_the_first_solve(tmp_path):
-    """Import and the closed-form commands leave scipy unloaded; a solve loads it."""
+    """Import and the closed-form commands leave scipy unloaded; a solve loads its
+    LAPACK wrappers, and neither the ``scipy`` nor the ``scipy.linalg`` package."""
     script = """
 import json, sys
+def modules():
+    return [name in sys.modules for name in ("scipy", "scipy.linalg", "scipy.linalg._flapack")]
 import finitejj.cli
-loaded = {"import": "scipy" in sys.modules}
+loaded = {"import": modules()}
 for argv in (["analytic", "--ej", "1", "--ec", "1", "--pairs", "10"],
              ["validity", "--pairs", "1e6", "--ng", "3"],
              ["wick-verify", "--count", "5"]):
     assert finitejj.cli.main(argv) == 0
-    loaded[argv[0]] = "scipy" in sys.modules
+    loaded[argv[0]] = modules()
 argv = ["bands", "--pairs", "4", "--ejec", "1", "--from", "0", "--to", "1", "--steps", "2"]
 assert finitejj.cli.main(argv) == 0
-loaded["bands"] = "scipy" in sys.modules
+loaded["bands"] = modules()
 print(json.dumps(loaded))
 """
     env = dict(os.environ)
@@ -445,19 +470,24 @@ print(json.dumps(loaded))
     )
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout.splitlines()[-1])
+    none = [False, False, False]
     assert loaded == {
-        "import": False, "analytic": False, "validity": False, "wick-verify": False,
-        "bands": True,
+        "import": none, "analytic": none, "validity": none, "wick-verify": none,
+        "bands": [False, False, True],
     }
 
 
 def test_numpy_loads_at_the_first_array(tmp_path):
-    """Import, analytic and validity load neither numpy nor scipy; wick-verify loads numpy."""
+    """Import, analytic and validity load neither numpy nor scipy; wick-verify loads numpy.
+
+    No command loads the numpy submodules that ``scipy.linalg``'s import pulls in.
+    """
     script = """
 import json, sys
 loaded = {}
 def record(step):
-    loaded[step] = [name in sys.modules for name in ("numpy", "scipy")]
+    loaded[step] = [name in sys.modules for name in
+                    ("numpy", "scipy.linalg._flapack", "numpy.f2py", "numpy.testing")]
 import finitejj
 record("import finitejj")
 import finitejj.cli
@@ -478,10 +508,11 @@ print(json.dumps(loaded))
     )
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout.splitlines()[-1])
+    none = [False, False, False, False]
     assert loaded == {
-        "import finitejj": [False, False], "import finitejj.cli": [False, False],
-        "analytic": [False, False], "validity": [False, False],
-        "wick-verify": [True, False], "bands": [True, True],
+        "import finitejj": none, "import finitejj.cli": none, "analytic": none,
+        "validity": none, "wick-verify": [True, False, False, False],
+        "bands": [True, True, False, False],
     }
 
 

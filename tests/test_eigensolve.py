@@ -1,11 +1,16 @@
 """Certified eigenvalues against dense and mpmath oracles, plus the solver invariants."""
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.linalg.lapack
 from scipy.special import mathieu_a, mathieu_b
 
 from finitejj import eigensolve
@@ -20,6 +25,8 @@ from finitejj.eigensolve import (
 )
 from finitejj.hamiltonian import ChargeWindow, build, build_windowed
 from finitejj.model import CircuitParams
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def params(pairs, ejec, ng=0.0, ec=1.0):
@@ -46,13 +53,14 @@ def mpmath_matrix(mpmath, h):
 def wrong_lapack_values(monkeypatch):
     """LAPACK's selected eigenvalues shifted by 1e-3: each fails its certificate
     and is bisected.  The full spectrum that ``dense_all`` asks for stays exact."""
-    lapack = scipy.linalg.eigh_tridiagonal
+    lapack = eigensolve._lapack()
+    dstebz = lapack.dstebz
 
-    def shifted(*args, **kwargs):
-        values = lapack(*args, **kwargs)
-        return values + 1e-3 if kwargs.get("select") == "i" else values
+    def shifted(*args):
+        m, w, iblock, isplit, info = dstebz(*args)
+        return m, w + 1e-3, iblock, isplit, info
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", shifted)
+    monkeypatch.setattr(lapack, "dstebz", shifted)
 
 
 @pytest.fixture
@@ -144,12 +152,14 @@ class TestLowestEigenvalues:
     def test_certificate_catches_wrong_lapack_values(self, monkeypatch, sturm_counts, shift):
         h = build(params(40, 3.0, ng=0.2))
         oracle = dense_all(h)
-        lapack = scipy.linalg.eigh_tridiagonal
+        lapack = eigensolve._lapack()
+        dstebz = lapack.dstebz
 
-        def shifted(*args, **kwargs):
-            return lapack(*args, **kwargs) + shift
+        def shifted(*args):
+            m, w, iblock, isplit, info = dstebz(*args)
+            return m, w + shift, iblock, isplit, info
 
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", shifted)
+        monkeypatch.setattr(lapack, "dstebz", shifted)
         spec = lowest_eigenvalues(h, 3)
         # Every value fails its certificate and is bisected.
         assert len(sturm_counts) > 2 * 3
@@ -303,7 +313,7 @@ class TestChargeResponse:
 
     def test_failed_solve_raises(self, monkeypatch):
         monkeypatch.setattr(
-            scipy.linalg.lapack, "dgtsv", lambda dl, d, du, b: (dl, d, du, b, 2)
+            eigensolve._lapack(), "dgtsv", lambda dl, d, du, b: (dl, d, du, b, 2)
         )
         with pytest.raises(ConvergenceError, match="dgtsv"):
             charge_response(build(params(10, 0.2, ng=0.3)))
@@ -341,6 +351,83 @@ class TestDenseAll:
         spec = dense_all(h)
         assert spec.dim == 1
         assert spec.values[0] == pytest.approx(h.diag[0])
+
+
+def random_operator(rng, dim):
+    """A window of ``dim`` states at a random place in a random basis."""
+    pairs = int(rng.integers(dim, 10**6))
+    p = params(pairs, 10.0 ** rng.uniform(-2, 2), ng=rng.uniform(-0.5, 0.5) * pairs)
+    k_lo = int(rng.integers(0, pairs - dim + 2))
+    return build_windowed(p, ChargeWindow(k_lo - pairs / 2, k_lo + dim - 1 - pairs / 2))
+
+
+class TestLapackLoader:
+    """``eigensolve._lapack``: scipy's LAPACK wrappers without the scipy.linalg package."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 11, 65, 2049])
+    def test_bit_identical_to_scipy_linalg(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(3):
+            h = random_operator(rng, dim)
+            assert h.dim == dim
+            for k in sorted({1, min(3, dim), min(40, dim)}):
+                expected = scipy.linalg.eigh_tridiagonal(
+                    h.diag, h.off, eigvals_only=True, select="i", select_range=(0, k - 1),
+                    lapack_driver="stebz", tol=2.0 * np.finfo(float).tiny,
+                )
+                assert (lowest_eigenvalues(h, k).values == expected).all()
+            values, vectors = scipy.linalg.eigh_tridiagonal(h.diag, h.off)
+            spec = dense_all(h)
+            assert (spec.values == values).all()
+            for j, pair in enumerate(spec.pairs):
+                v = vectors[:, j]
+                assert (pair.vector == v).all() or (pair.vector == -v).all()
+
+    @pytest.mark.parametrize("scipy_first", [False, True])
+    def test_same_module_as_scipy_linalg_in_either_import_order(self, scipy_first):
+        script = f"""
+import sys
+if {scipy_first}:
+    import scipy.linalg
+from finitejj import eigensolve
+lapack = eigensolve._lapack()
+assert ("scipy.linalg" in sys.modules) == {scipy_first}
+import scipy.linalg.lapack
+assert lapack is scipy.linalg.lapack._flapack
+assert lapack is sys.modules["scipy.linalg._flapack"]
+assert eigensolve._lapack() is lapack
+print("same")
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["same"]
+
+    @pytest.mark.parametrize("installed", [True, False])
+    def test_missing_module_raises_import_error_naming_it(self, monkeypatch, tmp_path,
+                                                          installed):
+        # scipy found in an empty directory, or not found at all.
+        scipy_spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        scipy_spec.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(importlib.util, "find_spec",
+                            lambda name: scipy_spec if installed else None)
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+        eigensolve._lapack.cache_clear()
+        with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack") as caught:
+            eigensolve._lapack()
+        assert caught.value.name == "scipy.linalg._flapack"
+
+    @pytest.mark.parametrize("routine, solve", [("dstebz", lambda h: lowest_eigenvalues(h, 2)),
+                                                ("dstevd", dense_all)])
+    def test_failed_lapack_call_raises(self, monkeypatch, routine, solve):
+        lapack = eigensolve._lapack()
+        call = getattr(lapack, routine)
+        # The real results with info 1.
+        monkeypatch.setattr(lapack, routine, lambda *a, **k: (*call(*a, **k)[:-1], 1))
+        with pytest.raises(ConvergenceError, match=routine):
+            solve(build(params(10, 0.2, ng=0.3)))
 
 
 class TestMathieuLimit:
