@@ -144,7 +144,8 @@ def _float_list(text: str) -> list[float]:
 
 def _add_window_flags(sub):
     sub.add_argument("--window", choices=("full", "fixed", "adaptive"), default="adaptive",
-                     help="charge-window policy (default adaptive)")
+                     help="charge-window policy (default adaptive); full proves its"
+                          " eigenvalues on a certified window")
     sub.add_argument("--half-width", type=_count, default=None,
                      help="half-width for --window fixed")
     sub.add_argument("--w-initial", type=_count, default=None,
@@ -161,8 +162,9 @@ def _add_output_flags(sub, default_name):
                      help=f"output path (default {default_name}.<format>)")
 
 
-def _policy_from(args) -> WindowPolicy:
-    """The window policy of the flags; a full or fixed window must fit in an operator."""
+def _policy_from(args, certified: bool = False) -> WindowPolicy:
+    """The window policy of the flags; a fixed window must fit in an operator, and so
+    must the whole basis of ``--window full`` unless its eigenvalues are ``certified``."""
     from .observables import WindowPolicy
 
     if args.window == "adaptive":
@@ -171,7 +173,8 @@ def _policy_from(args) -> WindowPolicy:
         return WindowPolicy.adaptive(rtol=args.window_rtol, w_initial=args.w_initial,
                                      w_max=args.w_max)
     if args.window == "full":
-        policy, flag, states = WindowPolicy.full(), "--window full", args.pairs + 1
+        policy, flag = WindowPolicy.full(), "--window full"
+        states = 0 if certified else args.pairs + 1
     elif args.half_width is None:
         raise CliError("--window fixed requires --half-width")
     else:
@@ -181,6 +184,14 @@ def _policy_from(args) -> WindowPolicy:
         raise CliError(f"{flag}: a window of {states} charge states exceeds the operator"
                        f" limit of 2**26 = {ARRAY_LIMIT}")
     return policy
+
+
+def _check_offsets(offsets, pairs: int, flag: str) -> None:
+    """Refuse an offset that the operator's center N + n_g rounds by more than 1e-3 charge."""
+    for n_g in offsets:
+        if (error := abs(math.fsum([pairs / 2.0 + n_g, -pairs / 2.0, -n_g]))) > 1e-3:
+            raise CliError(f"{flag}: at n_g = {n_g:g} the operator's center N + n_g is rounded"
+                           f" by {error:g} charge at 2N = {pairs}; such offsets are unresolved")
 
 
 def _grid_from(args) -> np.ndarray:
@@ -243,11 +254,13 @@ def _sweep_command(args, include_imbalance, include_susceptibility, levels, name
 
     params = _circuit(args.pairs, args.ejec, 1.0, max(abs(args.start), abs(args.stop)),
                       {"coupling": "--ejec", "diagonal": "--from/--to"})
+    grid = _grid_from(args)
+    _check_offsets(grid.tolist(), args.pairs, "--from/--to")
     table = observables.band_sweep(
         params,
-        _grid_from(args),
+        grid,
         levels=levels,
-        policy=_policy_from(args),
+        policy=_policy_from(args, certified=not (include_imbalance or include_susceptibility)),
         include_imbalance=include_imbalance,
         include_susceptibility=include_susceptibility,
         subtract_ground=getattr(args, "subtract_e0", False),
@@ -320,7 +333,8 @@ def _cmd_transmon_shift(args):
 
     params = _circuit(args.pairs, args.ej_ghz, args.ec_ghz, abs(args.ng),
                       {"coupling": "--ej-ghz", "diagonal": "--ec-ghz/--ng"})
-    policy = _policy_from(args)
+    _check_offsets([args.ng], args.pairs, "--ng")
+    policy = _policy_from(args, certified=True)
     w0 = observables.qubit_frequency(params, policy)
     w1 = observables.qubit_frequency(params.with_ng(args.ng), policy)
     shift_ghz = w1 - w0
@@ -550,8 +564,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except CapacityError as exc:  # an adaptive window grew past the operator limit
-        print(f"error: {exc}; lower --w-max or --w-initial", file=sys.stderr)
+    except CapacityError as exc:  # a window grew past the operator limit
+        hint = ("--window full found no certified window below it"
+                if getattr(args, "window", None) == "full" else "lower --w-max or --w-initial")
+        print(f"error: {exc}; {hint}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:  # overflow or underflow in a closed form
         print(f"error: {exc}; a parameter is outside the float range", file=sys.stderr)

@@ -18,6 +18,9 @@ A pivot count is one O(dim) pass over the operator's two arrays.  A dense
 full-spectrum routine (LAPACK ``dstevd``) provides the reference oracle at
 small dimensions.
 
+``window_certificate`` proves a charge window's lowest values to be the full
+operator's with two more counts per value at the window's dim.
+
 Every LAPACK routine comes from scipy's compiled wrappers
 ``scipy.linalg._flapack``, which ``_lapack`` loads at the first solve.  The
 ``scipy.linalg`` package never loads: its import pulls in most of numpy's
@@ -39,11 +42,14 @@ import numpy as np
 
 from .errors import CapacityError, ConvergenceError, NearDegenerateWarning
 from .hamiltonian import DENSE_LIMIT, TridiagonalHamiltonian
+from .model import coupling_bound
 
 MAX_BISECTIONS = 2048
 
 _SAFMIN = float(np.finfo(float).tiny)
 _EPS = float(np.finfo(float).eps)
+# Covers the rounding of the couplings, their bound and the certificate's differences.
+_SLACK = 1.0 + 16.0 * _EPS
 
 
 @dataclass(frozen=True)
@@ -105,13 +111,18 @@ def eigenvalue_count_below(
     """
     if pivmin is None:
         pivmin = _pivmin(h.coefficient_bounds()[2])
-    diag = (h.diagonal_block(0, h.dim) - x).tolist()
-    offsq = np.empty(h.dim)
+    return _count_below(h.diagonal_block(0, h.dim), h.offdiagonal_block(0, h.dim - 1), x, pivmin)
+
+
+def _count_below(diag: np.ndarray, off: np.ndarray, x: float, pivmin: float) -> int:
+    """Negative pivots of the LDL^T recurrence of the tridiagonal (diag, off) minus x."""
+    shifted = (diag - x).tolist()
+    offsq = np.empty(len(shifted))
     offsq[0] = 0.0
-    np.square(h.offdiagonal_block(0, h.dim - 1), out=offsq[1:])
+    np.square(off, out=offsq[1:])
     count = 0
     d = 1.0
-    for dj, oj in zip(diag, offsq.tolist()):
+    for dj, oj in zip(shifted, offsq.tolist()):
         d = dj - oj / d
         if abs(d) <= pivmin:
             d = -pivmin
@@ -158,8 +169,11 @@ def lowest_eigenvalues(h: TridiagonalHamiltonian, k: int) -> Spectrum:
 
     Fixed evaluation order makes results bitwise reproducible.
     """
-    if k < 1 or k > h.dim:
-        raise ValueError(f"k must be in [1, {h.dim}], got {k}")
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    if k > h.dim:
+        raise ValueError(f"levels {k} exceeds the {h.dim} charge states of the window"
+                         f" at n_g = {h.params.n_g:g}")
     dmin, dmax, off_max = h.coefficient_bounds()
     pivmin = _pivmin(off_max)
     lo0 = dmin - 2.0 * off_max
@@ -184,6 +198,39 @@ def lowest_eigenvalues(h: TridiagonalHamiltonian, k: int) -> Spectrum:
         else:
             pairs.append(_bisect(h, j, value + delta, hi0, pivmin))
     return Spectrum(pairs, h.dim)
+
+
+def window_certificate(h: TridiagonalHamiltonian, spectrum: Spectrum) -> list[float] | None:
+    """Radii r_j within which the window's values v_j are the full operator's lowest, or None.
+
+    The full count below x is at least the window's (Cauchy interlacing), so
+    count(v_j + rho_j) >= j + 1 bounds eigenvalue j from above.  Where the
+    parabola dominates outside the window, a_out - x >= 2 b_max past each end,
+    the Schur complement onto the window lowers each corner by at most
+    b_edge^2 / (a_out - x - b_max); the lowered window's count bounds the full
+    count from above, and count(v_j - rho_j) <= j bounds eigenvalue j from
+    below.  rho_j covers the counts' backward error (Kahan 1966; Demmel,
+    Dhillon & Ren 1995), so r_j = 2 rho_j.  None when the window is too small.
+    """
+    values = spectrum.values.tolist()
+    b_max = coupling_bound(h.params.e_j, h.params.n_half) * _SLACK
+    # The diagonal is nonnegative: its largest entry plus 2 b_max bounds the norm.
+    norm = h.coefficient_bounds()[1] + 2.0 * b_max
+    rho = [4.0 * _EPS * (norm + abs(v)) for v in values]
+    x = max(v - r for v, r in zip(values, rho))
+    lowered = h.diag.copy()
+    for corner, a_out, b_edge in zip((0, -1), *h.outside()):
+        room = (a_out - x) / _SLACK
+        if b_edge and room < 2.0 * b_max:
+            return None
+        # A basis end (b_edge = 0) lowers nothing, whatever its room.
+        lowered[corner] -= b_edge * b_edge / max(room - b_max, b_max) * _SLACK
+    pivmin = _pivmin(b_max)
+    for j, (v, r) in enumerate(zip(values, rho)):
+        if (_count_below(lowered, h.off, v - r, pivmin) > j
+                or eigenvalue_count_below(h, v + r, pivmin) < j + 1):
+            return None
+    return [2.0 * r for r in rho]
 
 
 def _with_vector(h: TridiagonalHamiltonian, value: float, v: np.ndarray) -> EigenPair:

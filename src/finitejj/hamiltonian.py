@@ -54,9 +54,6 @@ class ChargeWindow:
         k_hi = min(k_c + half_width, int(round(2 * n_half)))
         return cls(k_lo - n_half, k_hi - n_half)
 
-    def span(self) -> float:
-        return self.n_hi - self.n_lo
-
 
 class TridiagonalHamiltonian:
     """Symmetric tridiagonal operator over a charge window, held as two arrays.
@@ -86,10 +83,7 @@ class TridiagonalHamiltonian:
         if dim > ARRAY_LIMIT:
             raise CapacityError(f"dim {dim} exceeds array limit {ARRAY_LIMIT}")
         k = k_lo + np.arange(dim, dtype=float)
-        # One rounding for n - n_g = k - center, same value at every index.
-        delta = k - (params.n_half + params.n_g)
-        diag = params.e_c * delta * delta
-        off = -(params.e_j / (2.0 * params.n_half)) * np.sqrt((two_n - k[:-1]) * (k[:-1] + 1.0))
+        diag, off = _diagonal(params, k), _couplings(params, k[:-1])
         diag.flags.writeable = off.flags.writeable = False
         for name, value in (("params", params), ("window", window), ("dim", dim),
                             ("diag", diag), ("off", off), ("_k_lo", int(k_lo))):
@@ -104,6 +98,12 @@ class TridiagonalHamiltonian:
 
     def charges(self) -> np.ndarray:
         return (self._k_lo + np.arange(self.dim, dtype=float)) - self.params.n_half
+
+    def outside(self) -> tuple[np.ndarray, np.ndarray]:
+        """(diag, off) of the two charges just past the window's ends, as the
+        full operator holds them; off couples each to its end, 0 past a basis end."""
+        past = np.array([self._k_lo - 1.0, self._k_lo + self.dim])
+        return _diagonal(self.params, past), _couplings(self.params, past - [0, 1])
 
     def diagonal_block(self, lo: int, hi: int) -> np.ndarray:
         """Read-only view of the diagonal for local indices [lo, hi)."""
@@ -133,6 +133,17 @@ class TridiagonalHamiltonian:
         """(min diag, max diag, max |off|)."""
         off_max = float(np.max(np.abs(self.off), initial=0.0))
         return float(self.diag.min()), float(self.diag.max()), off_max
+
+
+def _diagonal(params: CircuitParams, k: np.ndarray) -> np.ndarray:
+    # One rounding for n - n_g = k - center, same value at every index.
+    delta = k - (params.n_half + params.n_g)
+    return params.e_c * delta * delta
+
+
+def _couplings(params: CircuitParams, k: np.ndarray) -> np.ndarray:
+    """Couplings of basis offsets ``k`` to k + 1."""
+    return -(params.e_j / (2.0 * params.n_half)) * np.sqrt((2.0 * params.n_half - k) * (k + 1.0))
 
 
 def build(params: CircuitParams) -> TridiagonalHamiltonian:

@@ -49,14 +49,19 @@ class BoseHubbardParams:
             raise ValueError(f"pairs_total must be a positive integer, got {self.pairs_total}")
 
 
+def coupling_bound(e_j: float, n_half: float) -> float:
+    """E_J (2N + 1) / 4N, which bounds every coupling: sqrt(N(N+1) - n(n+1)) <= N + 1/2."""
+    return e_j * (2.0 * n_half + 1.0) / (4.0 * n_half)
+
+
 def coefficient_overflow(e_j: float, e_c: float, n_half: float, n_g: float) -> str | None:
     """The charge-basis coefficient that leaves the float range, or None.
 
     "diagonal": E_C (n - n_g)^2 peaks at E_C (N + |n_g|)^2.  "coupling": the
-    couplings peak at E_J (2N + 1) / 4N, and the eigensolver squares them.
+    couplings peak at :func:`coupling_bound`, and the eigensolver squares them.
     """
     reach = n_half + abs(n_g)
-    coupling = e_j * (2.0 * n_half + 1.0) / (4.0 * n_half)
+    coupling = coupling_bound(e_j, n_half)
     if not math.isfinite(e_c * reach * reach):
         return "diagonal"
     return None if math.isfinite(coupling * coupling) else "coupling"

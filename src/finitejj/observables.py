@@ -12,7 +12,8 @@ Large islands are handled through charge windows: the low-energy states are
 exponentially localized around the offset charge, so a window of a few dozen
 charge states around round(n_g) reproduces full-basis answers to near machine
 precision.  The adaptive policy doubles the half-width until the observable
-stops moving, and every result remembers whether that check passed.
+stops moving, and every result remembers whether that check passed.  The
+full policy proves its eigenvalues on a window instead.
 
 Results are values and ``SweepTable`` containers; this module writes no
 files (the CLI is the only artifact writer).
@@ -27,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RegimeWarning, WindowConvergenceError
-from .eigensolve import charge_response, eigenpair, fourth_order_energy, lowest_eigenvalues
+from .eigensolve import (charge_response, eigenpair, fourth_order_energy, lowest_eigenvalues,
+                         window_certificate)
 from .hamiltonian import ChargeWindow, TridiagonalHamiltonian, build, build_windowed
 from .model import DEFAULT_W_MAX, DEFAULT_WINDOW_RTOL, CircuitParams
 
@@ -36,10 +38,11 @@ from .model import DEFAULT_W_MAX, DEFAULT_WINDOW_RTOL, CircuitParams
 class WindowPolicy:
     """How to restrict the charge basis before solving.
 
-    mode "full" solves the whole basis; "fixed" uses one half-width;
-    "adaptive" starts from ``w_initial`` (default: four charge-state standard
-    deviations of the localized ground state, at least 16) and doubles until
-    the observable changes by less than ``rtol`` or ``w_max`` is hit.
+    mode "full" gives the whole basis's answers, eigenvalues proven on a
+    window; "fixed" uses one half-width; "adaptive" starts from ``w_initial``
+    (default: four charge-state standard deviations of the localized ground
+    state, at least 16) and doubles until the observable changes by less than
+    ``rtol`` or ``w_max`` is hit.
     """
 
     mode: str = "adaptive"
@@ -90,25 +93,39 @@ def _windowed_operator(params: CircuitParams, half_width: int) -> TridiagonalHam
     return build_windowed(params, window)
 
 
-def _solve_windowed(params, policy, compute, abs_floor=0.0, min_half_width=0):
-    """Run ``compute(h)`` under the window policy; adaptive mode doubles W.
+def _solve_windowed(params, policy, compute, abs_floor=0.0, min_half_width=0, levels=0):
+    """Run ``compute`` under the window policy; adaptive mode doubles W.
 
-    Adaptive mode starts at no less than ``min_half_width``.  Convergence
-    between consecutive widths W and 2W requires
+    ``compute(h)`` maps a window operator to the value; with ``levels`` it
+    maps the spectrum of the window's lowest values instead, which full mode
+    doubles W for until ``eigensolve.window_certificate`` proves them the
+    whole basis's.  Full mode solves the whole basis for any other compute.
+
+    Adaptive and full mode start at no less than ``min_half_width``.
+    Adaptive convergence between consecutive widths W and 2W requires
     |f(2W) - f(W)| <= rtol * max(|f|) + abs_floor.  A window that swallows
     the whole basis is exact, so it short-circuits the doubling.
     """
     if policy.mode == "full":
-        return compute(build(params))
+        if not levels:
+            return compute(build(params))
+        w = max(initial_half_width(params), min_half_width)
+        while True:
+            h = _windowed_operator(params, w)
+            spectrum = lowest_eigenvalues(h, levels)
+            if h.is_full_window or window_certificate(h, spectrum) is not None:
+                return compute(spectrum)
+            w *= 2
+    solve = (lambda h: compute(lowest_eigenvalues(h, levels))) if levels else compute
     if policy.mode == "fixed":
-        return compute(_windowed_operator(params, policy.half_width))
+        return solve(_windowed_operator(params, policy.half_width))
 
     w = policy.w_initial if policy.w_initial is not None else initial_half_width(params)
     w = max(w, min_half_width)
     previous = None
     while True:
         h = _windowed_operator(params, w)
-        value = compute(h)
+        value = solve(h)
         if h.is_full_window:
             return value
         if previous is not None:
@@ -128,13 +145,10 @@ def _solve_windowed(params, policy, compute, abs_floor=0.0, min_half_width=0):
 def qubit_frequency(params: CircuitParams, policy: WindowPolicy = DEFAULT_POLICY) -> float:
     """First spectral gap E_1 - E_0 under the window policy."""
 
-    def gap(h: TridiagonalHamiltonian) -> float:
-        if h.dim < 2:
-            raise ValueError("qubit frequency needs at least two charge states")
-        spectrum = lowest_eigenvalues(h, 2)
+    def gap(spectrum) -> float:
         return spectrum.pairs[1].value - spectrum.pairs[0].value
 
-    return _solve_windowed(params, policy, gap)
+    return _solve_windowed(params, policy, gap, levels=2)
 
 
 def expected_imbalance(params: CircuitParams, policy: WindowPolicy = DEFAULT_POLICY) -> float:
@@ -281,19 +295,12 @@ def band_sweep(
     columns = {name: np.full(grid.size, np.nan) for name in names}
     flags = np.ones(grid.size)
 
-    def bands(h: TridiagonalHamiltonian) -> np.ndarray:
-        if h.dim < levels:
-            raise ValueError(
-                f"levels {levels} exceeds the {h.dim} charge states of the window"
-                f" at n_g = {h.params.n_g:g}"
-            )
-        return lowest_eigenvalues(h, levels).values
-
     for i, ng in enumerate(grid):
         point = params.with_ng(float(ng))
         try:
             # Half-width levels - 1 holds ``levels`` states even at the basis edge.
-            values = _solve_windowed(point, policy, bands, min_half_width=levels - 1)
+            values = _solve_windowed(point, policy, lambda spectrum: spectrum.values,
+                                     min_half_width=levels - 1, levels=levels)
             if subtract_ground:
                 values = values - values[0]
             for j in range(levels):

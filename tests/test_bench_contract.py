@@ -91,3 +91,14 @@ def test_traced_pass_leaves_the_package_namespace_unchanged(bench_modules):
         tracer.restore(undo)
     assert vars(finitejj) == before
     assert finitejj.band_sweep is original
+
+
+def test_full_basis_artifacts_pass_the_benchmark_oracle(bench_modules, tmp_path, monkeypatch):
+    """The ``full-basis`` workload's seed-1 commands, checked as the benchmark checks them."""
+    from finitejj.cli import main
+
+    workloads, oracle = importlib.import_module("workloads"), importlib.import_module("oracle")
+    monkeypatch.chdir(tmp_path)
+    for command in workloads.commands_for("full-basis", 1):
+        assert main(list(command.argv)) == 0, command.argv
+        assert oracle.check(command.argv, tmp_path / command.artifact) == [], command.argv

@@ -251,15 +251,49 @@ def test_overflowing_coefficients_name_the_flag(argv, flag, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        "transmon-shift --ej-ghz 10 --ec-ghz 0.2 --pairs 100 --ng 1e153 --window fixed "
+        "transmon-shift --ej-ghz 10 --ec-ghz 1e302 --pairs 100 --ng 1 --window fixed "
         "--half-width 4",
         "transmon-shift --ej-ghz 1e153 --ec-ghz 0.2 --pairs 100 --ng 1",
         "bands --pairs 4 --ejec 1e153 --from 0 --to 1 --steps 3",
-        "bands --pairs 4 --ejec 1 --from 0 --to 1e153 --steps 3",
     ],
 )
 def test_coefficients_below_overflow_are_solved(argv):
     assert main(argv.split()) == 0
+
+
+# The operator's diagonal is E_C (k - (N + n_g))^2: once N + n_g rounds by a
+# charge, neighbouring diagonals are no longer resolved and the spectrum is
+# meaningless (a saturated -1967137.7060 kHz shift at --ng 1e17, a singular
+# dgtsv at --to 1e20).  Near-overflow offsets are refused for the same reason.
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        ("transmon-shift --ej-ghz 10 --ec-ghz 0.2 --pairs 100 --ng 1e17", "--ng"),
+        ("susceptibility --pairs 4 --ejec 1 --from 0 --to 1e20 --steps 3 --window fixed "
+         "--half-width 2", "--from/--to"),
+        ("transmon-shift --ej-ghz 10 --ec-ghz 0.2 --pairs 100 --ng 1e153 --window fixed "
+         "--half-width 4", "--ng"),
+        ("bands --pairs 4 --ejec 1 --from 0 --to 1e153 --steps 3", "--from/--to"),
+        ("imbalance --pairs 2 --ejec 1 --from 0 --to 1e16 --steps 2", "--from/--to"),
+    ],
+)
+def test_unresolved_offsets_name_the_flag(argv, flag, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver called")
+
+    monkeypatch.setattr(observables, "band_sweep", no_solve)
+    monkeypatch.setattr(observables, "qubit_frequency", no_solve)
+    assert main(argv.split()) == 1
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "rounded" in err
+
+
+def test_resolved_large_offsets_are_solved(tmp_path):
+    # N + n_g is exact here, or rounded far below 1e-3 charge.
+    assert main("transmon-shift --ej-ghz 10 --ec-ghz 0.2 --pairs 1e4 --ng 1e15".split()) == 0
+    assert main("bands --pairs 9007199254740992 --ejec 50 --from 0 --to 1 --steps 2".split()) == 0
+    assert main("imbalance --pairs 5e8 --ejec 50 --from 1e6 --to 1e6 --steps 1".split()) == 0
 
 
 def test_wick_verify(tmp_path, capsys):
@@ -363,6 +397,51 @@ def test_invalid_range_is_parameter_error(capsys):
     code = main("bands --pairs 10 --ejec 0.2 --from 2 --to -2 --steps 5".split())
     assert code == 1
     assert "--from" in capsys.readouterr().err
+
+
+def test_full_window_eigenvalues_beyond_the_operator_limit(tmp_path, capsys, monkeypatch):
+    # bands and transmon-shift need eigenvalues only, which full mode proves
+    # on a window; imbalance, susceptibility and curvature solve the whole
+    # basis and are refused before any solve.
+    import time
+
+    from finitejj import eigensolve
+    from finitejj.hamiltonian import ChargeWindow, build_windowed
+    from finitejj.model import CircuitParams
+
+    shift = "transmon-shift --ej-ghz 10 --ec-ghz 0.2 --pairs 5e8 --ng 1e6 --format json"
+    start = time.perf_counter()
+    assert main(f"{shift} --window full --output full.json".split()) == 0
+    assert time.perf_counter() - start < 1.0
+    assert main(f"{shift} --output adaptive.json".split()) == 0
+    full = json.loads((tmp_path / "full.json").read_text())["results"]
+    adaptive = json.loads((tmp_path / "adaptive.json").read_text())["results"]
+    for key, ng in (("frequency_at_zero_ghz", 0.0), ("frequency_at_ng_ghz", 1e6)):
+        # Both are within the certificate radii of the full-basis gap.
+        params = CircuitParams.from_pairs(500_000_000, e_j=10.0, e_c=0.2, n_g=ng)
+        h = build_windowed(params, ChargeWindow.centered(params.n_half, ng, 16))
+        radii = eigensolve.window_certificate(h, eigensolve.lowest_eigenvalues(h, 2))
+        assert abs(full[key] - adaptive[key]) <= 2.0 * sum(radii), key
+    assert main("bands --pairs 5e8 --ejec 50 --from 0 --to 1 --steps 3 --window full".split()) == 0
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver called")
+
+    monkeypatch.setattr(observables, "charge_response", no_solve)
+    argv = "susceptibility --pairs 2e8 --ejec 50 --from 0 --to 1 --steps 2 --window full"
+    assert main(argv.split()) == 1
+    assert "--window full" in capsys.readouterr().err
+
+
+def test_full_window_without_a_certificate_names_the_flag(capsys, monkeypatch):
+    # A certificate that never closes doubles the window up to the operator
+    # limit (lowered here to 1024 states) and is then refused.
+    from finitejj import hamiltonian
+
+    monkeypatch.setattr(hamiltonian, "ARRAY_LIMIT", 1024)
+    monkeypatch.setattr(observables, "window_certificate", lambda h, spectrum: None)
+    assert main("bands --pairs 5000 --ejec 50 --from 0 --to 1 --steps 2 --window full".split()) == 1
+    assert "--window full" in capsys.readouterr().err
 
 
 def test_nonconvergence_exit_code(capsys):

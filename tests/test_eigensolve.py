@@ -463,3 +463,123 @@ class TestMathieuLimit:
             # The next order, O(1/N^2) in rel_err, leaves O(1/N) in the scaled error.
             assert scaled == pytest.approx(predicted, rel=100.0 / pairs), pairs
         assert np.max(np.abs(rel_err)) < 3e-6
+
+
+def _centered(p, half_width):
+    return build_windowed(p, ChargeWindow.centered(p.n_half, p.n_g, half_width))
+
+
+def _first_certified(p, levels):
+    """(window, spectrum, radii) at the first certified doubling of full mode's start."""
+    from finitejj.observables import initial_half_width
+
+    w = initial_half_width(p)
+    while True:
+        h = _centered(p, w)
+        spectrum = lowest_eigenvalues(h, levels)
+        radii = eigensolve.window_certificate(h, spectrum)
+        if radii is not None:
+            return h, spectrum, radii
+        w *= 2
+
+
+def mp_window_eigenvalue(mpmath, p, half_width, j, guess):
+    """Eigenvalue j of the exact operator on 2 half_width + 1 charges around n_g.
+
+    Coefficients from the paper's formulas at the working precision, the
+    coupling's square-root argument in exact integers; bisection on the
+    Sturm count from a bracket of 1e-9 relative around ``guess``.
+    """
+    two_n = p.pairs_total
+    n_half, ng = mpmath.mpf(two_n) / 2, mpmath.mpf(p.n_g)
+    k_c = min(max(round(p.n_g + two_n / 2), 0), two_n)
+    ks = range(max(k_c - half_width, 0), min(k_c + half_width, two_n) + 1)
+    diag = [mpmath.mpf(p.e_c) * (k - n_half - ng) ** 2 for k in ks]
+    offsq = [(mpmath.mpf(p.e_j) / two_n) ** 2 * ((two_n - k) * (k + 1)) for k in ks][:-1]
+
+    def count(x):
+        below, d = 0, mpmath.mpf(1)
+        for i, a in enumerate(diag):
+            d = a - x - (offsq[i - 1] / d if i else 0)
+            below += d < 0
+        return below
+
+    lo, hi = mpmath.mpf(guess) * (1 - 1e-9), mpmath.mpf(guess) * (1 + 1e-9)
+    lo, hi = min(lo, hi), max(lo, hi)
+    assert count(lo) <= j < count(hi)
+    while hi - lo > abs(lo) * mpmath.mpf(10) ** -32:
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if count(mid) >= j + 1 else (mid, hi)
+    return (lo + hi) / 2
+
+
+class TestWindowCertificate:
+    @pytest.mark.parametrize("half_width", [2, 4])
+    def test_refuses_a_window_too_small_to_hold_the_levels(self, half_width):
+        p = params(1000, 1.0, ng=-0.37)
+        h = _centered(p, half_width)
+        assert eigensolve.window_certificate(h, lowest_eigenvalues(h, 3)) is None
+
+    def test_refuses_a_window_where_the_parabola_does_not_dominate(self):
+        # E_C (n - n_g)^2 at the first charge outside half-width 2 is below
+        # E_0 + 2 b_max, with b_max about E_J / 2 = 200.
+        p = params(2_000_000, 400.0, ng=0.3)
+        h = _centered(p, 2)
+        spectrum = lowest_eigenvalues(h, 2)
+        outside, _ = h.outside()
+        assert np.all(outside - spectrum.values[-1] < 400.0)
+        assert eigensolve.window_certificate(h, spectrum) is None
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_refuses_values_off_by_more_than_their_radii(self, sign):
+        # Too high fails the lowered count below v - r, too low the window count above v + r.
+        h, spectrum, radii = _first_certified(params(20000, 50.0, ng=0.3), 2)
+        for j in range(2):
+            pairs = list(spectrum.pairs)
+            pairs[j] = eigensolve.EigenPair(pairs[j].value + sign * 4.0 * radii[j], None, 0.0)
+            assert eigensolve.window_certificate(h, eigensolve.Spectrum(pairs, h.dim)) is None
+
+    def test_radius_covers_the_counts_rounding_at_a_zero_eigenvalue(self):
+        # E_J tuned so that E_0 = -2.8e-17: a radius of 4 eps |v| would be
+        # 1e-32, far below the counts' backward error of eps times the norm.
+        p = CircuitParams.from_pairs(1000, e_j=0.45356997823038725, e_c=1.0, n_g=0.5)
+        h = _centered(p, 16)
+        spectrum = lowest_eigenvalues(h, 2)
+        assert abs(spectrum.values[0]) < 1e-16
+        radii = eigensolve.window_certificate(h, spectrum)
+        assert radii[0] >= 8.0 * np.finfo(float).eps * h.diag.max()
+
+    def test_full_mode_returns_the_whole_basis_answer(self):
+        from finitejj.observables import WindowPolicy, band_sweep
+
+        for p, levels in ((params(1000, 1.0, ng=-0.37), 3), (params(2_000_000, 400.0, ng=0.3), 2)):
+            h, spectrum, radii = _first_certified(p, levels)
+            assert not h.is_full_window
+            table = band_sweep(p, [p.n_g], levels=levels, policy=WindowPolicy.full())
+            values = [table.columns[f"E{j}"][0] for j in range(levels)]
+            assert values == spectrum.values.tolist()
+            # Two Sturm counts of the whole basis bracket each full eigenvalue.
+            full = build(p)
+            for j, (v, r) in enumerate(zip(values, radii)):
+                assert eigenvalue_count_below(full, v - r) <= j < eigenvalue_count_below(full, v + r)
+            if p.pairs_total == 1000:
+                exact = lowest_eigenvalues(full, levels).values
+                assert np.all(np.abs(exact - values) <= radii)
+
+    @pytest.mark.parametrize("pairs", [20075, 500_000_000])
+    @pytest.mark.parametrize("ng", [0.0, 0.212, 0.5])
+    def test_full_mode_values_match_mpmath_within_their_radii(self, pairs, ng):
+        mpmath = pytest.importorskip("mpmath")
+        from finitejj.observables import WindowPolicy, band_sweep
+
+        p = CircuitParams.from_pairs(pairs, e_j=49.7, e_c=1.0, n_g=ng)
+        h, spectrum, radii = _first_certified(p, 2)
+        table = band_sweep(p, [ng], levels=2, policy=WindowPolicy.full())
+        with mpmath.workdps(50):
+            for j, r in enumerate(radii):
+                value = table.columns[f"E{j}"][0]
+                exact = mp_window_eigenvalue(mpmath, p, 64, j, value)
+                assert abs(mp_window_eigenvalue(mpmath, p, 128, j, value) - exact) < 1e-30
+                assert abs(value - exact) <= r
+                # LAPACK's own tolerance on the window: 2 ulps of the value.
+                assert abs(value - exact) <= 2 * math.ulp(value)

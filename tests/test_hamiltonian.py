@@ -126,6 +126,16 @@ class TestWindows:
         gap_win = wspec.values[1] - wspec.values[0]
         assert gap_win == pytest.approx(gap_full, rel=1e-10)
 
+    def test_outside_charges_are_the_full_operators(self):
+        p = params(40, 5.0, ng=0.3)
+        full = build(p)
+        diag, off = build_windowed(p, ChargeWindow(-3.0, 4.0)).outside()  # offsets 17..24
+        assert diag.tolist() == [full.diag[16], full.diag[25]]
+        assert off.tolist() == [full.off[16], full.off[24]]
+        # Past a basis end there is no charge to couple to.
+        assert build_windowed(p, ChargeWindow(-20.0, -15.0)).outside()[1][0] == 0.0
+        assert build_windowed(p, ChargeWindow(15.0, 20.0)).outside()[1][1] == 0.0
+
     def test_centered_window_clips_to_basis(self):
         w = ChargeWindow.centered(5.0, 20.0, 3)
         assert w.n_hi == 5.0
