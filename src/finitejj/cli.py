@@ -38,7 +38,6 @@ from pathlib import Path
 from . import perturbation, wick
 from .errors import CapacityError, ConvergenceError
 from .model import (
-    ARRAY_LIMIT,
     DEFAULT_GATE_CAPACITANCE,
     DEFAULT_W_MAX,
     DEFAULT_WINDOW_RTOL,
@@ -144,8 +143,8 @@ def _float_list(text: str) -> list[float]:
 
 def _add_window_flags(sub):
     sub.add_argument("--window", choices=("full", "fixed", "adaptive"), default="adaptive",
-                     help="charge-window policy (default adaptive); full proves its"
-                          " eigenvalues on a certified window")
+                     help="charge-window policy (default adaptive); adaptive and full"
+                          " prove eigenvalues on a certified window")
     sub.add_argument("--half-width", type=_count, default=None,
                      help="half-width for --window fixed")
     sub.add_argument("--w-initial", type=_count, default=None,
@@ -153,7 +152,8 @@ def _add_window_flags(sub):
     sub.add_argument("--w-max", type=_count, default=DEFAULT_W_MAX,
                      help="half-width cap for --window adaptive")
     sub.add_argument("--window-rtol", type=_positive_float, default=DEFAULT_WINDOW_RTOL,
-                     help="relative settling tolerance for --window adaptive")
+                     help="relative settling tolerance of <n>, chi and the curvatures"
+                          " for --window adaptive")
 
 
 def _add_output_flags(sub, default_name):
@@ -162,9 +162,8 @@ def _add_output_flags(sub, default_name):
                      help=f"output path (default {default_name}.<format>)")
 
 
-def _policy_from(args, certified: bool = False) -> WindowPolicy:
-    """The window policy of the flags; a fixed window must fit in an operator, and so
-    must the whole basis of ``--window full`` unless its eigenvalues are ``certified``."""
+def _policy_from(args) -> WindowPolicy:
+    """The window policy of the flags."""
     from .observables import WindowPolicy
 
     if args.window == "adaptive":
@@ -173,17 +172,10 @@ def _policy_from(args, certified: bool = False) -> WindowPolicy:
         return WindowPolicy.adaptive(rtol=args.window_rtol, w_initial=args.w_initial,
                                      w_max=args.w_max)
     if args.window == "full":
-        policy, flag = WindowPolicy.full(), "--window full"
-        states = 0 if certified else args.pairs + 1
-    elif args.half_width is None:
+        return WindowPolicy.full()
+    if args.half_width is None:
         raise CliError("--window fixed requires --half-width")
-    else:
-        policy, flag = WindowPolicy.fixed(args.half_width), "--half-width"
-        states = min(2 * args.half_width + 1, args.pairs + 1)
-    if states > ARRAY_LIMIT:
-        raise CliError(f"{flag}: a window of {states} charge states exceeds the operator"
-                       f" limit of 2**26 = {ARRAY_LIMIT}")
-    return policy
+    return WindowPolicy.fixed(args.half_width)
 
 
 def _check_offsets(offsets, pairs: int, flag: str) -> None:
@@ -260,7 +252,7 @@ def _sweep_command(args, include_imbalance, include_susceptibility, levels, name
         params,
         grid,
         levels=levels,
-        policy=_policy_from(args, certified=not (include_imbalance or include_susceptibility)),
+        policy=_policy_from(args),
         include_imbalance=include_imbalance,
         include_susceptibility=include_susceptibility,
         subtract_ground=getattr(args, "subtract_e0", False),
@@ -334,7 +326,7 @@ def _cmd_transmon_shift(args):
     params = _circuit(args.pairs, args.ej_ghz, args.ec_ghz, abs(args.ng),
                       {"coupling": "--ej-ghz", "diagonal": "--ec-ghz/--ng"})
     _check_offsets([args.ng], args.pairs, "--ng")
-    policy = _policy_from(args, certified=True)
+    policy = _policy_from(args)
     w0 = observables.qubit_frequency(params, policy)
     w1 = observables.qubit_frequency(params.with_ng(args.ng), policy)
     shift_ghz = w1 - w0
@@ -370,7 +362,11 @@ def _cmd_analytic(args):
                       {"coupling": "--ej", "diagonal": "--ec/--ng"}).with_ng(args.ng)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        coeffs = perturbation.bogoliubov(params)
+        try:
+            coeffs = perturbation.bogoliubov(params)
+        except ZeroDivisionError:
+            raise CliError(f"--ej: at E_J = {args.ej:g} the Bogoliubov denominator"
+                           " sqrt(4 N eps E_J) underflows to zero") from None
         results = {
             "level_spacing": coeffs.epsilon,
             "bogoliubov_u_plus": coeffs.u_plus,
@@ -564,10 +560,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except CapacityError as exc:  # a window grew past the operator limit
-        hint = ("--window full found no certified window below it"
-                if getattr(args, "window", None) == "full" else "lower --w-max or --w-initial")
-        print(f"error: {exc}; {hint}", file=sys.stderr)
+    except CapacityError as exc:  # an operator past the 2**26-state limit
+        flag = {"full": "--window full", "fixed": "--half-width"}.get(
+            getattr(args, "window", None), "--w-max/--w-initial")
+        print(f"error: {flag}: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:  # overflow or underflow in a closed form
         print(f"error: {exc}; a parameter is outside the float range", file=sys.stderr)

@@ -321,29 +321,36 @@ def charge_response(h: TridiagonalHamiltonian, level: int = 0) -> float:
     return float(np.dot(phi, solve(phi)))
 
 
-def fourth_order_energy(h: TridiagonalHamiltonian) -> float:
-    """Ground-state Rayleigh-Schroedinger E^(4) in V = n, by Wigner's 2n+1 rule.
+def fourth_order_terms(h: TridiagonalHamiltonian) -> tuple[float, float]:
+    """The two terms whose difference is the ground state's E^(4) in V = n.
 
-    The first-order state is -x1 with x1 = R a psi_0, the second-order state
-    x2 = R r2 with r2 = a x1 - S_0 psi_0, and E^(4) = S_0 |x1|^2 - r2 . x2,
-    where S_0 = a psi_0 . x1.  Two solves with one decoupled matrix.
+    By Wigner's 2n+1 rule: the first-order state is -x1 with x1 = R a psi_0,
+    the second-order state x2 = R r2 with r2 = a x1 - S_0 psi_0, and
+    E^(4) = S_0 |x1|^2 - r2 . x2, where S_0 = a psi_0 . x1.  Two solves with
+    one decoupled matrix.
     """
     v, a, solve = _reduced_resolvent(h, 0)
     phi = a * v
     x1 = solve(phi)
     s0 = float(np.dot(phi, x1))
     r2 = a * x1 - s0 * v
-    return s0 * float(np.dot(x1, x1)) - float(np.dot(r2, solve(r2)))
+    return s0 * float(np.dot(x1, x1)), float(np.dot(r2, solve(r2)))
 
 
-def dense_all(h: TridiagonalHamiltonian, dense_limit: int = DENSE_LIMIT) -> Spectrum:
+def fourth_order_energy(h: TridiagonalHamiltonian) -> float:
+    """Ground-state Rayleigh-Schroedinger E^(4) in V = n (``fourth_order_terms``)."""
+    first, second = fourth_order_terms(h)
+    return first - second
+
+
+def dense_all(h: TridiagonalHamiltonian) -> Spectrum:
     """Full spectrum with eigenvectors via the dense LAPACK tridiagonal path.
 
-    Reference oracle for small dimensions; the limit keeps runtimes around a
-    second and is adjustable.
+    Reference oracle for small dimensions; ``DENSE_LIMIT`` keeps runtimes
+    around a second.
     """
-    if h.dim > dense_limit:
-        raise CapacityError(f"dim {h.dim} exceeds dense limit {dense_limit}")
+    if h.dim > DENSE_LIMIT:
+        raise CapacityError(f"dim {h.dim} exceeds dense limit {DENSE_LIMIT}")
     if h.dim == 1:
         values, vectors = h.diag[:1], np.ones((1, 1))
     else:

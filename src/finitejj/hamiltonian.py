@@ -165,7 +165,7 @@ class SpinMatrices:
     sz: np.ndarray
 
 
-def spin_matrices(n_half: float, dense_limit: int = DENSE_LIMIT) -> SpinMatrices:
+def spin_matrices(n_half: float) -> SpinMatrices:
     """Spin components whose ladder structure generates the couplings.
 
     s_z is diag(n); the raising operator carries sqrt(N(N+1) - n(n+1))
@@ -177,8 +177,8 @@ def spin_matrices(n_half: float, dense_limit: int = DENSE_LIMIT) -> SpinMatrices
     if abs(2 * n_half - two_n) > _LATTICE_TOL or two_n < 1:
         raise ValueError(f"2*n_half must be a positive integer, got {2 * n_half}")
     dim = two_n + 1
-    if dim > dense_limit:
-        raise CapacityError(f"dim {dim} exceeds dense limit {dense_limit}")
+    if dim > DENSE_LIMIT:
+        raise CapacityError(f"dim {dim} exceeds dense limit {DENSE_LIMIT}")
     n = np.arange(dim, dtype=float) - n_half
     ladder = np.sqrt((n_half - n[:-1]) * (n_half + n[:-1] + 1.0))
     s_plus = np.zeros((dim, dim), dtype=complex)

@@ -6,14 +6,15 @@ value it differentiates: the susceptibility d<n>/dn_g and the zero-offset
 dispersion curvature from one response solve per level
 (``eigensolve.charge_response``), the zero-offset susceptibility curvature
 from the ground state's fourth-order energy
-(``eigensolve.fourth_order_energy``).  No finite differences, so no step.
+(``eigensolve.fourth_order_terms``).  No finite differences, so no step.
 
 Large islands are handled through charge windows: the low-energy states are
 exponentially localized around the offset charge, so a window of a few dozen
 charge states around round(n_g) reproduces full-basis answers to near machine
-precision.  The adaptive policy doubles the half-width until the observable
-stops moving, and every result remembers whether that check passed.  The
-full policy proves its eigenvalues on a window instead.
+precision.  Adaptive and full mode double the half-width until
+``eigensolve.window_certificate`` proves a window's eigenvalues the whole
+basis's; other observables settle under adaptive and use the whole basis
+under full.
 
 Results are values and ``SweepTable`` containers; this module writes no
 files (the CLI is the only artifact writer).
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RegimeWarning, WindowConvergenceError
-from .eigensolve import (charge_response, eigenpair, fourth_order_energy, lowest_eigenvalues,
+from .errors import ConvergenceError, RegimeWarning, WindowConvergenceError
+from .eigensolve import (charge_response, eigenpair, fourth_order_terms, lowest_eigenvalues,
                          window_certificate)
 from .hamiltonian import ChargeWindow, TridiagonalHamiltonian, build, build_windowed
 from .model import DEFAULT_W_MAX, DEFAULT_WINDOW_RTOL, CircuitParams
@@ -41,8 +42,9 @@ class WindowPolicy:
     mode "full" gives the whole basis's answers, eigenvalues proven on a
     window; "fixed" uses one half-width; "adaptive" starts from ``w_initial``
     (default: four charge-state standard deviations of the localized ground
-    state, at least 16) and doubles until the observable changes by less than
-    ``rtol`` or ``w_max`` is hit.
+    state, at least 16) and doubles until the eigenvalues are proven as in
+    full mode, or until any other observable changes by less than ``rtol``,
+    or ``w_max`` is hit.
     """
 
     mode: str = "adaptive"
@@ -83,9 +85,13 @@ DEFAULT_POLICY = WindowPolicy()
 
 
 def initial_half_width(params: CircuitParams) -> int:
-    """Four standard deviations of the harmonic ground state's charge spread."""
+    """Four standard deviations of the harmonic ground state's charge spread, at least 16.
+
+    Capped at 2N, which covers the whole basis from any center (and keeps an
+    infinite spread, from E_J / E_C past the float range, finite).
+    """
     sigma = (params.e_j / (8.0 * params.e_c)) ** 0.25
-    return max(16, math.ceil(8.0 * sigma))
+    return max(16, math.ceil(min(8.0 * sigma, params.pairs_total)))
 
 
 def _windowed_operator(params: CircuitParams, half_width: int) -> TridiagonalHamiltonian:
@@ -94,52 +100,47 @@ def _windowed_operator(params: CircuitParams, half_width: int) -> TridiagonalHam
 
 
 def _solve_windowed(params, policy, compute, abs_floor=0.0, min_half_width=0, levels=0):
-    """Run ``compute`` under the window policy; adaptive mode doubles W.
+    """Run ``compute`` under the window policy: one window if fixed, else doubling W.
 
-    ``compute(h)`` maps a window operator to the value; with ``levels`` it
-    maps the spectrum of the window's lowest values instead, which full mode
-    doubles W for until ``eigensolve.window_certificate`` proves them the
-    whole basis's.  Full mode solves the whole basis for any other compute.
-
-    Adaptive and full mode start at no less than ``min_half_width``.
-    Adaptive convergence between consecutive widths W and 2W requires
-    |f(2W) - f(W)| <= rtol * max(|f|) + abs_floor.  A window that swallows
-    the whole basis is exact, so it short-circuits the doubling.
+    ``compute(h)`` maps a window operator to the value; with ``levels`` it maps
+    the spectrum of the window's lowest values instead.  Full mode without
+    ``levels`` solves the whole basis.  Every other walk starts at
+    ``w_initial`` (default ``initial_half_width``), or ``min_half_width`` if
+    larger, and doubles W.  With ``levels`` it stops at the first window that
+    ``eigensolve.window_certificate`` proves; without, at the first pair of
+    widths W and 2W with |f(2W) - f(W)| <= rtol * max(|f|) + abs_floor.  A
+    window that swallows the whole basis is exact and stops either walk.
+    Adaptive mode raises at ``w_max``; full mode only at the operator limit.
     """
-    if policy.mode == "full":
-        if not levels:
-            return compute(build(params))
-        w = max(initial_half_width(params), min_half_width)
-        while True:
-            h = _windowed_operator(params, w)
-            spectrum = lowest_eigenvalues(h, levels)
-            if h.is_full_window or window_certificate(h, spectrum) is not None:
-                return compute(spectrum)
-            w *= 2
-    solve = (lambda h: compute(lowest_eigenvalues(h, levels))) if levels else compute
     if policy.mode == "fixed":
-        return solve(_windowed_operator(params, policy.half_width))
-
-    w = policy.w_initial if policy.w_initial is not None else initial_half_width(params)
-    w = max(w, min_half_width)
+        h = _windowed_operator(params, policy.half_width)
+        return compute(lowest_eigenvalues(h, levels) if levels else h)
+    if policy.mode == "full" and not levels:
+        return compute(build(params))
+    w = max(policy.w_initial or initial_half_width(params), min_half_width)
     previous = None
     while True:
         h = _windowed_operator(params, w)
-        value = solve(h)
-        if h.is_full_window:
-            return value
-        if previous is not None:
-            scale = float(np.max(np.abs([value, previous])))
-            change = float(np.max(np.abs(np.asarray(value) - np.asarray(previous))))
-            if change <= policy.rtol * scale + abs_floor:
+        if levels:
+            spectrum = lowest_eigenvalues(h, levels)
+            if h.is_full_window or window_certificate(h, spectrum) is not None:
+                return compute(spectrum)
+        else:
+            value = compute(h)
+            if h.is_full_window:
                 return value
-        if w >= policy.w_max:
+            if previous is not None:
+                scale = float(np.max(np.abs([value, previous])))
+                change = float(np.max(np.abs(np.asarray(value) - np.asarray(previous))))
+                if change <= policy.rtol * scale + abs_floor:
+                    return value
+            previous = value
+        if policy.mode == "adaptive" and w >= policy.w_max:
             raise WindowConvergenceError(
                 f"window not converged at half-width cap {policy.w_max}",
                 achieved=w,
             )
-        previous = value
-        w = min(2 * w, max(policy.w_max, 1))
+        w = 2 * w if policy.mode == "full" else min(2 * w, policy.w_max)
 
 
 def qubit_frequency(params: CircuitParams, policy: WindowPolicy = DEFAULT_POLICY) -> float:
@@ -198,6 +199,24 @@ def _warn_outside_transmon(params: CircuitParams, kind: str) -> None:
         )
 
 
+# Rounding leaves up to 3e-14 of the larger of the two terms that cancel in
+# a curvature (the most seen under 1-ulp perturbations of the couplings, for
+# 2N from 60 to 5e8 and E_J/E_C from 10 to 500).
+_CANCELLATION_FLOOR = 1e-13
+
+
+def _resolved(kind: str, params: CircuitParams, value: float, terms: float) -> float:
+    """``value``, unless the rounding floor of its cancelling ``terms`` exceeds 1e-4 of it."""
+    floor = _CANCELLATION_FLOOR * terms
+    if floor > 1e-4 * abs(value):
+        raise ConvergenceError(
+            f"{kind} curvature {value:.3e} at 2N = {params.pairs_total}, E_J/E_C ="
+            f" {params.e_j / params.e_c:g} is less than 1e4 times its rounding floor {floor:.1e};"
+            " lower --pairs, or take the shift at integer n_g from transmon-shift"
+        )
+    return value
+
+
 def dispersion_curvature(
     params: CircuitParams, policy: WindowPolicy = DEFAULT_POLICY
 ) -> CurvatureResult:
@@ -206,19 +225,24 @@ def dispersion_curvature(
     Second-order perturbation theory gives E_m'' = 2 E_C - 8 E_C^2 S_m, so
     the gap curves by 8 E_C^2 (S_0 - S_1), from one response solve around
     each of the two lowest levels per window.  Referenced against the
-    large-island transmon value -sqrt(2 E_C E_J) / (2 N^2).
+    large-island transmon value -sqrt(2 E_C E_J) / (2 N^2).  S_0 and S_1 are
+    each about 1/(4 E_C) in the transmon regime and cancel: a curvature
+    below 1e-9 of 8 E_C^2 max(|S_0|, |S_1|) raises ConvergenceError.
     """
     _warn_outside_transmon(params, "dispersion")
+    terms = []
 
     def curvature(h: TridiagonalHamiltonian) -> float:
         if h.dim < 2:
             raise ValueError("dispersion curvature needs at least two charge states")
-        return 8.0 * params.e_c**2 * (charge_response(h, 0) - charge_response(h, 1))
+        s0, s1 = charge_response(h, 0), charge_response(h, 1)
+        terms.append(8.0 * params.e_c**2 * max(abs(s0), abs(s1)))
+        return 8.0 * params.e_c**2 * (s0 - s1)
 
-    # S_0 and S_1 are each about 1/(4 E_C) in the transmon regime and cancel.
     value = _solve_windowed(params.with_ng(0.0), policy, curvature, abs_floor=1e-12 * params.e_c)
     reference = -math.sqrt(2.0 * params.e_c * params.e_j) / (2.0 * params.n_half**2)
-    return CurvatureResult(value=value, reference=reference)
+    return CurvatureResult(value=_resolved("dispersion", params, value, terms[-1]),
+                           reference=reference)
 
 
 def susceptibility_curvature(
@@ -229,16 +253,22 @@ def susceptibility_curvature(
     chi = 1 - E_0''/(2 E_C), so d^2 chi/dn_g^2 = -E_0''''/(2 E_C) = -(12/E_C) E4,
     where E4 is the ground state's fourth-order energy in
     dH/dn_g = -2 E_C (n - n_g): (2 E_C)^4 times the one in n, which takes two
-    response solves per window.
+    response solves per window.  E4 is the difference of two terms; a
+    curvature below 1e-9 of the larger, in the same units, raises
+    ConvergenceError.
     """
     _warn_outside_transmon(params, "susceptibility")
+    terms = []
 
     def curvature(h: TridiagonalHamiltonian) -> float:
-        return -192.0 * params.e_c**3 * fourth_order_energy(h)
+        first, second = fourth_order_terms(h)
+        terms.append(192.0 * params.e_c**3 * max(abs(first), abs(second)))
+        return -192.0 * params.e_c**3 * (first - second)
 
     value = _solve_windowed(params.with_ng(0.0), policy, curvature, abs_floor=1e-12)
     reference = -3.0 * params.e_j / (2.0 * params.e_c * params.n_half**4)
-    return CurvatureResult(value=value, reference=reference)
+    return CurvatureResult(value=_resolved("susceptibility", params, value, terms[-1]),
+                           reference=reference)
 
 
 @dataclass

@@ -93,12 +93,17 @@ def test_traced_pass_leaves_the_package_namespace_unchanged(bench_modules):
     assert finitejj.band_sweep is original
 
 
-def test_full_basis_artifacts_pass_the_benchmark_oracle(bench_modules, tmp_path, monkeypatch):
-    """The ``full-basis`` workload's seed-1 commands, checked as the benchmark checks them."""
+@pytest.mark.parametrize("workload",
+                         ["charge-sweep", "transmon-window", "full-basis", "closed-forms"])
+def test_workload_artifacts_pass_the_benchmark_oracle(workload, bench_modules, tmp_path,
+                                                      monkeypatch):
+    """A workload's seed-1 commands, checked as the benchmark checks them."""
     from finitejj.cli import main
 
     workloads, oracle = importlib.import_module("workloads"), importlib.import_module("oracle")
+    assert set(workloads.WORKLOADS) == {"charge-sweep", "transmon-window", "full-basis",
+                                        "closed-forms"}
     monkeypatch.chdir(tmp_path)
-    for command in workloads.commands_for("full-basis", 1):
+    for command in workloads.commands_for(workload, 1):
         assert main(list(command.argv)) == 0, command.argv
         assert oracle.check(command.argv, tmp_path / command.artifact) == [], command.argv

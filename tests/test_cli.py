@@ -372,17 +372,21 @@ def test_parameter_error_names_flag(capsys, monkeypatch):
     assert code == 1
     assert "--bogus" in capsys.readouterr().err
 
-    # Windows beyond the 2**26-state operator limit, and a too-small start,
-    # are refused before any solve.
+    # The whole basis of imbalance beyond the 2**26-state operator limit is
+    # refused once the first point's certified band walk is done.
+    argv = "imbalance --pairs 2e8 --ejec 50 --from 0 --to 1 --steps 2 --window full"
+    assert main(argv.split()) == 1
+    assert "--window full" in capsys.readouterr().err
+
+    # Other windows beyond the limit, and a too-small start, are refused
+    # before any solve.
     def no_solve(*args, **kwargs):
         raise AssertionError("solver called")
 
-    for name in ("lowest_eigenvalues", "eigenpair", "charge_response", "fourth_order_energy"):
+    for name in ("lowest_eigenvalues", "eigenpair", "charge_response", "fourth_order_terms"):
         monkeypatch.setattr(observables, name, no_solve)
     for argv, flag in [
         ("curvature --kind dispersion --pairs 2e8 --values 50 --window full", "--window full"),
-        ("imbalance --pairs 2e8 --ejec 50 --from 0 --to 1 --steps 2 --window full",
-         "--window full"),
         ("bands --pairs 5e8 --ejec 50 --from 0 --to 1 --steps 2 --window fixed "
          "--half-width 4e7", "--half-width"),
         ("transmon-shift --ej-ghz 10 --ec-ghz 0.2 --pairs 5e8 --ng 1e6 --w-initial 4e7 "
@@ -402,7 +406,7 @@ def test_invalid_range_is_parameter_error(capsys):
 def test_full_window_eigenvalues_beyond_the_operator_limit(tmp_path, capsys, monkeypatch):
     # bands and transmon-shift need eigenvalues only, which full mode proves
     # on a window; imbalance, susceptibility and curvature solve the whole
-    # basis and are refused before any solve.
+    # basis, which the operator refuses before any response solve.
     import time
 
     from finitejj import eigensolve
@@ -444,13 +448,40 @@ def test_full_window_without_a_certificate_names_the_flag(capsys, monkeypatch):
     assert "--window full" in capsys.readouterr().err
 
 
-def test_nonconvergence_exit_code(capsys):
+def test_nonconvergence_exit_code(capsys, monkeypatch):
+    # A vector observable capped at its first width never compares two widths.
+    code = main("imbalance --pairs 5e8 --ejec 50 --from 0 --to 1 --steps 2 "
+                "--w-initial 16 --w-max 16".split())
+    assert code == 2
+    assert "2 unconverged points" in capsys.readouterr().out
+
+    # Half-width 16 is certified at 2N = 5e8, so the certificate is made to refuse it.
+    monkeypatch.setattr(observables, "window_certificate", lambda h, spectrum: None)
     code = main(
         "transmon-shift --ej-ghz 10 --ec-ghz 0.2 --pairs 5e8 --ng 1e6 "
         "--w-initial 16 --w-max 16".split()
     )
     assert code == 2
     assert "window" in capsys.readouterr().err
+
+
+def test_curvature_below_its_rounding_floor_is_refused(capsys):
+    for kind in ("dispersion", "susceptibility"):
+        assert main(f"curvature --kind {kind} --pairs 1e8 --values 50".split()) == 2
+        err = capsys.readouterr().err
+        assert "--pairs" in err and "transmon-shift" in err
+
+
+def test_subnormal_energies_are_solved_or_name_the_flag(tmp_path, capsys):
+    # E_C = 1e-320 spreads the ground state over every charge: the first
+    # window is the whole basis, -(E_J / N) s_x, whose levels are E_J / N apart.
+    argv = "transmon-shift --ej-ghz 1 --ec-ghz 1e-320 --pairs 10 --ng 0.5 --format json"
+    assert main(argv.split()) == 0
+    results = json.loads((tmp_path / "transmon_shift.json").read_text())["results"]
+    assert results["frequency_at_zero_ghz"] == pytest.approx(0.2, rel=1e-12)
+    # The Bogoliubov denominator sqrt(4 N eps E_J) underflows at E_J = 1e-320.
+    assert main("analytic --ej 1e-320 --ec 1 --pairs 1 --ng 0.5".split()) == 1
+    assert "--ej" in capsys.readouterr().err
 
 
 def test_imbalance_and_susceptibility_tables(tmp_path):

@@ -483,6 +483,21 @@ def _first_certified(p, levels):
         w *= 2
 
 
+def _record_windows(monkeypatch):
+    """The dims of the windows that ``observables`` builds from now on."""
+    from finitejj import observables
+
+    built, build_window = [], observables._windowed_operator
+
+    def recording(p, half_width):
+        h = build_window(p, half_width)
+        built.append(h.dim)
+        return h
+
+    monkeypatch.setattr(observables, "_windowed_operator", recording)
+    return built
+
+
 def mp_window_eigenvalue(mpmath, p, half_width, j, guess):
     """Eigenvalue j of the exact operator on 2 half_width + 1 charges around n_g.
 
@@ -566,15 +581,50 @@ class TestWindowCertificate:
                 exact = lowest_eigenvalues(full, levels).values
                 assert np.all(np.abs(exact - values) <= radii)
 
+    def test_adaptive_builds_one_window_at_the_papers_island_size(self, monkeypatch):
+        # At 2N = 5e8, E_J/E_C = 50 the first window, half-width 16, is certified.
+        from finitejj.observables import WindowPolicy, band_sweep, qubit_frequency
+
+        built = _record_windows(monkeypatch)
+        p, grid = params(500_000_000, 50.0), [0.0, 0.212, 0.5]
+        for ng in grid:
+            built.clear()
+            adaptive = qubit_frequency(p.with_ng(ng), WindowPolicy.adaptive())
+            assert built == [33], ng
+            assert adaptive == qubit_frequency(p.with_ng(ng), WindowPolicy.full())
+        built.clear()
+        adaptive = band_sweep(p, grid, levels=3, policy=WindowPolicy.adaptive()).columns
+        assert built == [33] * len(grid)
+        full = band_sweep(p, grid, levels=3, policy=WindowPolicy.full()).columns
+        for j in range(3):
+            assert adaptive[f"E{j}"].tolist() == full[f"E{j}"].tolist()
+
+    def test_adaptive_doubles_past_refused_widths(self, monkeypatch):
+        # Half-width 4 is refused (see above); adaptive doubles to 8 and stops there.
+        from finitejj.observables import WindowPolicy, band_sweep
+
+        built = _record_windows(monkeypatch)
+        p = params(1000, 1.0, ng=-0.37)
+        table = band_sweep(p, [p.n_g], levels=3, policy=WindowPolicy.adaptive(w_initial=4))
+        assert built == [9, 17]
+        values = [table.columns[f"E{j}"][0] for j in range(3)]
+        h = _centered(p, 8)
+        spectrum = lowest_eigenvalues(h, 3)
+        assert values == spectrum.values.tolist()
+        radii = eigensolve.window_certificate(h, spectrum)
+        exact = lowest_eigenvalues(build(p), 3).values
+        assert np.all(np.abs(exact - values) <= radii)
+
+    @pytest.mark.parametrize("mode", ["full", "adaptive"])
     @pytest.mark.parametrize("pairs", [20075, 500_000_000])
     @pytest.mark.parametrize("ng", [0.0, 0.212, 0.5])
-    def test_full_mode_values_match_mpmath_within_their_radii(self, pairs, ng):
+    def test_full_mode_values_match_mpmath_within_their_radii(self, pairs, ng, mode):
         mpmath = pytest.importorskip("mpmath")
         from finitejj.observables import WindowPolicy, band_sweep
 
         p = CircuitParams.from_pairs(pairs, e_j=49.7, e_c=1.0, n_g=ng)
         h, spectrum, radii = _first_certified(p, 2)
-        table = band_sweep(p, [ng], levels=2, policy=WindowPolicy.full())
+        table = band_sweep(p, [ng], levels=2, policy=WindowPolicy(mode=mode))
         with mpmath.workdps(50):
             for j, r in enumerate(radii):
                 value = table.columns[f"E{j}"][0]

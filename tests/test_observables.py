@@ -14,8 +14,9 @@ from conftest import (
     two_level_imbalance,
     two_level_susceptibility,
 )
+from finitejj import observables
 from finitejj.cli import _write_table
-from finitejj.errors import RegimeWarning, WindowConvergenceError
+from finitejj.errors import ConvergenceError, RegimeWarning, WindowConvergenceError
 from finitejj.eigensolve import dense_all
 from finitejj.hamiltonian import ChargeWindow, build, build_windowed
 from finitejj.model import CircuitParams
@@ -52,6 +53,8 @@ class TestWindowPolicy:
         assert initial_half_width(params(10, 50.0)) == 16
         # E_J/(8 E_C) = 625 -> sigma = 5 -> ceil(40)
         assert initial_half_width(params(1000, 5000.0)) == 40
+        # An infinite spread is capped at 2N, which covers the whole basis.
+        assert initial_half_width(CircuitParams.from_pairs(100, e_j=1.0, e_c=1e-320)) == 100
 
 
 class TestQubitFrequency:
@@ -65,7 +68,9 @@ class TestQubitFrequency:
         adaptive = qubit_frequency(p, WindowPolicy.adaptive())
         assert adaptive == pytest.approx(reference, rel=1e-9)
 
-    def test_window_cap_raises(self):
+    def test_window_cap_raises(self, monkeypatch):
+        # Half-width 16 is certified at 2N = 5e8, so the certificate is made to refuse it.
+        monkeypatch.setattr(observables, "window_certificate", lambda h, spectrum: None)
         p = params(500_000_000, 50.0)
         with pytest.raises(WindowConvergenceError):
             qubit_frequency(p, WindowPolicy(mode="adaptive", w_initial=16, w_max=16))
@@ -242,7 +247,8 @@ class TestBandSweep:
         table = band_sweep(params(10, 0.2), grid, levels=2, policy=FULL, subtract_ground=True)
         assert np.all(table.columns["E0"] == 0.0)
 
-    def test_failed_points_flagged_not_dropped(self):
+    def test_failed_points_flagged_not_dropped(self, monkeypatch):
+        monkeypatch.setattr(observables, "window_certificate", lambda h, spectrum: None)
         policy = WindowPolicy(mode="adaptive", w_initial=16, w_max=16)
         table = band_sweep(params(500_000_000, 50.0), np.array([0.0, 1.0]), levels=2, policy=policy)
         assert table.grid.size == 2
@@ -486,3 +492,43 @@ def test_curvatures_match_mpmath_central_differences(pairs, ejec):
             mine_s = susceptibility_curvature(p, FULL).value
         assert abs(mine_d - dispersion) <= 1e-9 * abs(dispersion)
         assert abs(mine_s - susceptibility) <= 1e-9 * abs(susceptibility)
+
+
+@pytest.mark.parametrize("pairs", [10**3, 10**4, 10**6, 10**8])
+@pytest.mark.parametrize("ejec", [50.0, 200.0])
+def test_large_island_curvatures_are_refused_or_accurate(pairs, ejec):
+    """Each curvature is refused or within 1e-4 of the 50-digit oracle above.
+
+    The oracle runs on the program's couplings of 129 charges around n_g = 0.
+    A curvature is refused where 1e-13 of the larger of its two cancelling
+    terms, the rounding floor, exceeds 1e-4 of it: the dispersion from
+    2N = 1e6 on, the susceptibility here everywhere but 2N = 1e3 at
+    E_J/E_C = 200.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    p = params(pairs, ejec)
+    solved = {}
+    for kind, curvature in (("dispersion", dispersion_curvature),
+                            ("susceptibility", susceptibility_curvature)):
+        try:
+            solved[kind] = curvature(p).value
+        except ConvergenceError as exc:
+            assert "--pairs" in str(exc) and "transmon-shift" in str(exc)
+    assert ("dispersion" in solved) == (pairs <= 10**4)
+    assert ("susceptibility" in solved) == (pairs == 10**3 and ejec == 200.0)
+    if not solved:
+        return
+    h = build_windowed(p, ChargeWindow.centered(p.n_half, 0.0, 64))
+    with mpmath.workdps(50):
+        charges = [mpmath.mpf(q) for q in h.charges().tolist()]
+        step = mpmath.mpf("1e-6")
+        e = {s: _mp_levels(mpmath, h.off, charges, s * step, 2 if abs(s) < 2 else 1)
+             for s in (-2, -1, 0, 1, 2)}
+        gap = {s: e[s][1] - e[s][0] for s in (-1, 0, 1)}
+        exact = {
+            "dispersion": (gap[1] - 2 * gap[0] + gap[-1]) / step**2,
+            "susceptibility": -(e[2][0] - 4 * e[1][0] + 6 * e[0][0] - 4 * e[-1][0] + e[-2][0])
+            / (2 * step**4),
+        }
+        for kind, value in solved.items():
+            assert abs(value - exact[kind]) <= 1e-4 * abs(exact[kind]), kind
