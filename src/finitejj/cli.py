@@ -17,12 +17,14 @@ CLI is the only artifact writer: ``_write_artifact`` holds the whole format,
 and the library layers return values and tables without writing files.
 Exit codes: 0 success, 1 parameter error, 2 numerical non-convergence.
 
-Each command imports the layers it runs: the solver commands load numpy with
-the array layers (``hamiltonian``, ``eigensolve``, ``observables``) and
-scipy's compiled LAPACK wrappers at the first solve, without ever loading the
-``scipy.linalg`` package; ``wick-verify`` loads numpy only, and ``analytic``
-and ``validity`` load neither.  An artifact that cannot be written is a
-parameter error naming ``--output``.
+Each command imports the layers it runs, on top of ``model`` and ``errors``:
+the solver commands load numpy with the array layers (``hamiltonian``,
+``eigensolve``, ``observables``) and scipy's compiled LAPACK wrappers at the
+first solve, without ever loading the ``scipy.linalg`` package;
+``transmon-shift`` and ``analytic`` add the closed forms (``perturbation``),
+``wick-verify`` loads ``wick`` and numpy, and ``validity`` nothing more.  An
+artifact that cannot be written, or a scalar result that is not finite, is a
+parameter error naming the flag behind it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import sys
 import warnings
 from pathlib import Path
 
-from . import perturbation, wick
 from .errors import CapacityError, ConvergenceError
 from .model import (
     DEFAULT_GATE_CAPACITANCE,
@@ -234,8 +235,16 @@ def _write_table(table: SweepTable, args, default_name) -> Path:
                            zip(table.grid, *table.columns.values()), body)
 
 
-def _write_scalars(results: dict, meta: dict, args, default_name) -> Path:
-    """Scalar results as a two-column CSV or a {meta, results} JSON object."""
+def _write_scalars(results: dict, meta: dict, args, default_name, flags: dict) -> Path:
+    """Scalar results as a two-column CSV or a {meta, results} JSON object.
+
+    A non-finite result is refused before anything is written, naming the
+    flags its value comes from (``flags``, by result).
+    """
+    for key, value in results.items():
+        if value is not None and not math.isfinite(value):
+            raise CliError(f"{flags[key]}: {key} = {value} is not finite; a parameter is"
+                           " outside the float range")
     rows = [(key, results[key]) for key in sorted(results)]
     return _write_artifact(args, default_name, meta, ["quantity", "value"], rows,
                            {"results": results})
@@ -321,7 +330,7 @@ def _cmd_curvature(args):
 
 
 def _cmd_transmon_shift(args):
-    from . import observables
+    from . import observables, perturbation
 
     params = _circuit(args.pairs, args.ej_ghz, args.ec_ghz, abs(args.ng),
                       {"coupling": "--ej-ghz", "diagonal": "--ec-ghz/--ng"})
@@ -348,7 +357,8 @@ def _cmd_transmon_shift(args):
         "shift_numeric_khz": shift_ghz * 1e6,
         "shift_analytic_khz": analytic_ghz * 1e6,
     }
-    path = _write_scalars(results, meta, args, "transmon_shift")
+    path = _write_scalars(results, meta, args, "transmon_shift",
+                          dict.fromkeys(results, "--ej-ghz/--ec-ghz/--ng"))
     print(
         f"transmon-shift: numeric {shift_ghz * 1e6:+.4f} kHz, analytic "
         f"{analytic_ghz * 1e6:+.4f} kHz (EJ={args.ej_ghz:g} GHz, EC={args.ec_ghz:g} GHz, "
@@ -358,6 +368,8 @@ def _cmd_transmon_shift(args):
 
 
 def _cmd_analytic(args):
+    from . import perturbation
+
     params = _circuit(args.pairs, args.ej, args.ec, abs(args.ng),
                       {"coupling": "--ej", "diagonal": "--ec/--ng"}).with_ng(args.ng)
     with warnings.catch_warnings():
@@ -382,7 +394,8 @@ def _cmd_analytic(args):
             results["cpb_gap"] = None
             results["cpb_susceptibility"] = None
     meta = {"e_j": args.ej, "e_c": args.ec, "pairs_total": args.pairs, "n_g": args.ng}
-    path = _write_scalars(results, meta, args, "analytic")
+    path = _write_scalars(results, meta, args, "analytic",
+                          dict.fromkeys(results, "--ej/--ec/--ng"))
     gap_note = (
         "n_g is not a degeneracy point; charge-regime formulas skipped"
         if results["cpb_gap"] is None
@@ -421,7 +434,9 @@ def _cmd_validity(args):
         "n_g": args.ng,
         "gate_capacitance_f": args.cg_farad,
     }
-    path = _write_scalars(results, meta, args, "validity")
+    path = _write_scalars(results, meta, args, "validity", {
+        "n_min": "--materials-file", "cooper_density_per_m3": "--materials-file",
+        "island_volume_um3": "--pairs/--materials-file", "gate_voltage_v": "--cg-farad"})
     print(
         f"validity ({args.material}): N_min = {report.n_min:.4g}, "
         f"n_s = {report.cooper_density:.4g} m^-3 -> {path}"
@@ -431,6 +446,8 @@ def _cmd_validity(args):
 
 def _cmd_wick_verify(args):
     import numpy as np
+
+    from . import wick
 
     rng = np.random.default_rng(args.seed)
     deviations, ok = [], True
@@ -451,7 +468,7 @@ def _cmd_wick_verify(args):
     results = {"polynomials": float(args.count), "max_abs_deviation": worst,
                "tolerance": args.rtol}
     meta = {"seed": args.seed, "degree": args.degree, "count": args.count}
-    path = _write_scalars(results, meta, args, "wick_verify")
+    path = _write_scalars(results, meta, args, "wick_verify", dict.fromkeys(results, "--degree"))
     print(
         f"wick-verify: {args.count} polynomials, max |engine - oracle| = {worst:.3e} "
         f"({'ok' if ok else 'FAILED'}: each within {args.rtol:g} x max(1, |engine|)) -> {path}"

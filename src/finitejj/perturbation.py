@@ -23,10 +23,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from . import wick
 from .errors import RegimeWarning
 from .model import CircuitParams
-from .wick import OperatorPoly
 
 _DEGENERACY_TOL = 1e-9
 
@@ -187,6 +185,8 @@ def _perturbation_poly(params: CircuitParams) -> OperatorPoly:
     dSz is the first-order Taylor remainder of the spin z component,
     -a^dag p a / sqrt(16 N), and p' = p - n_g/sqrt(N) the shifted momentum.
     """
+    from .wick import OperatorPoly
+
     n = params.n_half
     a = OperatorPoly.lowering()
     a_dag = OperatorPoly.raising()
@@ -205,6 +205,9 @@ def transmon_first_order_numeric(params: CircuitParams) -> FirstOrderResult:
     The ground-state correction only reaches excitation numbers up to four,
     since the perturbation has degree four, so that sum is exact.
     """
+    from . import wick
+    from .wick import OperatorPoly
+
     _warn_transmon_regime(params)
     n = params.n_half
     coeffs = bogoliubov(params)

@@ -94,7 +94,7 @@ def test_artifact_bytes_are_pinned(fmt, tmp_path):
 
     results = {"gap": 0.1, "missing": None, "count": 3.0, "huge": 1.5e300}
     args = argparse.Namespace(format=fmt, output=str(tmp_path / f"scalars.{fmt}"))
-    path = _write_scalars(results, {"seed": 7, "degree": 6, "name": "x"}, args, "scalars")
+    path = _write_scalars(results, {"seed": 7, "degree": 6, "name": "x"}, args, "scalars", {})
     assert path.read_bytes() == GOLDEN_SCALARS[fmt]
 
 
@@ -659,6 +659,46 @@ _HOSTILE = st.one_of(
 )
 
 
+_LAYERS_SCRIPT = """
+import json, sys
+def layers():
+    return sorted(name[len("finitejj."):] for name in sys.modules
+                  if name.startswith("finitejj."))
+import finitejj
+loaded = {"import finitejj": layers()}
+import finitejj.cli
+loaded["import finitejj.cli"] = layers()
+assert finitejj.cli.main(json.loads(sys.argv[1])) == 0
+loaded["command"] = layers()
+print(json.dumps(loaded))
+"""
+_SOLVER = ["eigensolve", "hamiltonian", "observables"]
+
+
+@pytest.mark.parametrize("argv, layers", [
+    ("analytic --ej 1 --ec 1 --pairs 10 --ng 0.5", ["perturbation"]),
+    ("validity --pairs 1e6 --ng 3", []),
+    ("wick-verify --count 5", ["wick"]),
+    ("bands --pairs 4 --ejec 1 --from 0 --to 1 --steps 2", _SOLVER),
+    ("imbalance --pairs 4 --ejec 1 --from 0 --to 1 --steps 2", _SOLVER),
+    (_CHEAP["curvature"][0], _SOLVER),
+    (_CHEAP["transmon-shift"][0], [*_SOLVER, "perturbation"]),
+])
+def test_each_command_loads_only_the_layers_it_runs(argv, layers, tmp_path):
+    """``import finitejj`` loads no submodule; a command adds only the layers it runs."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _LAYERS_SCRIPT, json.dumps(argv.split())], cwd=tmp_path, env=env,
+        capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    cli = ["cli", "constants", "errors", "model"]
+    assert loaded == {"import finitejj": [], "import finitejj.cli": cli,
+                      "command": sorted(cli + layers)}
+
+
 @given(command=st.sampled_from(sorted(_CHEAP)), data=st.data())
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -666,9 +706,36 @@ def test_hostile_numbers_never_raise(command, data):
     base, flags = _CHEAP[command]
     flag = data.draw(st.sampled_from(flags))
     value = data.draw(_HOSTILE)
+    fmt = data.draw(st.sampled_from(["csv", "json"]))
     argv = base.split()
     if flag in argv:
         i = argv.index(flag)
         del argv[i:i + 2]
+    output = Path(f"hostile.{fmt}")
+    output.unlink(missing_ok=True)
     # "--flag=value" keeps argparse from reading a negative value as an option.
-    assert main(argv + [f"{flag}={value}"]) in (0, 1, 2)
+    code = main(argv + [f"{flag}={value}", "--format", fmt, "--output", str(output)])
+    assert code in (0, 1, 2)
+    if code == 0 and fmt == "json":
+        json.loads(output.read_text(), parse_constant=_no_constant)  # RFC 8259: no Infinity/NaN
+
+
+def _no_constant(name):
+    raise AssertionError(f"the artifact holds {name}")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ("analytic --ej 1 --ec 1e-320 --pairs 1 --ng 0.5", "--ec"),
+    ("validity --ng 1e10 --cg-farad 1e-320", "--cg-farad"),
+    ("validity --materials-file hot.txt --material hot", "--materials-file"),
+    ("transmon-shift --ej-ghz 1e154 --ec-ghz 1e154 --pairs 100 --ng 1 --window fixed"
+     " --half-width 4", "--ej-ghz"),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_results_name_the_flag(argv, flag, fmt, tmp_path, capsys):
+    # E_F = 1e300 eV over a 1e-300 meV gap puts N_min = (E_F / gap)(n_s / n_e) past the floats.
+    (tmp_path / "hot.txt").write_text(
+        "name = hot\ngap_meV = 1e-300\nfermi_eV = 1e300\nn_e_per_cm3 = 1.8e23\nlambdaL_nm = 16\n")
+    assert main(argv.split() + ["--format", fmt]) == 1
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.glob(f"*.{fmt}")) == []
