@@ -23,8 +23,7 @@ _LAZY = {
     "model": ("ALUMINUM", "BoseHubbardParams", "CircuitParams", "MaterialProps",
               "ValidityReport", "cooper_pair_density", "gate_voltage", "invert_bose_hubbard",
               "load_materials", "map_bose_hubbard", "validity_min_pairs"),
-    "hamiltonian": ("ChargeWindow", "SpinMatrices", "TridiagonalHamiltonian", "build",
-                    "build_windowed", "spin_matrices"),
+    "hamiltonian": ("SpinMatrices", "TridiagonalHamiltonian", "build", "spin_matrices"),
     "eigensolve": ("EigenPair", "Spectrum", "dense_all", "eigenpair", "eigenvalue_count_below",
                    "lowest_eigenvalues"),
     "observables": ("CurvatureResult", "SweepTable", "WindowPolicy", "band_sweep",

@@ -22,9 +22,12 @@ the solver commands load numpy with the array layers (``hamiltonian``,
 ``eigensolve``, ``observables``) and scipy's compiled LAPACK wrappers at the
 first solve, without ever loading the ``scipy.linalg`` package;
 ``transmon-shift`` and ``analytic`` add the closed forms (``perturbation``),
-``wick-verify`` loads ``wick`` and numpy, and ``validity`` nothing more.  An
-artifact that cannot be written, or a scalar result that is not finite, is a
-parameter error naming the flag behind it.
+``wick-verify`` loads ``wick`` and numpy, and ``validity`` nothing more.  The
+three sweeps share their flags and one handler, ``_cmd_sweep``.  An artifact
+that cannot be written, or a scalar result that is not finite, is a parameter
+error naming the flag behind it; so are more ``--steps`` than the operator's
+array limit, ``--values`` that do not increase, and a ``--materials-file``
+that cannot be read or whose values leave the float range.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from pathlib import Path
 
 from .errors import CapacityError, ConvergenceError
 from .model import (
+    ARRAY_LIMIT,
     DEFAULT_GATE_CAPACITANCE,
     DEFAULT_W_MAX,
     DEFAULT_WINDOW_RTOL,
@@ -91,6 +95,15 @@ def _pairs(text: str) -> int:
     return value
 
 
+def _steps(text: str) -> int:
+    """Grid points of a sweep: a positive integer up to the operator's array limit."""
+    value = _positive_count(text)
+    if value > ARRAY_LIMIT:
+        raise argparse.ArgumentTypeError(f"expected at most 2**26 = {ARRAY_LIMIT}, the array"
+                                         f" limit, got {text!r}")
+    return value
+
+
 # The Fock oracle's matrices have dim degree + 2, and a word's entries there
 # reach (degree + 1)^(degree / 2) for (b b^dag)^(degree / 2): past the float
 # range from degree 256 on.  The engine's vacuum counts, at most (degree / 2)!,
@@ -134,12 +147,17 @@ def _circuit(pairs: int, e_j: float, e_c: float, ng_reach: float, flags: dict) -
 
 
 def _float_list(text: str) -> list[float]:
+    """Comma-separated positive finite numbers: at least one, strictly increasing."""
     try:
-        return [_positive_float(piece) for piece in text.split(",") if piece.strip()]
+        values = [_positive_float(piece) for piece in text.split(",") if piece.strip()]
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated positive finite numbers, got {text!r}"
         ) from exc
+    if not values or any(a >= b for a, b in zip(values, values[1:])):
+        raise argparse.ArgumentTypeError(f"expected at least one value, strictly increasing,"
+                                         f" got {text!r}")
+    return values
 
 
 def _add_window_flags(sub):
@@ -190,8 +208,6 @@ def _check_offsets(offsets, pairs: int, flag: str) -> None:
 def _grid_from(args) -> np.ndarray:
     import numpy as np
 
-    if not args.steps >= 1:
-        raise CliError("--steps must be at least 1")
     if args.steps > 1 and not args.start < args.stop:
         raise CliError("--from must be smaller than --to")
     if not math.isfinite(args.stop - args.start):
@@ -250,9 +266,17 @@ def _write_scalars(results: dict, meta: dict, args, default_name, flags: dict) -
                            {"results": results})
 
 
-def _sweep_command(args, include_imbalance, include_susceptibility, levels, name):
+def _cmd_sweep(args):
+    """``bands``, ``imbalance`` or ``susceptibility``, by ``args.command``."""
     from . import observables
 
+    name = args.command
+    levels = getattr(args, "levels", 1)
+    if args.window == "fixed" and args.half_width is not None:
+        states = 2 * args.half_width + 1
+        if levels > states:
+            raise CliError(f"--levels {levels} exceeds the {states} charge states of"
+                           f" --half-width {args.half_width}")
     params = _circuit(args.pairs, args.ejec, 1.0, max(abs(args.start), abs(args.stop)),
                       {"coupling": "--ejec", "diagonal": "--from/--to"})
     grid = _grid_from(args)
@@ -262,8 +286,8 @@ def _sweep_command(args, include_imbalance, include_susceptibility, levels, name
         grid,
         levels=levels,
         policy=_policy_from(args),
-        include_imbalance=include_imbalance,
-        include_susceptibility=include_susceptibility,
+        include_imbalance=name == "imbalance",
+        include_susceptibility=name == "susceptibility",
         subtract_ground=getattr(args, "subtract_e0", False),
     )
     path = _write_table(table, args, name)
@@ -276,32 +300,11 @@ def _sweep_command(args, include_imbalance, include_susceptibility, levels, name
     return 2 if bad else 0
 
 
-def _cmd_bands(args):
-    if args.window == "fixed" and args.half_width is not None:
-        states = 2 * args.half_width + 1
-        if args.levels > states:
-            raise CliError(
-                f"--levels {args.levels} exceeds the {states} charge states of"
-                f" --half-width {args.half_width}"
-            )
-    return _sweep_command(args, False, False, args.levels, "bands")
-
-
-def _cmd_imbalance(args):
-    return _sweep_command(args, True, False, 1, "imbalance")
-
-
-def _cmd_susceptibility(args):
-    return _sweep_command(args, False, True, 1, "susceptibility")
-
-
 def _cmd_curvature(args):
     from . import observables
 
     policy = _policy_from(args)
     ratios = args.values
-    if not ratios:
-        raise CliError("--values must list at least one E_J/E_C ratio")
     rows = {"curvature": [], "reference": [], "ratio": []}
     fn = getattr(observables, f"{args.kind}_curvature")
     for ratio in ratios:
@@ -409,17 +412,23 @@ def _cmd_analytic(args):
 
 
 def _cmd_validity(args):
+    catalog = MATERIAL_PRESETS
     if args.materials_file is not None:
-        catalog = load_materials(args.materials_file)
-    else:
-        catalog = MATERIAL_PRESETS
+        try:
+            catalog = load_materials(args.materials_file)
+        except (OSError, ValueError) as exc:
+            raise CliError(f"--materials-file: {exc}") from None
     if args.material not in catalog:
         raise CliError(
             f"--material {args.material!r} not found (known: {', '.join(sorted(catalog))})"
         )
-    material = catalog[args.material]
     n_half = None if args.pairs is None else args.pairs / 2.0
-    report = validity_min_pairs(material, n_half=n_half, n_g=args.ng, c_g=args.cg_farad)
+    try:
+        report = validity_min_pairs(catalog[args.material], n_half=n_half, n_g=args.ng,
+                                    c_g=args.cg_farad)
+    except (ArithmeticError, ValueError) as exc:  # the presets stay inside the float range
+        raise CliError(f"--materials-file: {args.material!r} leaves the float range: {exc}"
+                       ) from None
     results = {
         "n_min": report.n_min,
         "cooper_density_per_m3": report.cooper_density,
@@ -483,33 +492,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    bands = sub.add_parser("bands", parents=[], help="lowest bands vs offset charge")
-    bands.add_argument("--pairs", type=_pairs, required=True, help="total bosons 2N")
-    bands.add_argument("--ejec", type=_positive_float, required=True,
-                       help="E_J/E_C ratio (E_C = 1)")
-    bands.add_argument("--from", dest="start", type=_finite_float, required=True)
-    bands.add_argument("--to", dest="stop", type=_finite_float, required=True)
-    bands.add_argument("--steps", type=_positive_count, required=True)
-    bands.add_argument("--levels", type=_positive_count, default=3)
-    bands.add_argument("--subtract-e0", action="store_true",
-                       help="report bands relative to the ground level")
-    _add_window_flags(bands)
-    _add_output_flags(bands, "bands")
-    bands.set_defaults(func=_cmd_bands)
-
-    for name, helptext, fn in (
-        ("imbalance", "ground-state <n> vs offset charge", _cmd_imbalance),
-        ("susceptibility", "d<n>/dn_g vs offset charge", _cmd_susceptibility),
+    for name, helptext in (
+        ("bands", "lowest bands vs offset charge"),
+        ("imbalance", "ground-state <n> vs offset charge"),
+        ("susceptibility", "d<n>/dn_g vs offset charge"),
     ):
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--pairs", type=_pairs, required=True)
-        p.add_argument("--ejec", type=_positive_float, required=True)
+        p.add_argument("--pairs", type=_pairs, required=True, help="total bosons 2N")
+        p.add_argument("--ejec", type=_positive_float, required=True,
+                       help="E_J/E_C ratio (E_C = 1)")
         p.add_argument("--from", dest="start", type=_finite_float, required=True)
         p.add_argument("--to", dest="stop", type=_finite_float, required=True)
-        p.add_argument("--steps", type=_positive_count, required=True)
+        p.add_argument("--steps", type=_steps, required=True)
+        if name == "bands":
+            p.add_argument("--levels", type=_positive_count, default=3)
+            p.add_argument("--subtract-e0", action="store_true",
+                           help="report bands relative to the ground level")
         _add_window_flags(p)
         _add_output_flags(p, name)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_cmd_sweep)
 
     curv = sub.add_parser("curvature", help="zero-offset curvature vs E_J/E_C")
     curv.add_argument("--kind", choices=("dispersion", "susceptibility"), required=True)
@@ -563,18 +564,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CapacityError as exc:  # an operator past the 2**26-state limit

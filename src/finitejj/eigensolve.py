@@ -337,12 +337,6 @@ def fourth_order_terms(h: TridiagonalHamiltonian) -> tuple[float, float]:
     return s0 * float(np.dot(x1, x1)), float(np.dot(r2, solve(r2)))
 
 
-def fourth_order_energy(h: TridiagonalHamiltonian) -> float:
-    """Ground-state Rayleigh-Schroedinger E^(4) in V = n (``fourth_order_terms``)."""
-    first, second = fourth_order_terms(h)
-    return first - second
-
-
 def dense_all(h: TridiagonalHamiltonian) -> Spectrum:
     """Full spectrum with eigenvectors via the dense LAPACK tridiagonal path.
 

@@ -7,10 +7,12 @@ couplings ``-(E_J / 2N) sqrt(N(N+1) - n(n+1))`` between n and n+1.
 An operator over a charge window stores both as two read-only arrays,
 computed once at construction, and holds at most ``ARRAY_LIMIT`` (2^26)
 states whether the window is full or not.  Large islands fit through
-windows: the low-energy states are localized in charge.  Internally the
-basis is indexed by the integer offset ``k = n + N`` in [0, 2N]; the square
-root argument then factors as ``(2N - k)(k + 1)``, which stays
-cancellation-free for n near the boundary at any island size.
+windows: the low-energy states are localized in charge.  A window is named
+by the integer basis offsets ``k = n + N`` in [0, 2N] of its ends, as in
+``TridiagonalHamiltonian(params, k_lo, k_hi)``; ``build(params, half_width)``
+centres one on n_g.  In k the square root argument factors as
+``(2N - k)(k + 1)``, which stays cancellation-free for n near the boundary
+at any island size.
 """
 
 from __future__ import annotations
@@ -28,65 +30,35 @@ DENSE_LIMIT = 4001
 _LATTICE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ChargeWindow:
-    """Contiguous sub-range [n_lo, n_hi] of the physical charge basis."""
-
-    n_lo: float
-    n_hi: float
-
-    @classmethod
-    def full(cls, n_half: float) -> "ChargeWindow":
-        return cls(-n_half, n_half)
-
-    @classmethod
-    def centered(cls, n_half: float, center: float, half_width: int) -> "ChargeWindow":
-        """Window of the given half-width around the basis point nearest ``center``.
-
-        Clipped to [-N, N]; a half-width covering the whole basis yields the
-        full window.
-        """
-        if half_width < 0:
-            raise ValueError("half_width must be non-negative")
-        k_c = int(round(center + n_half))  # integer offset of the nearest basis point
-        k_c = min(max(k_c, 0), int(round(2 * n_half)))
-        k_lo = max(k_c - half_width, 0)
-        k_hi = min(k_c + half_width, int(round(2 * n_half)))
-        return cls(k_lo - n_half, k_hi - n_half)
-
-
 class TridiagonalHamiltonian:
     """Symmetric tridiagonal operator over a charge window, held as two arrays.
 
-    Local index i in [0, dim) addresses charge ``n = n_lo + i``.  ``diag[i]``
-    is exact up to floating point; ``off[i]`` couples local states i and i+1
-    and is strictly negative away from the physical boundary, where it
-    vanishes.  Both arrays are computed at construction and are read-only.
+    The window is the integer basis offsets [k_lo, k_hi] (default: the whole
+    basis [0, 2N]); local index i in [0, dim) addresses offset ``k_lo + i``,
+    charge ``n = k_lo + i - N``.  ``diag[i]`` is exact up to floating point;
+    ``off[i]`` couples local states i and i+1 and is strictly negative away
+    from the physical boundary, where it vanishes.  Both arrays are computed
+    at construction and are read-only.
     """
 
-    __slots__ = ("params", "window", "dim", "diag", "off", "_k_lo")
+    __slots__ = ("params", "k_lo", "dim", "diag", "off")
 
-    def __init__(self, params: CircuitParams, window: ChargeWindow):
-        two_n = params.pairs_total
-        k_lo = round(window.n_lo + params.n_half)
-        k_hi = round(window.n_hi + params.n_half)
-        if abs(window.n_lo + params.n_half - k_lo) > _LATTICE_TOL or abs(
-            window.n_hi + params.n_half - k_hi
-        ) > _LATTICE_TOL:
-            raise ValueError("window bounds must sit on the charge lattice")
-        if k_lo < 0 or k_hi > two_n or k_lo > k_hi:
-            raise ValueError(
-                f"window [{window.n_lo}, {window.n_hi}] outside physical basis "
-                f"[{-params.n_half}, {params.n_half}]"
-            )
+    def __init__(self, params: CircuitParams, k_lo: int = 0, k_hi: int | None = None):
+        if k_hi is None:
+            k_hi = params.pairs_total
+        if not (float(k_lo).is_integer() and float(k_hi).is_integer()):
+            raise ValueError(f"window offsets [{k_lo}, {k_hi}] must be integers")
+        two_n = round(2.0 * params.n_half)  # = params.pairs_total
+        if not 0 <= k_lo <= k_hi <= two_n:
+            raise ValueError(f"window offsets [{k_lo}, {k_hi}] outside the basis [0, {two_n}]")
         dim = int(k_hi - k_lo) + 1
         if dim > ARRAY_LIMIT:
             raise CapacityError(f"dim {dim} exceeds array limit {ARRAY_LIMIT}")
         k = k_lo + np.arange(dim, dtype=float)
         diag, off = _diagonal(params, k), _couplings(params, k[:-1])
         diag.flags.writeable = off.flags.writeable = False
-        for name, value in (("params", params), ("window", window), ("dim", dim),
-                            ("diag", diag), ("off", off), ("_k_lo", int(k_lo))):
+        for name, value in (("params", params), ("k_lo", int(k_lo)), ("dim", dim),
+                            ("diag", diag), ("off", off)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -94,15 +66,15 @@ class TridiagonalHamiltonian:
 
     @property
     def is_full_window(self) -> bool:
-        return self._k_lo == 0 and self.dim == self.params.pairs_total + 1
+        return self.k_lo == 0 and self.dim == self.params.pairs_total + 1
 
     def charges(self) -> np.ndarray:
-        return (self._k_lo + np.arange(self.dim, dtype=float)) - self.params.n_half
+        return (self.k_lo + np.arange(self.dim, dtype=float)) - self.params.n_half
 
     def outside(self) -> tuple[np.ndarray, np.ndarray]:
         """(diag, off) of the two charges just past the window's ends, as the
         full operator holds them; off couples each to its end, 0 past a basis end."""
-        past = np.array([self._k_lo - 1.0, self._k_lo + self.dim])
+        past = np.array([self.k_lo - 1.0, self.k_lo + self.dim])
         return _diagonal(self.params, past), _couplings(self.params, past - [0, 1])
 
     def diagonal_block(self, lo: int, hi: int) -> np.ndarray:
@@ -146,14 +118,16 @@ def _couplings(params: CircuitParams, k: np.ndarray) -> np.ndarray:
     return -(params.e_j / (2.0 * params.n_half)) * np.sqrt((2.0 * params.n_half - k) * (k + 1.0))
 
 
-def build(params: CircuitParams) -> TridiagonalHamiltonian:
-    """Full-basis operator."""
-    return TridiagonalHamiltonian(params, ChargeWindow.full(params.n_half))
-
-
-def build_windowed(params: CircuitParams, window: ChargeWindow) -> TridiagonalHamiltonian:
-    """Operator restricted to a charge window, coefficients unchanged."""
-    return TridiagonalHamiltonian(params, window)
+def build(params: CircuitParams, half_width: int | None = None) -> TridiagonalHamiltonian:
+    """Whole-basis operator, or the window of ``half_width`` offsets either side
+    of the basis point nearest n_g, clipped to [0, 2N]."""
+    if half_width is None:
+        return TridiagonalHamiltonian(params)
+    if half_width < 0:
+        raise ValueError("half_width must be non-negative")
+    two_n = params.pairs_total
+    k_c = min(max(round(params.n_g + params.n_half), 0), two_n)
+    return TridiagonalHamiltonian(params, max(k_c - half_width, 0), min(k_c + half_width, two_n))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConvergenceError, RegimeWarning, WindowConvergenceError
 from .eigensolve import (charge_response, eigenpair, fourth_order_terms, lowest_eigenvalues,
                          window_certificate)
-from .hamiltonian import ChargeWindow, TridiagonalHamiltonian, build, build_windowed
+from .hamiltonian import TridiagonalHamiltonian, build
 from .model import DEFAULT_W_MAX, DEFAULT_WINDOW_RTOL, CircuitParams
 
 
@@ -94,11 +94,6 @@ def initial_half_width(params: CircuitParams) -> int:
     return max(16, math.ceil(min(8.0 * sigma, params.pairs_total)))
 
 
-def _windowed_operator(params: CircuitParams, half_width: int) -> TridiagonalHamiltonian:
-    window = ChargeWindow.centered(params.n_half, params.n_g, half_width)
-    return build_windowed(params, window)
-
-
 def _solve_windowed(params, policy, compute, abs_floor=0.0, min_half_width=0, levels=0):
     """Run ``compute`` under the window policy: one window if fixed, else doubling W.
 
@@ -113,14 +108,14 @@ def _solve_windowed(params, policy, compute, abs_floor=0.0, min_half_width=0, le
     Adaptive mode raises at ``w_max``; full mode only at the operator limit.
     """
     if policy.mode == "fixed":
-        h = _windowed_operator(params, policy.half_width)
+        h = build(params, policy.half_width)
         return compute(lowest_eigenvalues(h, levels) if levels else h)
     if policy.mode == "full" and not levels:
         return compute(build(params))
     w = max(policy.w_initial or initial_half_width(params), min_half_width)
     previous = None
     while True:
-        h = _windowed_operator(params, w)
+        h = build(params, w)
         if levels:
             spectrum = lowest_eigenvalues(h, levels)
             if h.is_full_window or window_certificate(h, spectrum) is not None:

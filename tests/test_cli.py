@@ -17,6 +17,7 @@ from conftest import read_table
 from finitejj import observables, wick
 from finitejj.cli import (
     MAX_WICK_DEGREE,
+    CliError,
     _write_scalars,
     _write_table,
     build_parser,
@@ -135,6 +136,44 @@ def test_validity_from_materials_file(tmp_path):
     assert payload["results"]["n_min"] == pytest.approx(1.0e4, rel=0.05)
 
 
+_MATERIAL = ("name = x\ngap_meV = {gap}\nfermi_eV = 11.63\nn_e_per_cm3 = 18.06e22\n"
+             "lambdaL_nm = {depth}\n")
+
+
+@pytest.mark.parametrize("contents", [
+    None,  # no such file
+    "directory",
+    _MATERIAL.format(gap="abc", depth=16).encode(),
+    b"name = x\ngap_meV = \xff\n",  # not UTF-8
+    _MATERIAL.format(gap=-1, depth=16).encode(),
+    _MATERIAL.format(gap="nan", depth=16).encode(),
+    b"name = x\ngap_meV = 0.34\n",  # missing keys
+    _MATERIAL.format(gap=0.34, depth=1e-170).encode(),  # lambda_L^2 underflows to zero
+    _MATERIAL.format(gap=0.34, depth=1e300).encode(),  # lambda_L^2 overflows
+], ids=["missing", "directory", "not-a-number", "not-utf8", "negative", "nan", "missing-keys",
+        "tiny-depth", "huge-depth"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_bad_materials_file_names_the_flag(contents, fmt, tmp_path, capsys):
+    path = tmp_path / "mats.txt"
+    if contents == "directory":
+        path.mkdir()
+    elif contents is not None:
+        path.write_bytes(contents)
+    argv = ["validity", "--materials-file", str(path), "--material", "x", "--pairs", "10"]
+    assert main(argv + ["--format", fmt]) == 1
+    assert "--materials-file" in capsys.readouterr().err
+    assert not (tmp_path / f"validity.{fmt}").exists()
+
+
+def test_steps_stop_at_the_array_limit():
+    # Parsed only: an accepted 2**26-point sweep would run for hours.
+    parser = build_parser()
+    argv = "imbalance --pairs 10 --ejec 0.2 --from 0 --to 1 --steps".split()
+    assert parser.parse_args(argv + ["67108864"]).steps == 2**26
+    with pytest.raises(CliError, match="--steps"):
+        parser.parse_args(argv + ["67108865"])
+
+
 def test_validity_unknown_material_is_parameter_error(capsys):
     code = main("validity --material unobtainium".split())
     assert code == 1
@@ -192,9 +231,9 @@ def test_curvature_builds_one_window_walk_per_ratio(kind, window, per_ratio, mon
     built = []
     init = TridiagonalHamiltonian.__init__
 
-    def counting(self, params, charge_window):
-        built.append(charge_window)
-        init(self, params, charge_window)
+    def counting(self, params, *window):
+        built.append(window)
+        init(self, params, *window)
 
     monkeypatch.setattr(TridiagonalHamiltonian, "__init__", counting)
     argv = f"curvature --kind {kind} --pairs 60 --values 50,100 {window}".split()
@@ -392,9 +431,15 @@ def test_parameter_error_names_flag(capsys, monkeypatch):
         ("transmon-shift --ej-ghz 10 --ec-ghz 0.2 --pairs 5e8 --ng 1e6 --w-initial 4e7 "
          "--w-max 1e8", "--w-max"),
         ("bands --pairs 100 --ejec 1 --from 0 --to 1 --steps 3 --w-initial 2", "--w-initial"),
+        # A grid past the array limit, and ratios out of order, are refused by the parser.
+        ("bands --pairs 10 --ejec 0.2 --from 0 --to 1 --steps 1e16", "--steps"),
+        ("bands --pairs 10 --ejec 0.2 --from 0 --to 1 --steps 1e20", "--steps"),
+        ("curvature --kind dispersion --pairs 60 --values 50,20", "--values"),
+        ("curvature --kind dispersion --pairs 60 --values 20,20", "--values"),
     ]:
         assert main(argv.split()) == 1, argv
         assert flag in capsys.readouterr().err, argv
+    assert list(Path.cwd().iterdir()) == []
 
 
 def test_invalid_range_is_parameter_error(capsys):
@@ -410,7 +455,7 @@ def test_full_window_eigenvalues_beyond_the_operator_limit(tmp_path, capsys, mon
     import time
 
     from finitejj import eigensolve
-    from finitejj.hamiltonian import ChargeWindow, build_windowed
+    from finitejj.hamiltonian import build
     from finitejj.model import CircuitParams
 
     shift = "transmon-shift --ej-ghz 10 --ec-ghz 0.2 --pairs 5e8 --ng 1e6 --format json"
@@ -423,7 +468,7 @@ def test_full_window_eigenvalues_beyond_the_operator_limit(tmp_path, capsys, mon
     for key, ng in (("frequency_at_zero_ghz", 0.0), ("frequency_at_ng_ghz", 1e6)):
         # Both are within the certificate radii of the full-basis gap.
         params = CircuitParams.from_pairs(500_000_000, e_j=10.0, e_c=0.2, n_g=ng)
-        h = build_windowed(params, ChargeWindow.centered(params.n_half, ng, 16))
+        h = build(params, 16)
         radii = eigensolve.window_certificate(h, eigensolve.lowest_eigenvalues(h, 2))
         assert abs(full[key] - adaptive[key]) <= 2.0 * sum(radii), key
     assert main("bands --pairs 5e8 --ejec 50 --from 0 --to 1 --steps 3 --window full".split()) == 0

@@ -20,10 +20,10 @@ from finitejj.eigensolve import (
     dense_all,
     eigenpair,
     eigenvalue_count_below,
-    fourth_order_energy,
+    fourth_order_terms,
     lowest_eigenvalues,
 )
-from finitejj.hamiltonian import ChargeWindow, build, build_windowed
+from finitejj.hamiltonian import TridiagonalHamiltonian, build
 from finitejj.model import CircuitParams
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -309,7 +309,8 @@ class TestChargeResponse:
         e2 = float(np.dot(v[0, 1:], first))
         inner = v[1:, 1:] @ first / denom
         exact = float(first @ v[1:, 1:] @ inner) - e2 * float(first @ first)
-        assert fourth_order_energy(h) == pytest.approx(exact, rel=1e-9)
+        first, second = fourth_order_terms(h)
+        assert first - second == pytest.approx(exact, rel=1e-9)
 
     def test_failed_solve_raises(self, monkeypatch):
         monkeypatch.setattr(
@@ -347,7 +348,7 @@ class TestDenseAll:
 
     def test_dim_one_window(self):
         p = params(10, 1.0, ng=2.0)
-        h = build_windowed(p, ChargeWindow(2.0, 2.0))
+        h = TridiagonalHamiltonian(p, 7, 7)  # charge 2
         spec = dense_all(h)
         assert spec.dim == 1
         assert spec.values[0] == pytest.approx(h.diag[0])
@@ -358,7 +359,7 @@ def random_operator(rng, dim):
     pairs = int(rng.integers(dim, 10**6))
     p = params(pairs, 10.0 ** rng.uniform(-2, 2), ng=rng.uniform(-0.5, 0.5) * pairs)
     k_lo = int(rng.integers(0, pairs - dim + 2))
-    return build_windowed(p, ChargeWindow(k_lo - pairs / 2, k_lo + dim - 1 - pairs / 2))
+    return TridiagonalHamiltonian(p, k_lo, k_lo + dim - 1)
 
 
 class TestLapackLoader:
@@ -456,7 +457,7 @@ class TestMathieuLimit:
         predicted = q * slope / (4.0 * limit)
         for pairs in (2 * 10**4, 2 * 10**5, 2 * 10**6):
             p = params(pairs, self.EJEC, ng=ng)
-            h = build_windowed(p, ChargeWindow.centered(p.n_half, ng, self.HALF_WIDTH))
+            h = build(p, self.HALF_WIDTH)
             rel_err = (lowest_eigenvalues(h, 3).values - limit) / limit
             scaled = rel_err * pairs
             assert np.all(np.abs(predicted) > 0.4)
@@ -465,17 +466,13 @@ class TestMathieuLimit:
         assert np.max(np.abs(rel_err)) < 3e-6
 
 
-def _centered(p, half_width):
-    return build_windowed(p, ChargeWindow.centered(p.n_half, p.n_g, half_width))
-
-
 def _first_certified(p, levels):
     """(window, spectrum, radii) at the first certified doubling of full mode's start."""
     from finitejj.observables import initial_half_width
 
     w = initial_half_width(p)
     while True:
-        h = _centered(p, w)
+        h = build(p, w)
         spectrum = lowest_eigenvalues(h, levels)
         radii = eigensolve.window_certificate(h, spectrum)
         if radii is not None:
@@ -487,14 +484,14 @@ def _record_windows(monkeypatch):
     """The dims of the windows that ``observables`` builds from now on."""
     from finitejj import observables
 
-    built, build_window = [], observables._windowed_operator
+    built, build_window = [], observables.build
 
-    def recording(p, half_width):
+    def recording(p, half_width=None):
         h = build_window(p, half_width)
         built.append(h.dim)
         return h
 
-    monkeypatch.setattr(observables, "_windowed_operator", recording)
+    monkeypatch.setattr(observables, "build", recording)
     return built
 
 
@@ -532,14 +529,14 @@ class TestWindowCertificate:
     @pytest.mark.parametrize("half_width", [2, 4])
     def test_refuses_a_window_too_small_to_hold_the_levels(self, half_width):
         p = params(1000, 1.0, ng=-0.37)
-        h = _centered(p, half_width)
+        h = build(p, half_width)
         assert eigensolve.window_certificate(h, lowest_eigenvalues(h, 3)) is None
 
     def test_refuses_a_window_where_the_parabola_does_not_dominate(self):
         # E_C (n - n_g)^2 at the first charge outside half-width 2 is below
         # E_0 + 2 b_max, with b_max about E_J / 2 = 200.
         p = params(2_000_000, 400.0, ng=0.3)
-        h = _centered(p, 2)
+        h = build(p, 2)
         spectrum = lowest_eigenvalues(h, 2)
         outside, _ = h.outside()
         assert np.all(outside - spectrum.values[-1] < 400.0)
@@ -558,7 +555,7 @@ class TestWindowCertificate:
         # E_J tuned so that E_0 = -2.8e-17: a radius of 4 eps |v| would be
         # 1e-32, far below the counts' backward error of eps times the norm.
         p = CircuitParams.from_pairs(1000, e_j=0.45356997823038725, e_c=1.0, n_g=0.5)
-        h = _centered(p, 16)
+        h = build(p, 16)
         spectrum = lowest_eigenvalues(h, 2)
         assert abs(spectrum.values[0]) < 1e-16
         radii = eigensolve.window_certificate(h, spectrum)
@@ -608,7 +605,7 @@ class TestWindowCertificate:
         table = band_sweep(p, [p.n_g], levels=3, policy=WindowPolicy.adaptive(w_initial=4))
         assert built == [9, 17]
         values = [table.columns[f"E{j}"][0] for j in range(3)]
-        h = _centered(p, 8)
+        h = build(p, 8)
         spectrum = lowest_eigenvalues(h, 3)
         assert values == spectrum.values.tolist()
         radii = eigensolve.window_certificate(h, spectrum)

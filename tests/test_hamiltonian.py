@@ -6,13 +6,8 @@ import numpy as np
 import pytest
 
 from finitejj.errors import CapacityError
-from finitejj.eigensolve import charge_response, dense_all, fourth_order_energy, lowest_eigenvalues
-from finitejj.hamiltonian import (
-    ChargeWindow,
-    build,
-    build_windowed,
-    spin_matrices,
-)
+from finitejj.eigensolve import charge_response, dense_all, fourth_order_terms, lowest_eigenvalues
+from finitejj.hamiltonian import TridiagonalHamiltonian, build, spin_matrices
 from finitejj.model import CircuitParams
 
 
@@ -72,7 +67,7 @@ class TestCoefficients:
         p = params(500_000_000, 50.0, ng=1e6)
         with pytest.raises(CapacityError, match="array limit"):
             build(p)
-        h = build_windowed(p, ChargeWindow.centered(p.n_half, p.n_g, 16))
+        h = build(p, 16)
         assert h.dim == 33
         assert np.all(np.isfinite(h.diag))
         assert np.all(h.off < 0.0)
@@ -86,7 +81,7 @@ class TestCoefficients:
                 array[0] = 0.0
         diag, off = h.diag.copy(), h.off.copy()
         charge_response(h, 1)
-        fourth_order_energy(h)
+        fourth_order_terms(h)
         assert np.array_equal(h.diag, diag)
         assert np.array_equal(h.off, off)
 
@@ -95,21 +90,34 @@ class TestWindows:
     def test_full_window_spectrum_identical(self):
         p = params(12, 0.8, ng=0.4)
         full = build(p)
-        windowed = build_windowed(p, ChargeWindow.full(p.n_half))
+        windowed = TridiagonalHamiltonian(p, 0, p.pairs_total)
         assert dense_all(full).values == pytest.approx(dense_all(windowed).values, rel=1e-15)
 
     def test_window_outside_basis_rejected(self):
         p = params(10, 1.0)
-        with pytest.raises(ValueError, match="outside"):
-            build_windowed(p, ChargeWindow(-6.0, 3.0))
-        with pytest.raises(ValueError, match="lattice"):
-            build_windowed(p, ChargeWindow(-0.25, 3.0))
+        for k_lo, k_hi in ((-1, 8), (0, 11), (5, 4)):
+            with pytest.raises(ValueError, match="outside"):
+                TridiagonalHamiltonian(p, k_lo, k_hi)
+        with pytest.raises(ValueError, match="half_width"):
+            build(p, -1)
+
+    @pytest.mark.parametrize("k_lo, k_hi", [(2.5, 8), (2, 7.5), (float("nan"), 8),
+                                            (0, float("inf"))])
+    def test_non_integer_offsets_rejected(self, k_lo, k_hi):
+        with pytest.raises(ValueError, match="integers"):
+            TridiagonalHamiltonian(params(10, 1.0), k_lo, k_hi)
+
+    def test_integral_float_offsets_name_the_same_window(self):
+        p = params(10, 1.0, ng=0.3)
+        h, same = TridiagonalHamiltonian(p, 2, 8), TridiagonalHamiltonian(p, 2.0, 8.0)
+        assert (same.k_lo, same.dim) == (h.k_lo, h.dim) == (2, 7)
+        assert np.array_equal(same.diag, h.diag) and np.array_equal(same.off, h.off)
 
     def test_windowed_coefficients_match_full(self):
         p = params(20, 5.0, ng=1.0)
         full = build(p)
-        win = build_windowed(p, ChargeWindow.centered(p.n_half, 1.0, 4))
-        offset = round(win.window.n_lo - full.window.n_lo)
+        win = build(p, 4)
+        offset = win.k_lo - full.k_lo
         for i in range(win.dim):
             assert win.diag[i] == full.diag[i + offset]
             if i < win.dim - 1:
@@ -120,7 +128,7 @@ class TestWindows:
         # the low levels to ten digits.
         p = params(20_000, 50.0)
         full = lowest_eigenvalues(build(p), 2)
-        win = build_windowed(p, ChargeWindow.centered(p.n_half, 0.0, 50))
+        win = build(p, 50)
         wspec = lowest_eigenvalues(win, 2)
         gap_full = full.values[1] - full.values[0]
         gap_win = wspec.values[1] - wspec.values[0]
@@ -129,17 +137,17 @@ class TestWindows:
     def test_outside_charges_are_the_full_operators(self):
         p = params(40, 5.0, ng=0.3)
         full = build(p)
-        diag, off = build_windowed(p, ChargeWindow(-3.0, 4.0)).outside()  # offsets 17..24
+        diag, off = TridiagonalHamiltonian(p, 17, 24).outside()  # charges -3..4
         assert diag.tolist() == [full.diag[16], full.diag[25]]
         assert off.tolist() == [full.off[16], full.off[24]]
         # Past a basis end there is no charge to couple to.
-        assert build_windowed(p, ChargeWindow(-20.0, -15.0)).outside()[1][0] == 0.0
-        assert build_windowed(p, ChargeWindow(15.0, 20.0)).outside()[1][1] == 0.0
+        assert TridiagonalHamiltonian(p, 0, 5).outside()[1][0] == 0.0
+        assert TridiagonalHamiltonian(p, 35, 40).outside()[1][1] == 0.0
 
     def test_centered_window_clips_to_basis(self):
-        w = ChargeWindow.centered(5.0, 20.0, 3)
-        assert w.n_hi == 5.0
-        assert w.n_lo == 2.0
+        assert build(params(10, 1.0, ng=20.0), 3).charges().tolist() == [2.0, 3.0, 4.0, 5.0]
+        assert build(params(10, 1.0, ng=-20.0), 3).charges().tolist() == [-5.0, -4.0, -3.0, -2.0]
+        assert build(params(10, 1.0, ng=0.4), 100).is_full_window
 
 
 class TestSpinMatrices:

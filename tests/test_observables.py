@@ -18,7 +18,7 @@ from finitejj import observables
 from finitejj.cli import _write_table
 from finitejj.errors import ConvergenceError, RegimeWarning, WindowConvergenceError
 from finitejj.eigensolve import dense_all
-from finitejj.hamiltonian import ChargeWindow, build, build_windowed
+from finitejj.hamiltonian import build
 from finitejj.model import CircuitParams
 from finitejj.observables import (
     WindowPolicy,
@@ -145,10 +145,7 @@ class TestChargeSusceptibility:
         mpmath = pytest.importorskip("mpmath")
         p = params(pairs, ejec, ng=ng)
         policy = FULL if half_width is None else WindowPolicy.fixed(half_width)
-        if half_width is None:
-            h = build(p)
-        else:
-            h = build_windowed(p, ChargeWindow.centered(p.n_half, p.n_g, half_width))
+        h = build(p, half_width)
         diag, off = h.to_arrays()
         with mpmath.workdps(40):
             a = mpmath.diag([mpmath.mpf(d) for d in diag.tolist()])
@@ -518,7 +515,7 @@ def test_large_island_curvatures_are_refused_or_accurate(pairs, ejec):
     assert ("susceptibility" in solved) == (pairs == 10**3 and ejec == 200.0)
     if not solved:
         return
-    h = build_windowed(p, ChargeWindow.centered(p.n_half, 0.0, 64))
+    h = build(p, 64)
     with mpmath.workdps(50):
         charges = [mpmath.mpf(q) for q in h.charges().tolist()]
         step = mpmath.mpf("1e-6")
