@@ -23,18 +23,17 @@ _LAZY = {
     "model": ("ALUMINUM", "BoseHubbardParams", "CircuitParams", "MaterialProps",
               "ValidityReport", "cooper_pair_density", "gate_voltage", "invert_bose_hubbard",
               "load_materials", "map_bose_hubbard", "validity_min_pairs"),
-    "hamiltonian": ("SpinMatrices", "TridiagonalHamiltonian", "build", "spin_matrices"),
+    "hamiltonian": ("TridiagonalHamiltonian", "build"),
     "eigensolve": ("EigenPair", "Spectrum", "dense_all", "eigenpair", "eigenvalue_count_below",
                    "lowest_eigenvalues"),
     "observables": ("CurvatureResult", "SweepTable", "WindowPolicy", "band_sweep",
                     "charge_susceptibility", "dispersion_curvature", "expected_imbalance",
                     "qubit_frequency", "susceptibility_curvature"),
-    "perturbation": ("BogoliubovCoeffs", "FirstOrderResult", "TwoLevelEffective", "bogoliubov",
-                     "cpb_effective", "cpb_gap", "cpb_susceptibility",
-                     "transmon_first_order_numeric", "transmon_frequency",
+    "perturbation": ("BogoliubovCoeffs", "FirstOrderResult", "bogoliubov", "cpb_gap",
+                     "cpb_susceptibility", "transmon_first_order_numeric", "transmon_frequency",
                      "transmon_susceptibility"),
-    "wick": ("OperatorPoly", "fock_oracle", "fock_oracle_stable", "normal_order",
-             "substitute_affine", "vacuum_expectation"),
+    "wick": ("OperatorPoly", "fock_oracle", "normal_order", "substitute_affine",
+             "vacuum_expectation"),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
 __all__ = sorted(_HOME)

@@ -23,11 +23,15 @@ the solver commands load numpy with the array layers (``hamiltonian``,
 first solve, without ever loading the ``scipy.linalg`` package;
 ``transmon-shift`` and ``analytic`` add the closed forms (``perturbation``),
 ``wick-verify`` loads ``wick`` and numpy, and ``validity`` nothing more.  The
-three sweeps share their flags and one handler, ``_cmd_sweep``.  An artifact
-that cannot be written, or a scalar result that is not finite, is a parameter
+three sweeps share their flags and one handler, ``_cmd_sweep``.  Under
+``--window adaptive`` and ``full`` every number is proven on a charge window
+(``observables``), so no flag tunes a stopping tolerance.  An artifact that
+cannot be written, or a scalar result that is not finite, is a parameter
 error naming the flag behind it; so are more ``--steps`` than the operator's
-array limit, ``--values`` that do not increase, and a ``--materials-file``
-that cannot be read or whose values leave the float range.
+array limit, ``--values`` that do not increase, a ``--materials-file`` that
+cannot be read or whose values leave the float range, a window flag the
+chosen ``--window`` does not read, and more levels than ``--pairs`` or a
+fixed ``--half-width`` holds.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from .model import (
     ARRAY_LIMIT,
     DEFAULT_GATE_CAPACITANCE,
     DEFAULT_W_MAX,
-    DEFAULT_WINDOW_RTOL,
     MATERIAL_PRESETS,
     MAX_PAIRS_TOTAL,
     CircuitParams,
@@ -162,17 +165,14 @@ def _float_list(text: str) -> list[float]:
 
 def _add_window_flags(sub):
     sub.add_argument("--window", choices=("full", "fixed", "adaptive"), default="adaptive",
-                     help="charge-window policy (default adaptive); adaptive and full"
-                          " prove eigenvalues on a certified window")
+                     help="charge-window policy (default adaptive); adaptive and full prove"
+                          " every result on a window, full without a half-width cap")
     sub.add_argument("--half-width", type=_count, default=None,
                      help="half-width for --window fixed")
     sub.add_argument("--w-initial", type=_count, default=None,
                      help="starting half-width for --window adaptive")
-    sub.add_argument("--w-max", type=_count, default=DEFAULT_W_MAX,
-                     help="half-width cap for --window adaptive")
-    sub.add_argument("--window-rtol", type=_positive_float, default=DEFAULT_WINDOW_RTOL,
-                     help="relative settling tolerance of <n>, chi and the curvatures"
-                          " for --window adaptive")
+    sub.add_argument("--w-max", type=_count, default=None,
+                     help=f"half-width cap for --window adaptive (default {DEFAULT_W_MAX})")
 
 
 def _add_output_flags(sub, default_name):
@@ -181,20 +181,38 @@ def _add_output_flags(sub, default_name):
                      help=f"output path (default {default_name}.<format>)")
 
 
+# The window flags that each --window policy reads.
+_WINDOW_FLAGS = {"adaptive": ("w_initial", "w_max"), "full": (), "fixed": ("half_width",)}
+
+
 def _policy_from(args) -> WindowPolicy:
-    """The window policy of the flags."""
+    """The window policy of the flags; a window flag the policy does not read is refused."""
     from .observables import WindowPolicy
 
+    for name in ("half_width", "w_initial", "w_max"):
+        if getattr(args, name) is not None and name not in _WINDOW_FLAGS[args.window]:
+            raise CliError(f"--{name.replace('_', '-')}: --window {args.window} does not read it")
     if args.window == "adaptive":
         if args.w_initial is not None and args.w_initial < 4:
             raise CliError("--w-initial must be at least 4")
-        return WindowPolicy.adaptive(rtol=args.window_rtol, w_initial=args.w_initial,
-                                     w_max=args.w_max)
+        return WindowPolicy.adaptive(w_initial=args.w_initial,
+                                     w_max=DEFAULT_W_MAX if args.w_max is None else args.w_max)
     if args.window == "full":
         return WindowPolicy.full()
     if args.half_width is None:
         raise CliError("--window fixed requires --half-width")
     return WindowPolicy.fixed(args.half_width)
+
+
+def _check_levels(args, levels: int, source: str) -> None:
+    """Refuse more levels than the basis or a fixed window holds, naming the flags behind both."""
+    limits = [(args.pairs + 1, f"--pairs {args.pairs}")]
+    if args.window == "fixed" and args.half_width is not None:
+        limits.append((2 * args.half_width + 1, f"--half-width {args.half_width}"))
+    for states, flag in limits:
+        if levels > states:
+            raise CliError(f"{levels} levels ({source}) exceed the {states} charge states"
+                           f" of {flag}")
 
 
 def _check_offsets(offsets, pairs: int, flag: str) -> None:
@@ -272,11 +290,7 @@ def _cmd_sweep(args):
 
     name = args.command
     levels = getattr(args, "levels", 1)
-    if args.window == "fixed" and args.half_width is not None:
-        states = 2 * args.half_width + 1
-        if levels > states:
-            raise CliError(f"--levels {levels} exceeds the {states} charge states of"
-                           f" --half-width {args.half_width}")
+    _check_levels(args, levels, "--levels")
     params = _circuit(args.pairs, args.ejec, 1.0, max(abs(args.start), abs(args.stop)),
                       {"coupling": "--ejec", "diagonal": "--from/--to"})
     grid = _grid_from(args)
@@ -304,6 +318,7 @@ def _cmd_curvature(args):
     from . import observables
 
     policy = _policy_from(args)
+    _check_levels(args, 2 if args.kind == "dispersion" else 1, f"--kind {args.kind}")
     ratios = args.values
     rows = {"curvature": [], "reference": [], "ratio": []}
     fn = getattr(observables, f"{args.kind}_curvature")

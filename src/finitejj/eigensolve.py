@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -40,7 +41,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CapacityError, ConvergenceError, NearDegenerateWarning
+from .errors import (CapacityError, ConvergenceError, NearDegenerateWarning,
+                     WindowConvergenceError)
 from .hamiltonian import DENSE_LIMIT, TridiagonalHamiltonian
 from .model import coupling_bound
 
@@ -200,13 +202,33 @@ def lowest_eigenvalues(h: TridiagonalHamiltonian, k: int) -> Spectrum:
     return Spectrum(pairs, h.dim)
 
 
+def _outside_rooms(h: TridiagonalHamiltonian, x: float, b_max: float):
+    """(corner, b_edge, kappa, dist) past each window end, or None without the room.
+
+    Past a coupled end a_out - x > 2 b_max must hold.  Then n_g does not lie
+    beyond that end (the window's values would exceed a_out - 2 b_max), the
+    diagonal grows away from the window, and every outside pivot of the full
+    operator minus x stays above kappa = a_out - x - b_max.  ``dist`` is the
+    first outside charge's distance from n_g.  A basis end (b_edge = 0) needs
+    nothing.
+    """
+    center = h.params.n_half + h.params.n_g
+    sides = []
+    for corner, a_out, b_edge, end in zip((0, -1), *h.outside(), (h.k_lo - 1, h.k_lo + h.dim)):
+        room = (a_out - x) / _SLACK
+        if b_edge and room <= 2.0 * b_max:
+            return None
+        sides.append((corner, float(b_edge), max(room - b_max, b_max), abs(end - center)))
+    return sides
+
+
 def window_certificate(h: TridiagonalHamiltonian, spectrum: Spectrum) -> list[float] | None:
     """Radii r_j within which the window's values v_j are the full operator's lowest, or None.
 
     The full count below x is at least the window's (Cauchy interlacing), so
     count(v_j + rho_j) >= j + 1 bounds eigenvalue j from above.  Where the
-    parabola dominates outside the window, a_out - x >= 2 b_max past each end,
-    the Schur complement onto the window lowers each corner by at most
+    parabola dominates outside the window (``_outside_rooms``), the Schur
+    complement onto the window lowers each corner by at most
     b_edge^2 / (a_out - x - b_max); the lowered window's count bounds the full
     count from above, and count(v_j - rho_j) <= j bounds eigenvalue j from
     below.  rho_j covers the counts' backward error (Kahan 1966; Demmel,
@@ -218,19 +240,165 @@ def window_certificate(h: TridiagonalHamiltonian, spectrum: Spectrum) -> list[fl
     norm = h.coefficient_bounds()[1] + 2.0 * b_max
     rho = [4.0 * _EPS * (norm + abs(v)) for v in values]
     x = max(v - r for v, r in zip(values, rho))
+    sides = _outside_rooms(h, x, b_max)
+    if sides is None:
+        return None
     lowered = h.diag.copy()
-    for corner, a_out, b_edge in zip((0, -1), *h.outside()):
-        room = (a_out - x) / _SLACK
-        if b_edge and room < 2.0 * b_max:
-            return None
-        # A basis end (b_edge = 0) lowers nothing, whatever its room.
-        lowered[corner] -= b_edge * b_edge / max(room - b_max, b_max) * _SLACK
+    for corner, b_edge, kappa, _ in sides:
+        lowered[corner] -= b_edge * b_edge / kappa * _SLACK
     pivmin = _pivmin(b_max)
     for j, (v, r) in enumerate(zip(values, rho)):
         if (_count_below(lowered, h.off, v - r, pivmin) > j
                 or eigenvalue_count_below(h, v + r, pivmin) < j + 1):
             return None
     return [2.0 * r for r in rho]
+
+
+def _moment(q: float, power: int) -> float:
+    """sum_i (1 + i)^power q^(2 i) for power 0, 1, 2."""
+    x = q * q
+    return (1.0 / (1.0 - x), 1.0 / (1.0 - x) ** 2, (1.0 + x) / (1.0 - x) ** 3)[power]
+
+
+@dataclass(frozen=True)
+class EdgeBound:
+    """What a certified window proves of the full operator's level-j vector psi.
+
+    ``sin_theta`` bounds the angle between the window's vector phi and the
+    window part of psi.  Past each coupled end (``sides``: corner, b_edge, t,
+    q, kappa, dist) |psi| is at most t q^i at the i-th charge out.  ``gap``
+    bounds the full level's distance to every other level from below, and
+    ``shift`` the distance between the full value and the window's exact one.
+    ``ng`` is n_g in the window's local charges.
+    """
+
+    sin_theta: float
+    gap: float
+    shift: float
+    sides: tuple
+    ng: float
+
+    def tail(self, a: np.ndarray, power: int, spread: float = 0.0) -> float:
+        """Bound on the sum over outside charges of |n - m|^power psi^2.
+
+        ``a`` holds n - c on the window and |c - m| <= ``spread``, so the i-th
+        charge out lies within A + i of m, A = |a_corner| + 1 + spread >= 1,
+        and (A + i)^p <= A^p (1 + i)^p.
+        """
+        return sum(t * t * (abs(a[corner]) + 1.0 + spread) ** power * _moment(q, power)
+                   for corner, _, t, q, _, _ in self.sides)
+
+
+def edge_bound(h: TridiagonalHamiltonian, spectrum: Spectrum, radii: list[float],
+               vector: np.ndarray, level: int = 0) -> EdgeBound | None:
+    """The truncation lemma for level j of a window whose levels 0..j+1 are certified.
+
+    ``radii`` come from ``window_certificate(h, spectrum)``.  With
+    E_j <= v_j + r_j, the Schur complement onto the window lowers each corner
+    by some sigma in [0, s], s = b_edge^2 / (a_out - E_j - b_max): the window
+    part of psi is the level-j vector of T - diag(sigma), whose levels j -+ 1
+    stay beyond v_{j-1} + r_{j-1} and v_{j+1} - r_{j+1}.  So (Davis & Kahan
+    1970) sin theta <= ||(s_lo phi_0, s_hi phi_end)|| / gap, and along the way
+    from T to T - diag(sigma) the value moves by at most
+    sum s (|phi_corner| + sqrt(2) sin theta)^2.  Outside, psi starts at most at
+    |b_edge psi_edge| / (a_out - E_j - b_max) and shrinks by at least
+    q = b_max / (a_out - E_j - b_max) per charge.  None without the room.
+    Where the window gap is no wider than the radii, which grow with the
+    window, no window proves the vector: WindowConvergenceError.
+    """
+    values, j = spectrum.values.tolist(), level
+    if j + 1 >= len(values):
+        return None
+    up = values[j] + radii[j]
+    gap = values[j + 1] - radii[j + 1] - up
+    if j:
+        gap = min(gap, values[j] - radii[j] - values[j - 1] - radii[j - 1])
+    if not gap > 0.0:
+        raise WindowConvergenceError(f"level {j} and a neighbour lie within their radii at"
+                                     f" n_g = {h.params.n_g:g}; no window proves its vector",
+                                     achieved=gap)
+    b_max = coupling_bound(h.params.e_j, h.params.n_half) * _SLACK
+    rooms = _outside_rooms(h, up, b_max)
+    if rooms is None:
+        return None
+    lowering = [b * b / kappa * _SLACK for _, b, kappa, _ in rooms]
+    sin_theta = math.hypot(*(s * vector[room[0]] for room, s in zip(rooms, lowering))) / gap
+    shift, sides = 0.0, []
+    for (corner, b, kappa, dist), s in zip(rooms, lowering):
+        edge = abs(vector[corner]) + math.sqrt(2.0) * sin_theta
+        shift += s * edge * edge
+        if b:
+            sides.append((corner, b, abs(b) * edge / kappa, b_max / kappa, kappa, dist))
+    ng = h.params.n_half + h.params.n_g - h.k_lo
+    return EdgeBound(sin_theta, gap, shift, tuple(sides), ng)
+
+
+def imbalance_bound(edge: EdgeBound, a: np.ndarray, vector: np.ndarray) -> float:
+    """Bound on |<n>_full - <n>_window| for the window vector phi and a = n - <n>_window.
+
+    The window part of psi is alpha (cos t phi + sin t w), w a unit vector
+    orthogonal to phi and alpha <= 1, so <n>_full - c is
+    alpha^2 (2 sin t cos t <a phi, w> + sin^2 t <w, a w>) plus the outside sum
+    of (n - c) psi^2.
+    """
+    st = edge.sin_theta
+    return (2.0 * st * float(np.linalg.norm(a * vector))
+            + st * st * float(np.max(np.abs(a))) + edge.tail(a, 1))
+
+
+def response_bound(edge: EdgeBound, a: np.ndarray, vector: np.ndarray,
+                   x: np.ndarray) -> tuple[float, float]:
+    """(bound on |S_full - S_window|, bound on ||rho||) for S = <a phi, x>, x = R a phi.
+
+    For any z orthogonal to psi and f = (n - m) psi, S = 2 <f, z> -
+    <z, (H - E) z> + <rho, R rho> with rho = f - (H - E) z (Hylleraas), and
+    |<rho, R rho>| <= ||rho||^2 / gap.  With z the window's x, zero outside,
+    and S_window = <x, (T - v) x>: S - S_window = 2 <psi_W - phi, (n - m) x>
+    + (E - v) ||x||^2 + <rho, R rho>, where rho = (n - m) psi - a phi - b_edge
+    x_edge (past each end) - (v - E) x.
+    """
+    bn = imbalance_bound(edge, a, vector)
+    d = math.sqrt(2.0) * edge.sin_theta + edge.tail(a, 0)  # ||psi_W - phi||
+    norm = float(np.linalg.norm(x))
+    rho = ((float(np.max(np.abs(a))) + bn) * d + math.sqrt(edge.tail(a, 2, bn)) + bn
+           + math.hypot(*(b * x[corner] for corner, b, *_ in edge.sides)) + edge.shift * norm)
+    bound = (2.0 * d * (float(np.linalg.norm(a * x)) + bn * norm) + edge.shift * norm * norm
+             + rho * rho / edge.gap)
+    return bound, rho
+
+
+def fourth_order_bound(edge: EdgeBound, a: np.ndarray, vector: np.ndarray, x1: np.ndarray,
+                       s0: float, x2: np.ndarray) -> tuple[float, float]:
+    """(bound on |E4_full - E4_window|, on ||rho2||), E4 = S_0 ||x1||^2 - <r2, R r2>.
+
+    r2 = a x1 - S_0 psi, and rho2 = r2_full - (H - E) x2 for the window's x2.
+
+    ||x1_full - x1|| <= ||rho|| / gap + ||psi_W - phi|| ||x1|| bounds the first
+    term's change; the second is ``response_bound``'s identity again, with
+    source r2 and z the window's x2 = R r2.  Outside, x1_full solves
+    (H - E) x = (n - m) psi - b_edge x1_edge; with k_i = a_i - E - 2 b_max
+    >= k_0, sum k_i x_i^2 <= ||source||^2 / k_0, and (n - n_g)^2 = a_i / E_C
+    <= k_i dist^2 / k_0 bounds its charge-weighted norm.
+    """
+    b_s, rho = response_bound(edge, a, vector, x1)
+    bn = imbalance_bound(edge, a, vector)
+    tail = edge.tail(a, 0)
+    d = math.sqrt(2.0) * edge.sin_theta + tail
+    n1, n2 = float(np.linalg.norm(x1)), float(np.linalg.norm(x2))
+    b_x = rho / edge.gap + d * n1
+    first = b_s * (n1 + b_x) ** 2 + abs(s0) * b_x * (2.0 * n1 + b_x)
+    r2_window = (float(np.max(np.abs(a))) + bn) * b_x + bn * n1 + b_s + abs(s0) * d
+    offset = abs(edge.ng + a[0]) + bn  # |n_g - m|
+    outside = abs(s0) * math.sqrt(tail)
+    for corner, b, t, q, kappa, dist in edge.sides:
+        k0 = kappa - q * kappa
+        source = (t * (abs(a[corner]) + 1.0 + bn) * math.sqrt(_moment(q, 2))
+                  + abs(b) * (abs(x1[corner]) + b_x))
+        outside += source / k0 * (dist + offset)
+    rho2 = (r2_window + outside + math.hypot(*(b * x2[corner] for corner, b, *_ in edge.sides))
+            + edge.shift * n2)
+    second = 2.0 * r2_window * n2 + edge.shift * n2 * n2 + rho2 * rho2 / edge.gap
+    return first + second, rho2
 
 
 def _with_vector(h: TridiagonalHamiltonian, value: float, v: np.ndarray) -> EigenPair:
@@ -242,15 +410,18 @@ def _with_vector(h: TridiagonalHamiltonian, value: float, v: np.ndarray) -> Eige
     return EigenPair(value=value, vector=v, residual=residual)
 
 
-def eigenpair(h: TridiagonalHamiltonian, level: int = 0) -> EigenPair:
+def eigenpair(h: TridiagonalHamiltonian, level: int = 0,
+              spectrum: Spectrum | None = None) -> EigenPair:
     """Eigenpair ``level``: certified value plus its inverse-iteration vector.
 
-    The vector is sign-normalized so its largest-magnitude component is
-    positive; with all couplings negative the ground vector then comes out
-    componentwise positive (Perron-Frobenius).  Warns when a neighbouring
-    level lies within 40 eps ||H||, where the vector is ill-conditioned.
+    ``spectrum`` is ``lowest_eigenvalues(h, min(level + 2, h.dim))`` when the
+    caller has it already.  The vector is sign-normalized so its
+    largest-magnitude component is positive; with all couplings negative the
+    ground vector then comes out componentwise positive (Perron-Frobenius).
+    Warns when a neighbouring level lies within 40 eps ||H||, where the vector
+    is ill-conditioned.
     """
-    pairs = lowest_eigenvalues(h, min(level + 2, h.dim)).pairs
+    pairs = (spectrum or lowest_eigenvalues(h, min(level + 2, h.dim))).pairs
     value = pairs[level].value
     gap = min([abs(p.value - value) for p in pairs if p is not pairs[level]], default=np.inf)
     dmin, dmax, off_max = h.coefficient_bounds()
@@ -276,8 +447,8 @@ def eigenpair(h: TridiagonalHamiltonian, level: int = 0) -> EigenPair:
     return _with_vector(h, value, vectors[:, 0])
 
 
-def _reduced_resolvent(h: TridiagonalHamiltonian, level: int):
-    """(psi, a, solve) of level m: its vector, a = n - <n>, and phi -> R phi.
+def _reduced_resolvent(h: TridiagonalHamiltonian, level: int, pair: EigenPair | None = None):
+    """(psi, a, solve) of level m (``pair``, if given): its vector, a = n - <n>, and phi -> R phi.
 
     R is (H - E_m)^-1 on the complement of psi (Sternheimer, Phys. Rev. 96,
     951, 1954), for phi orthogonal to psi.  The solve drops the row and
@@ -287,7 +458,7 @@ def _reduced_resolvent(h: TridiagonalHamiltonian, level: int):
     window's first state, which keeps a free of cancellation at large n_g.
     A one-state window has no other states, so there R is 0.
     """
-    pair = eigenpair(h, level)
+    pair = pair or eigenpair(h, level)
     v = pair.vector
     n = np.arange(h.dim, dtype=float)
     a = n - np.dot(n, v * v)
@@ -311,30 +482,31 @@ def _reduced_resolvent(h: TridiagonalHamiltonian, level: int):
     return v, a, solve
 
 
-def charge_response(h: TridiagonalHamiltonian, level: int = 0) -> float:
-    """Static charge response S_m = sum_{k != m} |<k|n|m>|^2 / (E_k - E_m) of a level.
+def charge_response(h: TridiagonalHamiltonian, level: int = 0, pair: EigenPair | None = None):
+    """(S_m, psi, a, x, solve): the static charge response of a level and its vectors.
 
-    phi . R phi for phi = (n - <n>) psi_m: one tridiagonal solve.
+    S_m = sum_{k != m} |<k|n|m>|^2 / (E_k - E_m) = <a psi, x> with
+    x = R a psi, one tridiagonal solve; ``pair`` is the level's eigenpair if
+    the caller has it, and the rest is ``_reduced_resolvent``'s.
     """
-    v, a, solve = _reduced_resolvent(h, level)
+    v, a, solve = _reduced_resolvent(h, level, pair)
     phi = a * v
-    return float(np.dot(phi, solve(phi)))
+    x = solve(phi)
+    return float(np.dot(phi, x)), v, a, x, solve
 
 
-def fourth_order_terms(h: TridiagonalHamiltonian) -> tuple[float, float]:
-    """The two terms whose difference is the ground state's E^(4) in V = n.
+def fourth_order_terms(h: TridiagonalHamiltonian, pair: EigenPair | None = None):
+    """(first, second, x2, response): first - second is the ground state's E^(4) in V = n.
 
     By Wigner's 2n+1 rule: the first-order state is -x1 with x1 = R a psi_0,
     the second-order state x2 = R r2 with r2 = a x1 - S_0 psi_0, and
     E^(4) = S_0 |x1|^2 - r2 . x2, where S_0 = a psi_0 . x1.  Two solves with
-    one decoupled matrix.
+    one decoupled matrix; ``response`` is ``charge_response``'s tuple.
     """
-    v, a, solve = _reduced_resolvent(h, 0)
-    phi = a * v
-    x1 = solve(phi)
-    s0 = float(np.dot(phi, x1))
+    s0, v, a, x1, solve = response = charge_response(h, 0, pair)
     r2 = a * x1 - s0 * v
-    return s0 * float(np.dot(x1, x1)), float(np.dot(r2, solve(r2)))
+    x2 = solve(r2)
+    return s0 * float(np.dot(x1, x1)), float(np.dot(r2, x2)), x2, response
 
 
 def dense_all(h: TridiagonalHamiltonian) -> Spectrum:

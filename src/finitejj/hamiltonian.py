@@ -17,8 +17,6 @@ at any island size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CapacityError
@@ -26,9 +24,6 @@ from .model import ARRAY_LIMIT, CircuitParams
 
 # Largest dimension for dense (matrix) materialization.
 DENSE_LIMIT = 4001
-
-_LATTICE_TOL = 1e-9
-
 
 class TridiagonalHamiltonian:
     """Symmetric tridiagonal operator over a charge window, held as two arrays.
@@ -128,39 +123,3 @@ def build(params: CircuitParams, half_width: int | None = None) -> TridiagonalHa
     two_n = params.pairs_total
     k_c = min(max(round(params.n_g + params.n_half), 0), two_n)
     return TridiagonalHamiltonian(params, max(k_c - half_width, 0), min(k_c + half_width, two_n))
-
-
-@dataclass(frozen=True)
-class SpinMatrices:
-    """Dense spin-N matrices in the charge basis, ordered by increasing n."""
-
-    sx: np.ndarray
-    sy: np.ndarray
-    sz: np.ndarray
-
-
-def spin_matrices(n_half: float) -> SpinMatrices:
-    """Spin components whose ladder structure generates the couplings.
-
-    s_z is diag(n); the raising operator carries sqrt(N(N+1) - n(n+1))
-    between neighbors, and s_x, s_y follow from the ladder combination.
-    With basis ordered by increasing n, reversing the basis of the N = 1/2
-    matrices recovers the conventional half-Pauli triple.
-    """
-    two_n = int(round(2 * n_half))
-    if abs(2 * n_half - two_n) > _LATTICE_TOL or two_n < 1:
-        raise ValueError(f"2*n_half must be a positive integer, got {2 * n_half}")
-    dim = two_n + 1
-    if dim > DENSE_LIMIT:
-        raise CapacityError(f"dim {dim} exceeds dense limit {DENSE_LIMIT}")
-    n = np.arange(dim, dtype=float) - n_half
-    ladder = np.sqrt((n_half - n[:-1]) * (n_half + n[:-1] + 1.0))
-    s_plus = np.zeros((dim, dim), dtype=complex)
-    s_plus[np.arange(1, dim), np.arange(dim - 1)] = ladder
-    s_minus = s_plus.conj().T
-    return SpinMatrices(
-        sx=0.5 * (s_plus + s_minus),
-        sy=(s_plus - s_minus) / 2j,
-        sz=np.diag(n).astype(complex),
-    )
-

@@ -26,8 +26,7 @@ _HALF_INT_TOL = 1e-9
 MAX_PAIRS_TOTAL = 2**53
 # Largest dimension of an operator: its two coefficient arrays.
 ARRAY_LIMIT = 1 << 26
-# Adaptive charge windows: relative settling tolerance and half-width cap.
-DEFAULT_WINDOW_RTOL = 1e-9
+# Half-width cap of the adaptive charge windows.
 DEFAULT_W_MAX = 1 << 22
 
 

@@ -10,11 +10,13 @@ from the ground state's fourth-order energy
 
 Large islands are handled through charge windows: the low-energy states are
 exponentially localized around the offset charge, so a window of a few dozen
-charge states around round(n_g) reproduces full-basis answers to near machine
-precision.  Adaptive and full mode double the half-width until
-``eigensolve.window_certificate`` proves a window's eigenvalues the whole
-basis's; other observables settle under adaptive and use the whole basis
-under full.
+charge states around round(n_g) holds the whole basis's answers.  Adaptive
+and full mode double the half-width, building each window once for every
+quantity still open, and stop each quantity at the first window that proves
+it: eigenvalues once ``eigensolve.window_certificate`` closes, <n>, chi and
+the curvatures once the truncation bounds built on ``eigensolve.edge_bound``
+are below ``_TARGET`` of their own rounding scale.  A window that holds the
+whole basis is exact.
 
 Results are values and ``SweepTable`` containers; this module writes no
 files (the CLI is the only artifact writer).
@@ -29,27 +31,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, RegimeWarning, WindowConvergenceError
-from .eigensolve import (charge_response, eigenpair, fourth_order_terms, lowest_eigenvalues,
+from .eigensolve import (charge_response, edge_bound, eigenpair, fourth_order_bound,
+                         fourth_order_terms, imbalance_bound, lowest_eigenvalues, response_bound,
                          window_certificate)
 from .hamiltonian import TridiagonalHamiltonian, build
-from .model import DEFAULT_W_MAX, DEFAULT_WINDOW_RTOL, CircuitParams
+from .model import DEFAULT_W_MAX, CircuitParams
+
+# A windowed answer is the whole basis's once its truncation bound is below
+# this fraction of its rounding scale: one charge for <n>, |a psi| |x| for a
+# response S = <a psi, x>, and the larger of the two terms that cancel in E4.
+_TARGET = 2.0**-50
 
 
 @dataclass(frozen=True)
 class WindowPolicy:
     """How to restrict the charge basis before solving.
 
-    mode "full" gives the whole basis's answers, eigenvalues proven on a
-    window; "fixed" uses one half-width; "adaptive" starts from ``w_initial``
-    (default: four charge-state standard deviations of the localized ground
-    state, at least 16) and doubles until the eigenvalues are proven as in
-    full mode, or until any other observable changes by less than ``rtol``,
-    or ``w_max`` is hit.
+    mode "fixed" solves one window of ``half_width`` and proves nothing.
+    "adaptive" and "full" give the whole basis's answers: they start from
+    ``w_initial`` (default: four charge-state standard deviations of the
+    localized ground state, at least 16) and double the half-width until
+    every quantity is proven on a window (see ``_solve_windowed``).  They
+    differ only in the cap: adaptive stops at ``w_max``, full at the
+    operator limit.
     """
 
     mode: str = "adaptive"
     half_width: int | None = None
-    rtol: float = DEFAULT_WINDOW_RTOL
     w_initial: int | None = None
     w_max: int = DEFAULT_W_MAX
 
@@ -60,8 +68,6 @@ class WindowPolicy:
             raise ValueError("fixed mode needs a non-negative half_width")
         if self.w_initial is not None and self.w_initial < 4:
             raise ValueError("w_initial must be at least 4")
-        if self.mode == "adaptive" and not self.rtol > 0:
-            raise ValueError("adaptive mode needs rtol > 0")
 
     @classmethod
     def full(cls) -> "WindowPolicy":
@@ -72,13 +78,8 @@ class WindowPolicy:
         return cls(mode="fixed", half_width=half_width)
 
     @classmethod
-    def adaptive(
-        cls,
-        rtol: float = DEFAULT_WINDOW_RTOL,
-        w_initial: int | None = None,
-        w_max: int = DEFAULT_W_MAX,
-    ) -> "WindowPolicy":
-        return cls(mode="adaptive", rtol=rtol, w_initial=w_initial, w_max=w_max)
+    def adaptive(cls, w_initial: int | None = None, w_max: int = DEFAULT_W_MAX) -> "WindowPolicy":
+        return cls(mode="adaptive", w_initial=w_initial, w_max=w_max)
 
 
 DEFAULT_POLICY = WindowPolicy()
@@ -94,42 +95,28 @@ def initial_half_width(params: CircuitParams) -> int:
     return max(16, math.ceil(min(8.0 * sigma, params.pairs_total)))
 
 
-def _solve_windowed(params, policy, compute, abs_floor=0.0, min_half_width=0, levels=0):
-    """Run ``compute`` under the window policy: one window if fixed, else doubling W.
+def _solve_windowed(params, policy, columns, min_half_width=0):
+    """Each of ``columns``' values under the window policy: one window if fixed, else doubling W.
 
-    ``compute(h)`` maps a window operator to the value; with ``levels`` it maps
-    the spectrum of the window's lowest values instead.  Full mode without
-    ``levels`` solves the whole basis.  Every other walk starts at
+    ``column(h, check)`` maps a window operator to its value; with ``check``
+    it returns None unless the window proves the value the whole basis's.  A
+    fixed window is solved once, unchecked.  Every other walk starts at
     ``w_initial`` (default ``initial_half_width``), or ``min_half_width`` if
-    larger, and doubles W.  With ``levels`` it stops at the first window that
-    ``eigensolve.window_certificate`` proves; without, at the first pair of
-    widths W and 2W with |f(2W) - f(W)| <= rtol * max(|f|) + abs_floor.  A
-    window that swallows the whole basis is exact and stops either walk.
+    larger, builds each window once for the columns still open, and doubles
+    W; a window that swallows the whole basis is exact and closes them all.
     Adaptive mode raises at ``w_max``; full mode only at the operator limit.
     """
     if policy.mode == "fixed":
         h = build(params, policy.half_width)
-        return compute(lowest_eigenvalues(h, levels) if levels else h)
-    if policy.mode == "full" and not levels:
-        return compute(build(params))
+        return [column(h, False) for column in columns]
+    values = [None] * len(columns)
     w = max(policy.w_initial or initial_half_width(params), min_half_width)
-    previous = None
     while True:
         h = build(params, w)
-        if levels:
-            spectrum = lowest_eigenvalues(h, levels)
-            if h.is_full_window or window_certificate(h, spectrum) is not None:
-                return compute(spectrum)
-        else:
-            value = compute(h)
-            if h.is_full_window:
-                return value
-            if previous is not None:
-                scale = float(np.max(np.abs([value, previous])))
-                change = float(np.max(np.abs(np.asarray(value) - np.asarray(previous))))
-                if change <= policy.rtol * scale + abs_floor:
-                    return value
-            previous = value
+        values = [column(h, not h.is_full_window) if value is None else value
+                  for column, value in zip(columns, values)]
+        if all(value is not None for value in values):
+            return values
         if policy.mode == "adaptive" and w >= policy.w_max:
             raise WindowConvergenceError(
                 f"window not converged at half-width cap {policy.w_max}",
@@ -138,38 +125,77 @@ def _solve_windowed(params, policy, compute, abs_floor=0.0, min_half_width=0, le
         w = 2 * w if policy.mode == "full" else min(2 * w, policy.w_max)
 
 
+def _eigenvalues(levels: int):
+    """Column of the window's lowest ``levels`` values, proven by ``window_certificate``."""
+
+    def column(h: TridiagonalHamiltonian, check: bool):
+        spectrum = lowest_eigenvalues(h, levels)
+        if check and window_certificate(h, spectrum) is None:
+            return None
+        return spectrum.values
+
+    return column
+
+
+def _level(h: TridiagonalHamiltonian, level: int, check: bool):
+    """(eigenpair, edge) of a level; with ``check``, edge is ``eigensolve.edge_bound``.
+
+    The edge is None where the window does not prove levels 0..level+1.
+    """
+    spectrum = lowest_eigenvalues(h, min(level + 2, h.dim))
+    pair = eigenpair(h, level, spectrum)
+    radii = check and window_certificate(h, spectrum)
+    return pair, radii and edge_bound(h, spectrum, radii, pair.vector, level)
+
+
+def _imbalance(h: TridiagonalHamiltonian, check: bool):
+    pair, edge = _level(h, 0, check)
+    v = pair.vector
+    if check:
+        n = np.arange(h.dim, dtype=float)
+        if not edge or imbalance_bound(edge, n - np.dot(n, v * v), v) > _TARGET:
+            return None
+    return float(np.dot(h.charges(), v * v))
+
+
+def _response(h: TridiagonalHamiltonian, level: int, check: bool):
+    """S_m of a level, or None where ``check`` finds no bound below _TARGET |a psi| |x|."""
+    pair, edge = _level(h, level, check)
+    if check and not edge:
+        return None
+    s, v, a, x, _ = charge_response(h, level, pair)
+    scale = float(np.linalg.norm(a * v) * np.linalg.norm(x))
+    if check and response_bound(edge, a, v, x)[0] > _TARGET * scale:
+        return None
+    return s
+
+
+def _chi(params: CircuitParams):
+    def column(h: TridiagonalHamiltonian, check: bool):
+        s = _response(h, 0, check)
+        return None if s is None else 4.0 * params.e_c * s
+
+    return column
+
+
 def qubit_frequency(params: CircuitParams, policy: WindowPolicy = DEFAULT_POLICY) -> float:
     """First spectral gap E_1 - E_0 under the window policy."""
-
-    def gap(spectrum) -> float:
-        return spectrum.pairs[1].value - spectrum.pairs[0].value
-
-    return _solve_windowed(params, policy, gap, levels=2)
+    (values,) = _solve_windowed(params, policy, [_eigenvalues(2)])
+    return values[1] - values[0]
 
 
 def expected_imbalance(params: CircuitParams, policy: WindowPolicy = DEFAULT_POLICY) -> float:
     """Ground-state charge imbalance <n> = sum_n n |psi_0(n)|^2."""
-
-    def imbalance(h: TridiagonalHamiltonian) -> float:
-        v = eigenpair(h).vector
-        return float(np.dot(h.charges(), v * v))
-
-    floor = 1e-12 * max(1.0, abs(params.n_g))
-    return _solve_windowed(params, policy, imbalance, abs_floor=floor)
+    return _solve_windowed(params, policy, [_imbalance])[0]
 
 
 def charge_susceptibility(params: CircuitParams, policy: WindowPolicy = DEFAULT_POLICY) -> float:
     """Exact d<n>/dn_g = 4 E_C sum_{m>0} |<m|n|0>|^2 / (E_m - E_0).
 
     First-order perturbation theory in dH/dn_g = -2 E_C (n - n_g), from one
-    tridiagonal solve per window; the window policy checks chi itself.
+    tridiagonal solve per window, each checked by ``eigensolve.response_bound``.
     """
-
-    def chi(h: TridiagonalHamiltonian) -> float:
-        return 4.0 * params.e_c * charge_response(h)
-
-    # chi -> 0 in saturation, where a relative settling test alone can stall.
-    return _solve_windowed(params, policy, chi, abs_floor=1e-12)
+    return _solve_windowed(params, policy, [_chi(params)])[0]
 
 
 @dataclass(frozen=True)
@@ -219,24 +245,25 @@ def dispersion_curvature(
 
     Second-order perturbation theory gives E_m'' = 2 E_C - 8 E_C^2 S_m, so
     the gap curves by 8 E_C^2 (S_0 - S_1), from one response solve around
-    each of the two lowest levels per window.  Referenced against the
-    large-island transmon value -sqrt(2 E_C E_J) / (2 N^2).  S_0 and S_1 are
-    each about 1/(4 E_C) in the transmon regime and cancel: a curvature
-    below 1e-9 of 8 E_C^2 max(|S_0|, |S_1|) raises ConvergenceError.
+    each of the two lowest levels per window, each checked by
+    ``eigensolve.response_bound``.  Referenced against the large-island
+    transmon value -sqrt(2 E_C E_J) / (2 N^2).  S_0 and S_1 are each about
+    1/(4 E_C) in the transmon regime and cancel: a curvature below 1e-9 of
+    8 E_C^2 max(|S_0|, |S_1|) raises ConvergenceError.
     """
     _warn_outside_transmon(params, "dispersion")
-    terms = []
 
-    def curvature(h: TridiagonalHamiltonian) -> float:
+    def curvature(h: TridiagonalHamiltonian, check: bool):
         if h.dim < 2:
             raise ValueError("dispersion curvature needs at least two charge states")
-        s0, s1 = charge_response(h, 0), charge_response(h, 1)
-        terms.append(8.0 * params.e_c**2 * max(abs(s0), abs(s1)))
-        return 8.0 * params.e_c**2 * (s0 - s1)
+        s0, s1 = (_response(h, level, check) for level in (0, 1))
+        if s0 is None or s1 is None:
+            return None
+        return 8.0 * params.e_c**2 * (s0 - s1), 8.0 * params.e_c**2 * max(abs(s0), abs(s1))
 
-    value = _solve_windowed(params.with_ng(0.0), policy, curvature, abs_floor=1e-12 * params.e_c)
+    (value, terms), = _solve_windowed(params.with_ng(0.0), policy, [curvature])
     reference = -math.sqrt(2.0 * params.e_c * params.e_j) / (2.0 * params.n_half**2)
-    return CurvatureResult(value=_resolved("dispersion", params, value, terms[-1]),
+    return CurvatureResult(value=_resolved("dispersion", params, value, terms),
                            reference=reference)
 
 
@@ -248,21 +275,25 @@ def susceptibility_curvature(
     chi = 1 - E_0''/(2 E_C), so d^2 chi/dn_g^2 = -E_0''''/(2 E_C) = -(12/E_C) E4,
     where E4 is the ground state's fourth-order energy in
     dH/dn_g = -2 E_C (n - n_g): (2 E_C)^4 times the one in n, which takes two
-    response solves per window.  E4 is the difference of two terms; a
-    curvature below 1e-9 of the larger, in the same units, raises
-    ConvergenceError.
+    response solves per window, checked by ``eigensolve.fourth_order_bound``.
+    E4 is the difference of two terms; a curvature below 1e-9 of the larger,
+    in the same units, raises ConvergenceError.
     """
     _warn_outside_transmon(params, "susceptibility")
-    terms = []
 
-    def curvature(h: TridiagonalHamiltonian) -> float:
-        first, second = fourth_order_terms(h)
-        terms.append(192.0 * params.e_c**3 * max(abs(first), abs(second)))
-        return -192.0 * params.e_c**3 * (first - second)
+    def curvature(h: TridiagonalHamiltonian, check: bool):
+        pair, edge = _level(h, 0, check)
+        if check and not edge:
+            return None
+        first, second, x2, (s0, v, a, x1, _) = fourth_order_terms(h, pair)
+        terms = max(abs(first), abs(second))
+        if check and fourth_order_bound(edge, a, v, x1, s0, x2)[0] > _TARGET * terms:
+            return None
+        return -192.0 * params.e_c**3 * (first - second), 192.0 * params.e_c**3 * terms
 
-    value = _solve_windowed(params.with_ng(0.0), policy, curvature, abs_floor=1e-12)
+    (value, terms), = _solve_windowed(params.with_ng(0.0), policy, [curvature])
     reference = -3.0 * params.e_j / (2.0 * params.e_c * params.n_half**4)
-    return CurvatureResult(value=_resolved("susceptibility", params, value, terms[-1]),
+    return CurvatureResult(value=_resolved("susceptibility", params, value, terms),
                            reference=reference)
 
 
@@ -300,8 +331,9 @@ def band_sweep(
 ) -> SweepTable:
     """Tabulate the lowest bands (and optionally <n>, d<n>/dn_g) over a grid.
 
-    ``params.n_g`` is ignored; the grid supplies the offset charge.  Points
-    whose window fails to converge are flagged in the ``converged`` column
+    ``params.n_g`` is ignored; the grid supplies the offset charge.  Each
+    point is one window walk for all its columns.  Points whose window fails
+    to converge are flagged in the ``converged`` column
     and carry NaNs rather than being dropped.
     """
     grid = np.asarray(grid, dtype=float)
@@ -313,30 +345,29 @@ def band_sweep(
         raise ValueError(f"levels {levels} exceeds basis size {params.dim}")
 
     names = [f"E{j}" for j in range(levels)]
+    columns = [_eigenvalues(levels)]
     if include_imbalance:
         names.append("n_expect")
+        columns.append(_imbalance)
     if include_susceptibility:
         names.append("chi")
-    columns = {name: np.full(grid.size, np.nan) for name in names}
+        columns.append(_chi(params))
+    table = {name: np.full(grid.size, np.nan) for name in names}
     flags = np.ones(grid.size)
 
     for i, ng in enumerate(grid):
-        point = params.with_ng(float(ng))
         try:
             # Half-width levels - 1 holds ``levels`` states even at the basis edge.
-            values = _solve_windowed(point, policy, lambda spectrum: spectrum.values,
-                                     min_half_width=levels - 1, levels=levels)
-            if subtract_ground:
-                values = values - values[0]
-            for j in range(levels):
-                columns[f"E{j}"][i] = values[j]
-            if include_imbalance:
-                columns["n_expect"][i] = expected_imbalance(point, policy)
-            if include_susceptibility:
-                columns["chi"][i] = charge_susceptibility(point, policy)
+            values, *others = _solve_windowed(params.with_ng(float(ng)), policy, columns,
+                                              min_half_width=levels - 1)
         except WindowConvergenceError:
             flags[i] = 0.0
-    columns["converged"] = flags
+            continue
+        if subtract_ground:
+            values = values - values[0]
+        for name, value in zip(names, [*values, *others]):
+            table[name][i] = value
+    table["converged"] = flags
 
     meta = {
         "e_j": params.e_j,
@@ -344,10 +375,9 @@ def band_sweep(
         "pairs_total": params.pairs_total,
         "levels": levels,
         "window_mode": policy.mode,
-        "window_rtol": policy.rtol,
         "window_half_width": policy.half_width,
         "window_w_initial": policy.w_initial,
         "window_w_max": policy.w_max,
         "subtract_ground": subtract_ground,
     }
-    return SweepTable(grid=grid, columns=columns, meta=meta)
+    return SweepTable(grid=grid, columns=table, meta=meta)

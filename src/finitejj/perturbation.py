@@ -34,21 +34,6 @@ TRANSMON_RATIO_MIN = 10.0
 
 
 @dataclass(frozen=True)
-class TwoLevelEffective:
-    """Projection onto the two nearly degenerate charge states around n_g."""
-
-    floor_n: float
-    ceil_n: float
-    sigma_x_coeff: float
-    diag: tuple[float, float]
-
-    def gap(self) -> float:
-        """Exact spectral gap of the 2x2 block."""
-        half_split = 0.5 * (self.diag[1] - self.diag[0])
-        return 2.0 * math.hypot(half_split, self.sigma_x_coeff)
-
-
-@dataclass(frozen=True)
 class BogoliubovCoeffs:
     """Affine Bogoliubov rotation diagonalizing the quadratic transmon problem."""
 
@@ -56,33 +41,6 @@ class BogoliubovCoeffs:
     u_minus: float
     u_0: float
     epsilon: float
-
-
-def _basis_floor_ceil(params: CircuitParams) -> tuple[float, float]:
-    """Nearest basis charges below and above n_g (lattice spacing 1)."""
-    n = params.n_half
-    offset = params.n_g + n  # position in units of the lattice, 0 at n = -N
-    nearest = round(offset)
-    if abs(offset - nearest) <= _DEGENERACY_TOL:
-        raise ValueError(
-            f"n_g = {params.n_g} coincides with a basis charge; no two-state degeneracy"
-        )
-    k_floor = math.floor(offset)
-    if k_floor < 0 or k_floor + 1 > params.pairs_total:
-        raise ValueError(f"n_g = {params.n_g} outside the open interval (-N, N)")
-    return k_floor - n, k_floor + 1 - n
-
-
-def cpb_effective(params: CircuitParams) -> TwoLevelEffective:
-    """Two-level reduction in span{|floor(n_g)>, |ceil(n_g)>}."""
-    floor_n, ceil_n = _basis_floor_ceil(params)
-    n = params.n_half
-    coupling = -(params.e_j / (2.0 * n)) * math.sqrt(n * (n + 1.0) - floor_n * ceil_n)
-    diag = (
-        params.e_c * (floor_n - params.n_g) ** 2,
-        params.e_c * (ceil_n - params.n_g) ** 2,
-    )
-    return TwoLevelEffective(floor_n=floor_n, ceil_n=ceil_n, sigma_x_coeff=coupling, diag=diag)
 
 
 def _require_degeneracy_point(params: CircuitParams):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import ConvergenceError, TermBudgetError
+from .errors import TermBudgetError
 
 RAISE = "+"
 LOWER = "-"
@@ -313,24 +313,6 @@ def fock_matrix(p: OperatorPoly, dim: int) -> np.ndarray:
 def fock_oracle(p: OperatorPoly, dim: int) -> complex:
     """(vacuum, vacuum) element of the truncated Fock matrix of ``p``.
 
-    Exact whenever ``dim`` exceeds the polynomial degree; for general use the
-    caller doubles ``dim`` until the value is stable (see
-    :func:`fock_oracle_stable`).
+    Exact whenever ``dim`` exceeds the polynomial degree.
     """
     return complex(fock_matrix(p, dim)[0, 0])
-
-
-def fock_oracle_stable(
-    p: OperatorPoly, dim: int = 16, max_dim: int = 4096, rtol: float = 1e-10
-) -> complex:
-    """Double the Fock truncation until the vacuum element settles to ``rtol``."""
-    value = fock_oracle(p, dim)
-    while dim < max_dim:
-        dim *= 2
-        new = fock_oracle(p, dim)
-        if abs(new - value) <= rtol * max(1.0, abs(new)):
-            return new
-        value = new
-    raise ConvergenceError(
-        f"Fock truncation still unstable at dim {dim} (last value {value})", achieved=dim
-    )

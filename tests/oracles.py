@@ -1,0 +1,114 @@
+"""Oracles that only the tests use: spin matrices, the charge-qubit two-level
+reduction, and a self-stabilising truncated-Fock vacuum element.
+
+Each checks a library path from outside it: the spin ladder generates the
+operator's couplings, the 2x2 block reproduces ``perturbation.cpb_gap``, and
+the Fock truncation is doubled until the vacuum element of a ladder polynomial
+settles.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from finitejj.errors import CapacityError, ConvergenceError
+from finitejj.hamiltonian import DENSE_LIMIT
+from finitejj.model import CircuitParams
+from finitejj.wick import OperatorPoly, fock_oracle
+
+_LATTICE_TOL = 1e-9
+_DEGENERACY_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class SpinMatrices:
+    """Dense spin-N matrices in the charge basis, ordered by increasing n."""
+
+    sx: np.ndarray
+    sy: np.ndarray
+    sz: np.ndarray
+
+
+def spin_matrices(n_half: float) -> SpinMatrices:
+    """Spin components whose ladder structure generates the couplings.
+
+    s_z is diag(n); the raising operator carries sqrt(N(N+1) - n(n+1))
+    between neighbors, and s_x, s_y follow from the ladder combination.
+    With basis ordered by increasing n, reversing the basis of the N = 1/2
+    matrices recovers the conventional half-Pauli triple.
+    """
+    two_n = int(round(2 * n_half))
+    if abs(2 * n_half - two_n) > _LATTICE_TOL or two_n < 1:
+        raise ValueError(f"2*n_half must be a positive integer, got {2 * n_half}")
+    dim = two_n + 1
+    if dim > DENSE_LIMIT:
+        raise CapacityError(f"dim {dim} exceeds dense limit {DENSE_LIMIT}")
+    n = np.arange(dim, dtype=float) - n_half
+    ladder = np.sqrt((n_half - n[:-1]) * (n_half + n[:-1] + 1.0))
+    s_plus = np.zeros((dim, dim), dtype=complex)
+    s_plus[np.arange(1, dim), np.arange(dim - 1)] = ladder
+    s_minus = s_plus.conj().T
+    return SpinMatrices(
+        sx=0.5 * (s_plus + s_minus),
+        sy=(s_plus - s_minus) / 2j,
+        sz=np.diag(n).astype(complex),
+    )
+
+
+@dataclass(frozen=True)
+class TwoLevelEffective:
+    """Projection onto the two nearly degenerate charge states around n_g."""
+
+    floor_n: float
+    ceil_n: float
+    sigma_x_coeff: float
+    diag: tuple[float, float]
+
+    def gap(self) -> float:
+        """Exact spectral gap of the 2x2 block."""
+        half_split = 0.5 * (self.diag[1] - self.diag[0])
+        return 2.0 * math.hypot(half_split, self.sigma_x_coeff)
+
+
+def _basis_floor_ceil(params: CircuitParams) -> tuple[float, float]:
+    """Nearest basis charges below and above n_g (lattice spacing 1)."""
+    n = params.n_half
+    offset = params.n_g + n  # position in units of the lattice, 0 at n = -N
+    nearest = round(offset)
+    if abs(offset - nearest) <= _DEGENERACY_TOL:
+        raise ValueError(
+            f"n_g = {params.n_g} coincides with a basis charge; no two-state degeneracy"
+        )
+    k_floor = math.floor(offset)
+    if k_floor < 0 or k_floor + 1 > params.pairs_total:
+        raise ValueError(f"n_g = {params.n_g} outside the open interval (-N, N)")
+    return k_floor - n, k_floor + 1 - n
+
+
+def cpb_effective(params: CircuitParams) -> TwoLevelEffective:
+    """Two-level reduction in span{|floor(n_g)>, |ceil(n_g)>}."""
+    floor_n, ceil_n = _basis_floor_ceil(params)
+    n = params.n_half
+    coupling = -(params.e_j / (2.0 * n)) * math.sqrt(n * (n + 1.0) - floor_n * ceil_n)
+    diag = (
+        params.e_c * (floor_n - params.n_g) ** 2,
+        params.e_c * (ceil_n - params.n_g) ** 2,
+    )
+    return TwoLevelEffective(floor_n=floor_n, ceil_n=ceil_n, sigma_x_coeff=coupling, diag=diag)
+
+
+def fock_oracle_stable(
+    p: OperatorPoly, dim: int = 16, max_dim: int = 4096, rtol: float = 1e-10
+) -> complex:
+    """Double the Fock truncation until the vacuum element settles to ``rtol``."""
+    value = fock_oracle(p, dim)
+    while dim < max_dim:
+        dim *= 2
+        new = fock_oracle(p, dim)
+        if abs(new - value) <= rtol * max(1.0, abs(new)):
+            return new
+        value = new
+    raise ConvergenceError(
+        f"Fock truncation still unstable at dim {dim} (last value {value})", achieved=dim
+    )

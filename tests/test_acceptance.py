@@ -17,7 +17,7 @@ from conftest import random_poly
 from finitejj import wick
 from finitejj.eigensolve import dense_all, eigenpair, lowest_eigenvalues
 from finitejj.errors import RegimeWarning
-from finitejj.hamiltonian import build, spin_matrices
+from finitejj.hamiltonian import build
 from finitejj.model import ALUMINUM, CircuitParams, validity_min_pairs
 from finitejj.observables import (
     WindowPolicy,
@@ -35,6 +35,7 @@ from finitejj.perturbation import (
     transmon_frequency,
     transmon_susceptibility,
 )
+from oracles import spin_matrices
 
 FULL = WindowPolicy.full()
 

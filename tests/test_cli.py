@@ -411,26 +411,34 @@ def test_parameter_error_names_flag(capsys, monkeypatch):
     assert code == 1
     assert "--bogus" in capsys.readouterr().err
 
-    # The whole basis of imbalance beyond the 2**26-state operator limit is
-    # refused once the first point's certified band walk is done.
-    argv = "imbalance --pairs 2e8 --ejec 50 --from 0 --to 1 --steps 2 --window full"
-    assert main(argv.split()) == 1
-    assert "--window full" in capsys.readouterr().err
-
-    # Other windows beyond the limit, and a too-small start, are refused
-    # before any solve.
+    # Windows beyond the operator limit, a too-small start, window flags the
+    # policy does not read, and more levels than the states they need are
+    # refused before any solve.
     def no_solve(*args, **kwargs):
         raise AssertionError("solver called")
 
     for name in ("lowest_eigenvalues", "eigenpair", "charge_response", "fourth_order_terms"):
         monkeypatch.setattr(observables, name, no_solve)
     for argv, flag in [
-        ("curvature --kind dispersion --pairs 2e8 --values 50 --window full", "--window full"),
         ("bands --pairs 5e8 --ejec 50 --from 0 --to 1 --steps 2 --window fixed "
          "--half-width 4e7", "--half-width"),
         ("transmon-shift --ej-ghz 10 --ec-ghz 0.2 --pairs 5e8 --ng 1e6 --w-initial 4e7 "
          "--w-max 1e8", "--w-max"),
         ("bands --pairs 100 --ejec 1 --from 0 --to 1 --steps 3 --w-initial 2", "--w-initial"),
+        ("bands --pairs 1000 --ejec 50 --from 0 --to 1 --steps 3 --half-width 2", "--half-width"),
+        ("bands --pairs 100 --ejec 1 --from 0 --to 1 --steps 3 --window full --w-initial 2",
+         "--w-initial"),
+        ("bands --pairs 100 --ejec 1 --from 0 --to 1 --steps 3 --window full --w-max 64",
+         "--w-max"),
+        ("bands --pairs 100 --ejec 1 --from 0 --to 1 --steps 3 --window full --half-width 8",
+         "--half-width"),
+        ("curvature --kind dispersion --pairs 60 --window fixed --half-width 8 --w-max 64",
+         "--w-max"),
+        ("bands --pairs 1 --ejec 1 --from 0 --to 1 --steps 3", "--levels"),
+        ("curvature --kind dispersion --pairs 60 --values 50 --window fixed --half-width 0",
+         "--half-width"),
+        ("imbalance --pairs 1000 --ejec 50 --from 0 --to 1 --steps 3 --window-rtol 0.5",
+         "--window-rtol"),
         # A grid past the array limit, and ratios out of order, are refused by the parser.
         ("bands --pairs 10 --ejec 0.2 --from 0 --to 1 --steps 1e16", "--steps"),
         ("bands --pairs 10 --ejec 0.2 --from 0 --to 1 --steps 1e20", "--steps"),
@@ -448,10 +456,9 @@ def test_invalid_range_is_parameter_error(capsys):
     assert "--from" in capsys.readouterr().err
 
 
-def test_full_window_eigenvalues_beyond_the_operator_limit(tmp_path, capsys, monkeypatch):
-    # bands and transmon-shift need eigenvalues only, which full mode proves
-    # on a window; imbalance, susceptibility and curvature solve the whole
-    # basis, which the operator refuses before any response solve.
+def test_full_window_eigenvalues_beyond_the_operator_limit(tmp_path):
+    # Full mode proves every result on a window, so it solves at any 2N and
+    # writes the adaptive policy's numbers.
     import time
 
     from finitejj import eigensolve
@@ -472,14 +479,13 @@ def test_full_window_eigenvalues_beyond_the_operator_limit(tmp_path, capsys, mon
         radii = eigensolve.window_certificate(h, eigensolve.lowest_eigenvalues(h, 2))
         assert abs(full[key] - adaptive[key]) <= 2.0 * sum(radii), key
     assert main("bands --pairs 5e8 --ejec 50 --from 0 --to 1 --steps 3 --window full".split()) == 0
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solver called")
-
-    monkeypatch.setattr(observables, "charge_response", no_solve)
-    argv = "susceptibility --pairs 2e8 --ejec 50 --from 0 --to 1 --steps 2 --window full"
-    assert main(argv.split()) == 1
-    assert "--window full" in capsys.readouterr().err
+    for name in ("imbalance", "susceptibility"):
+        argv = f"{name} --pairs 2e8 --ejec 50 --from 0 --to 1 --steps 2".split()
+        assert main(argv + ["--window", "full", "--output", f"{name}_full.csv"]) == 0
+        assert main(argv + ["--output", f"{name}_adaptive.csv"]) == 0
+        bodies = [(tmp_path / f"{name}_{mode}.csv").read_bytes().split(b"\r\n", 1)[1]
+                  for mode in ("full", "adaptive")]
+        assert bodies[0] == bodies[1], name
 
 
 def test_full_window_without_a_certificate_names_the_flag(capsys, monkeypatch):
@@ -494,11 +500,20 @@ def test_full_window_without_a_certificate_names_the_flag(capsys, monkeypatch):
 
 
 def test_nonconvergence_exit_code(capsys, monkeypatch):
-    # A vector observable capped at its first width never compares two widths.
+    # At half-width 16 the <n> truncation bound is about 1e-11 charge, above
+    # its target, and the cap stops the walk there.
     code = main("imbalance --pairs 5e8 --ejec 50 --from 0 --to 1 --steps 2 "
                 "--w-initial 16 --w-max 16".split())
     assert code == 2
     assert "2 unconverged points" in capsys.readouterr().out
+
+    # At a charge degeneracy whose gap lies within the eigenvalue radii no
+    # window proves <n>, and the radii grow with the window: the point is
+    # flagged at once instead of doubling to the cap.
+    code = main("imbalance --pairs 1e8 --ejec 1e-14 --from 0 --to 1 --steps 3 "
+                "--window full".split())
+    assert code == 2
+    assert "1 unconverged points" in capsys.readouterr().out
 
     # Half-width 16 is certified at 2N = 5e8, so the certificate is made to refuse it.
     monkeypatch.setattr(observables, "window_certificate", lambda h, spectrum: None)

@@ -7,8 +7,9 @@ import pytest
 
 from finitejj.errors import CapacityError
 from finitejj.eigensolve import charge_response, dense_all, fourth_order_terms, lowest_eigenvalues
-from finitejj.hamiltonian import TridiagonalHamiltonian, build, spin_matrices
+from finitejj.hamiltonian import TridiagonalHamiltonian, build
 from finitejj.model import CircuitParams
+from oracles import spin_matrices
 
 
 def params(pairs, ejec, ng=0.0, ec=1.0):

@@ -26,12 +26,15 @@ namespace = {}
 exec("from finitejj import *", namespace)
 report["star_missing"] = sorted(set(finitejj.__all__) - set(namespace))
 report["dir_missing"] = sorted(set(finitejj.__all__) - set(dir(finitejj)))
+# Test-only oracles live in tests/oracles.py, not in the package.
+report["oracles"] = [name for name in %r if hasattr(finitejj, name)]
 try:
     finitejj.no_such_name
 except AttributeError as exc:
     report["missing"] = str(exc)
 print(json.dumps(report))
-""" % (LAYERS,)
+""" % (LAYERS, ("spin_matrices", "SpinMatrices", "cpb_effective", "TwoLevelEffective",
+                "fock_oracle_stable"))
 
 
 def test_every_public_name_resolves_to_its_home_object(tmp_path):
@@ -47,4 +50,5 @@ def test_every_public_name_resolves_to_its_home_object(tmp_path):
     assert report["star_missing"] == []
     assert report["dir_missing"] == []
     assert report["modules"] == [f"finitejj.{layer}" for layer in LAYERS]
+    assert report["oracles"] == []
     assert report["missing"] == "module 'finitejj' has no attribute 'no_such_name'"

@@ -16,13 +16,13 @@ from finitejj.model import CircuitParams
 from finitejj.observables import WindowPolicy, charge_susceptibility
 from finitejj.perturbation import (
     bogoliubov,
-    cpb_effective,
     cpb_gap,
     cpb_susceptibility,
     transmon_first_order_numeric,
     transmon_frequency,
     transmon_susceptibility,
 )
+from oracles import cpb_effective
 
 
 def params(pairs, e_j, ng=0.0, e_c=1.0):

@@ -11,6 +11,7 @@ from conftest import random_poly
 from finitejj import wick
 from finitejj.errors import TermBudgetError
 from finitejj.wick import LOWER, RAISE, OperatorPoly
+from oracles import fock_oracle_stable
 
 
 def lowering():
@@ -122,14 +123,14 @@ class TestFockOracle:
 
     def test_stable_variant_converges(self):
         p = (lowering() + raising()) ** 4
-        assert wick.fock_oracle_stable(p) == pytest.approx(3.0)
+        assert fock_oracle_stable(p) == pytest.approx(3.0)
 
     def test_stable_variant_reports_instability(self):
         from finitejj.errors import ConvergenceError
 
         p = (lowering() + raising()) ** 8
         with pytest.raises(ConvergenceError, match="unstable"):
-            wick.fock_oracle_stable(p, dim=2, max_dim=4)
+            fock_oracle_stable(p, dim=2, max_dim=4)
 
     def test_dim_validation(self):
         with pytest.raises(ValueError):
