@@ -22,7 +22,7 @@ the solver commands load numpy with the array layers (``hamiltonian``,
 ``eigensolve``, ``observables``) and scipy's compiled LAPACK wrappers at the
 first solve, without ever loading the ``scipy.linalg`` package;
 ``transmon-shift`` and ``analytic`` add the closed forms (``perturbation``),
-``wick-verify`` loads ``wick`` and numpy, and ``validity`` nothing more.  The
+``wick-verify`` loads ``wick``, and ``validity`` nothing more.  The
 three sweeps share their flags and one handler, ``_cmd_sweep``.  Under
 ``--window adaptive`` and ``full`` every number is proven on a charge window
 (``observables``), so no flag tunes a stopping tolerance.  An artifact that
@@ -107,10 +107,8 @@ def _steps(text: str) -> int:
     return value
 
 
-# The Fock oracle's matrices have dim degree + 2, and a word's entries there
-# reach (degree + 1)^(degree / 2) for (b b^dag)^(degree / 2): past the float
-# range from degree 256 on.  The engine's vacuum counts, at most (degree / 2)!,
-# fit a float up to degree 340.
+# The Fock walk's and the engine's vacuum counts peak at (degree / 2)! for
+# b^(degree / 2) b^dag^(degree / 2), which fits a float up to degree 340.
 MAX_WICK_DEGREE = 250
 
 
@@ -118,7 +116,7 @@ def _wick_degree(text: str) -> int:
     value = _positive_count(text)
     if value > MAX_WICK_DEGREE:
         raise argparse.ArgumentTypeError(
-            f"expected at most {MAX_WICK_DEGREE}, where the Fock oracle stays inside the"
+            f"expected at most {MAX_WICK_DEGREE}, where the vacuum counts stay inside the"
             f" float range, got {text!r}"
         )
     return value
@@ -469,23 +467,21 @@ def _cmd_validity(args):
 
 
 def _cmd_wick_verify(args):
-    import numpy as np
+    import random
 
     from . import wick
 
-    rng = np.random.default_rng(args.seed)
+    rng = random.Random(args.seed)
     deviations, ok = [], True
     for _ in range(args.count):
         poly = wick.OperatorPoly()
-        n_words = int(rng.integers(1, 6))
-        for _ in range(n_words):
-            length = int(rng.integers(0, args.degree + 1))
-            word = tuple(rng.choice([wick.RAISE, wick.LOWER], size=length))
+        for _ in range(rng.randint(1, 5)):
+            word = tuple(rng.choices((wick.RAISE, wick.LOWER), k=rng.randint(0, args.degree)))
             coeff = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             poly = poly + wick.OperatorPoly.from_word(word, coeff)
         engine = wick.vacuum_expectation(poly)
         oracle = wick.fock_oracle(poly, args.degree + 2)
-        # The engine's value is exact; the float Fock oracle rounds in proportion to it.
+        # Both weigh exact integer counts and sum through math.fsum: a correct engine reads 0.
         deviations.append(abs(engine - oracle))
         ok = ok and deviations[-1] <= args.rtol * max(1.0, abs(engine))
     worst = max(deviations)

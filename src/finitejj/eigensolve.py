@@ -36,7 +36,6 @@ import importlib.util
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +43,7 @@ import numpy as np
 from .errors import (CapacityError, ConvergenceError, NearDegenerateWarning,
                      WindowConvergenceError)
 from .hamiltonian import DENSE_LIMIT, TridiagonalHamiltonian
-from .model import coupling_bound
+from .model import Record, coupling_bound
 
 MAX_BISECTIONS = 2048
 
@@ -54,21 +53,22 @@ _EPS = float(np.finfo(float).eps)
 _SLACK = 1.0 + 16.0 * _EPS
 
 
-@dataclass(frozen=True)
-class EigenPair:
+class EigenPair(Record):
     """One eigenvalue, optionally with its unit-norm real eigenvector."""
 
-    value: float
-    vector: np.ndarray | None
-    residual: float
+    __slots__ = ("value", "vector", "residual")
+
+    def __init__(self, value: float, vector: np.ndarray | None, residual: float):
+        self._fill(value, vector, residual)
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Record):
     """Ascending eigenvalues E_0 <= E_1 <= ... over the operator's window."""
 
-    pairs: list[EigenPair]
-    dim: int
+    __slots__ = ("pairs", "dim")
+
+    def __init__(self, pairs: list[EigenPair], dim: int):
+        self._fill(pairs, dim)
 
     @property
     def values(self) -> np.ndarray:
@@ -260,8 +260,7 @@ def _moment(q: float, power: int) -> float:
     return (1.0 / (1.0 - x), 1.0 / (1.0 - x) ** 2, (1.0 + x) / (1.0 - x) ** 3)[power]
 
 
-@dataclass(frozen=True)
-class EdgeBound:
+class EdgeBound(Record):
     """What a certified window proves of the full operator's level-j vector psi.
 
     ``sin_theta`` bounds the angle between the window's vector phi and the
@@ -272,11 +271,10 @@ class EdgeBound:
     ``ng`` is n_g in the window's local charges.
     """
 
-    sin_theta: float
-    gap: float
-    shift: float
-    sides: tuple
-    ng: float
+    __slots__ = ("sin_theta", "gap", "shift", "sides", "ng")
+
+    def __init__(self, sin_theta: float, gap: float, shift: float, sides: tuple, ng: float):
+        self._fill(sin_theta, gap, shift, sides, ng)
 
     def tail(self, a: np.ndarray, power: int, spread: float = 0.0) -> float:
         """Bound on the sum over outside charges of |n - m|^power psi^2.

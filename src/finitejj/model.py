@@ -12,7 +12,6 @@ bosons per island.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import constants
@@ -30,16 +29,46 @@ ARRAY_LIMIT = 1 << 26
 DEFAULT_W_MAX = 1 << 22
 
 
-@dataclass(frozen=True)
-class BoseHubbardParams:
-    """Two-site Bose-Hubbard parameters with a conserved total boson number."""
+class Record:
+    """Immutable value over ``__slots__``: set once by ``_fill``, compared and
+    hashed field-wise, and printed as ``Name(field=value, ...)``."""
 
-    lam: float  # on-site interaction strength
-    mu: float  # half the voltage-induced bias
-    nu: float  # tunneling amplitude
-    pairs_total: int  # total bosons on both islands (2N)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _fill(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class BoseHubbardParams(Record):
+    """Two-site Bose-Hubbard parameters with a conserved total boson number: on-site
+    interaction ``lam``, half the voltage-induced bias ``mu``, tunneling ``nu``, and
+    ``pairs_total`` bosons on both islands (2N)."""
+
+    __slots__ = ("lam", "mu", "nu", "pairs_total")
+
+    def __init__(self, lam: float, mu: float, nu: float, pairs_total: int):
+        self._fill(lam, mu, nu, pairs_total)
         if not self.lam > 0:
             raise ValueError(f"on-site interaction must be positive, got {self.lam}")
         if not self.nu > 0:
@@ -66,8 +95,7 @@ def coefficient_overflow(e_j: float, e_c: float, n_half: float, n_g: float) -> s
     return None if math.isfinite(coupling * coupling) else "coupling"
 
 
-@dataclass(frozen=True)
-class CircuitParams:
+class CircuitParams(Record):
     """Circuit-level parameter tuple (E_J, E_C, n_g, N) driving every computation.
 
     ``n_half`` is the boson number per island, a positive half-integer.
@@ -76,13 +104,11 @@ class CircuitParams:
     coefficient must stay in float range (:func:`coefficient_overflow`).
     """
 
-    e_j: float
-    e_c: float
-    n_g: float
-    n_half: float
+    __slots__ = ("e_j", "e_c", "n_g", "n_half")
 
-    def __post_init__(self):
-        for name in ("e_j", "e_c", "n_g", "n_half"):
+    def __init__(self, e_j: float, e_c: float, n_g: float, n_half: float):
+        self._fill(e_j, e_c, n_g, n_half)
+        for name in self.__slots__:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.e_j > 0:
@@ -112,7 +138,7 @@ class CircuitParams:
         return self.pairs_total + 1
 
     def with_ng(self, n_g: float) -> "CircuitParams":
-        return replace(self, n_g=n_g)
+        return CircuitParams(self.e_j, self.e_c, n_g, self.n_half)
 
 
 def map_bose_hubbard(bh: BoseHubbardParams) -> CircuitParams:
@@ -137,17 +163,16 @@ def invert_bose_hubbard(cp: CircuitParams) -> BoseHubbardParams:
     )
 
 
-@dataclass(frozen=True)
-class MaterialProps:
-    """Bulk superconductor properties, SI units."""
+class MaterialProps(Record):
+    """Bulk superconductor properties, SI units: the superconducting ``gap`` and
+    ``fermi_energy`` (J), ``electron_density`` (m^-3) and ``london_depth`` (m)."""
 
-    gap: float  # superconducting gap, J
-    fermi_energy: float  # J
-    electron_density: float  # m^-3
-    london_depth: float  # m
+    __slots__ = ("gap", "fermi_energy", "electron_density", "london_depth")
 
-    def __post_init__(self):
-        for name in ("gap", "fermi_energy", "electron_density", "london_depth"):
+    def __init__(self, gap: float, fermi_energy: float, electron_density: float,
+                 london_depth: float):
+        self._fill(gap, fermi_energy, electron_density, london_depth)
+        for name in self.__slots__:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -171,21 +196,20 @@ ALUMINUM = MaterialProps.from_lab_units(
 MATERIAL_PRESETS = {"aluminum": ALUMINUM}
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(Record):
     """Minimum island size for superconductivity plus derived device scales.
 
     ``n_min`` is the equality value of the bound; any safety factor is the
-    caller's choice.  ``island_volume`` (m^3) is filled when a boson number
-    per island is supplied, ``gate_voltage`` (V) when an offset charge is.
+    caller's choice.  ``cooper_density`` is in m^-3.  ``island_volume`` (m^3)
+    is filled when a boson number per island is supplied, ``gate_voltage`` (V)
+    when an offset charge is.
     """
 
-    n_min: float
-    cooper_density: float  # m^-3
-    island_volume: float | None = None
-    gate_voltage: float | None = None
+    __slots__ = ("n_min", "cooper_density", "island_volume", "gate_voltage")
 
-    def __post_init__(self):
+    def __init__(self, n_min: float, cooper_density: float, island_volume: float | None = None,
+                 gate_voltage: float | None = None):
+        self._fill(n_min, cooper_density, island_volume, gate_voltage)
         if not self.n_min > 0:
             raise ValueError("n_min must be positive")
 

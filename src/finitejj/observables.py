@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .eigensolve import (charge_response, edge_bound, eigenpair, fourth_order_bo
                          fourth_order_terms, imbalance_bound, lowest_eigenvalues, response_bound,
                          window_certificate)
 from .hamiltonian import TridiagonalHamiltonian, build
-from .model import DEFAULT_W_MAX, CircuitParams
+from .model import DEFAULT_W_MAX, CircuitParams, Record
 
 # A windowed answer is the whole basis's once its truncation bound is below
 # this fraction of its rounding scale: one charge for <n>, |a psi| |x| for a
@@ -43,8 +42,7 @@ from .model import DEFAULT_W_MAX, CircuitParams
 _TARGET = 2.0**-50
 
 
-@dataclass(frozen=True)
-class WindowPolicy:
+class WindowPolicy(Record):
     """How to restrict the charge basis before solving.
 
     mode "fixed" solves one window of ``half_width`` and proves nothing.
@@ -56,12 +54,11 @@ class WindowPolicy:
     operator limit.
     """
 
-    mode: str = "adaptive"
-    half_width: int | None = None
-    w_initial: int | None = None
-    w_max: int = DEFAULT_W_MAX
+    __slots__ = ("mode", "half_width", "w_initial", "w_max")
 
-    def __post_init__(self):
+    def __init__(self, mode: str = "adaptive", half_width: int | None = None,
+                 w_initial: int | None = None, w_max: int = DEFAULT_W_MAX):
+        self._fill(mode, half_width, w_initial, w_max)
         if self.mode not in ("full", "fixed", "adaptive"):
             raise ValueError(f"unknown window mode {self.mode!r}")
         if self.mode == "fixed" and (self.half_width is None or self.half_width < 0):
@@ -198,12 +195,13 @@ def charge_susceptibility(params: CircuitParams, policy: WindowPolicy = DEFAULT_
     return _solve_windowed(params, policy, [_chi(params)])[0]
 
 
-@dataclass(frozen=True)
-class CurvatureResult:
+class CurvatureResult(Record):
     """Second derivative at n_g = 0 with its closed-form reference."""
 
-    value: float
-    reference: float
+    __slots__ = ("value", "reference")
+
+    def __init__(self, value: float, reference: float):
+        self._fill(value, reference)
 
     @property
     def ratio(self) -> float:
@@ -297,7 +295,6 @@ def susceptibility_curvature(
                            reference=reference)
 
 
-@dataclass
 class SweepTable:
     """Columnar observable-vs-n_g results with full parameter provenance.
 
@@ -305,19 +302,16 @@ class SweepTable:
     grid column ``meta["grid_label"]`` (default n_g).
     """
 
-    grid: np.ndarray
-    columns: dict[str, np.ndarray]
-    meta: dict
-
-    def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
+    def __init__(self, grid, columns: dict[str, np.ndarray], meta: dict):
+        self.grid = np.asarray(grid, dtype=float)
         if self.grid.size and np.any(np.diff(self.grid) <= 0):
             raise ValueError("grid must be strictly increasing")
-        for name, col in self.columns.items():
+        for name, col in columns.items():
             col = np.asarray(col, dtype=float)
             if col.shape != self.grid.shape:
                 raise ValueError(f"column {name!r} length does not match grid")
-            self.columns[name] = col
+            columns[name] = col
+        self.columns, self.meta = columns, meta
 
 
 def band_sweep(

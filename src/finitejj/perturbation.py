@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 from .errors import RegimeWarning
-from .model import CircuitParams
+from .model import CircuitParams, Record
 
 _DEGENERACY_TOL = 1e-9
 
@@ -33,14 +32,13 @@ CPB_RATIO_MAX = 0.1
 TRANSMON_RATIO_MIN = 10.0
 
 
-@dataclass(frozen=True)
-class BogoliubovCoeffs:
+class BogoliubovCoeffs(Record):
     """Affine Bogoliubov rotation diagonalizing the quadratic transmon problem."""
 
-    u_plus: float
-    u_minus: float
-    u_0: float
-    epsilon: float
+    __slots__ = ("u_plus", "u_minus", "u_0", "epsilon")
+
+    def __init__(self, u_plus: float, u_minus: float, u_0: float, epsilon: float):
+        self._fill(u_plus, u_minus, u_0, epsilon)
 
 
 def _require_degeneracy_point(params: CircuitParams):
@@ -129,12 +127,13 @@ def transmon_susceptibility(params: CircuitParams) -> float:
     return 1.0 - 3.0 * params.e_j * params.n_g**2 / (4.0 * params.e_c * params.n_half**4)
 
 
-@dataclass(frozen=True)
-class FirstOrderResult:
+class FirstOrderResult(Record):
     """First-order transmon corrections evaluated without the asymptotic limit."""
 
-    frequency: float
-    imbalance: float
+    __slots__ = ("frequency", "imbalance")
+
+    def __init__(self, frequency: float, imbalance: float):
+        self._fill(frequency, imbalance)
 
 
 def _perturbation_poly(params: CircuitParams) -> OperatorPoly:

@@ -12,9 +12,10 @@ An affine frame change ``b = u_plus a + u_minus a^dag - i u_0`` (with its
 conjugate) is supported by exact inversion, so polynomials written in the
 original mode can be evaluated in the quasiparticle vacuum.
 
-A truncated Fock-space representation serves as the independent oracle: a
-degree-d word is exact in any Fock dimension above d.  It is the module's only
-array code, so numpy loads at the first Fock matrix, not at import.
+The independent oracle acts with the ladder operators on Fock states instead
+of counting commutators: ``fock_oracle`` walks each word from |0> in a Fock
+space truncated at a given dimension, exact in any dimension above the word's
+length.  The module loads no array code.
 """
 
 from __future__ import annotations
@@ -291,28 +292,28 @@ def substitute_affine(
     return result
 
 
-def fock_matrix(p: OperatorPoly, dim: int) -> np.ndarray:
-    """Dense matrix of the polynomial in a Fock space truncated at ``dim`` states."""
-    import numpy as np
+def fock_oracle(p: OperatorPoly, dim: int) -> complex:
+    """<0| p |0> in a Fock space truncated at ``dim`` states, by walking each word.
 
+    Read right to left, a word maps |0> to a multiple of one Fock state: b at
+    n = 0 and b† at n + 1 >= ``dim`` give 0, and otherwise b and b† step n by
+    one with the square root of the higher level.  A walk back to |0> crosses
+    each level as often down as up, so its amplitude is the integer product of
+    the levels its raising steps reach.  Exact whenever ``dim`` exceeds the
+    degree; summed in canonical term order through math.fsum.
+    """
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    lower = np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
-    raise_ = lower.conj().T
-    mats = {LOWER: lower, RAISE: raise_}
-    total = np.zeros((dim, dim), dtype=complex)
-    eye = np.eye(dim, dtype=complex)
+    re_parts, im_parts = [], []
     for word, coeff in p.terms():
-        m = eye
-        for sym in word:
-            m = m @ mats[sym]
-        total += coeff * m
-    return total
-
-
-def fock_oracle(p: OperatorPoly, dim: int) -> complex:
-    """(vacuum, vacuum) element of the truncated Fock matrix of ``p``.
-
-    Exact whenever ``dim`` exceeds the polynomial degree.
-    """
-    return complex(fock_matrix(p, dim)[0, 0])
+        n, count = 0, 1
+        for sym in reversed(word):
+            n += 1 if sym == RAISE else -1
+            if not 0 <= n < dim:
+                break
+            if sym == RAISE:
+                count *= n
+        if n == 0:  # a walk cut short ends at n = -1 or n = dim
+            re_parts.append(coeff.real * count)
+            im_parts.append(coeff.imag * count)
+    return complex(math.fsum(re_parts), math.fsum(im_parts))

@@ -1,10 +1,12 @@
 """Oracles that only the tests use: spin matrices, the charge-qubit two-level
-reduction, and a self-stabilising truncated-Fock vacuum element.
+reduction, the dense truncated-Fock matrix of a ladder polynomial, and a
+self-stabilising truncated-Fock vacuum element.
 
 Each checks a library path from outside it: the spin ladder generates the
-operator's couplings, the 2x2 block reproduces ``perturbation.cpb_gap``, and
-the Fock truncation is doubled until the vacuum element of a ladder polynomial
-settles.
+operator's couplings, the 2x2 block reproduces ``perturbation.cpb_gap``, the
+dense Fock matrix checks ``wick.normal_order`` and ``wick.fock_oracle``'s
+ladder walk by matrix products, and the Fock truncation is doubled until the
+vacuum element of a ladder polynomial settles.
 """
 
 import math
@@ -15,7 +17,7 @@ import numpy as np
 from finitejj.errors import CapacityError, ConvergenceError
 from finitejj.hamiltonian import DENSE_LIMIT
 from finitejj.model import CircuitParams
-from finitejj.wick import OperatorPoly, fock_oracle
+from finitejj.wick import LOWER, RAISE, OperatorPoly, fock_oracle
 
 _LATTICE_TOL = 1e-9
 _DEGENERACY_TOL = 1e-9
@@ -96,6 +98,21 @@ def cpb_effective(params: CircuitParams) -> TwoLevelEffective:
         params.e_c * (ceil_n - params.n_g) ** 2,
     )
     return TwoLevelEffective(floor_n=floor_n, ceil_n=ceil_n, sigma_x_coeff=coupling, diag=diag)
+
+
+def fock_matrix(p: OperatorPoly, dim: int) -> np.ndarray:
+    """Dense matrix of the polynomial in a Fock space truncated at ``dim`` states."""
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+    lower = np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
+    mats = {LOWER: lower, RAISE: lower.conj().T}
+    total = np.zeros((dim, dim), dtype=complex)
+    for word, coeff in p.terms():
+        m = np.eye(dim, dtype=complex)
+        for sym in word:
+            m = m @ mats[sym]
+        total += coeff * m
+    return total
 
 
 def fock_oracle_stable(

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from finitejj.cli import (
     build_parser,
     main,
 )
+from oracles import fock_matrix
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -344,7 +346,7 @@ def test_wick_verify(tmp_path, capsys):
 
 
 def test_wick_verify_tolerance_is_relative_to_the_engine_value(capsys, monkeypatch):
-    # Oracle rounding of large vacuum values reaches 1.1e-8 here: within 1e-9 relative.
+    # Vacuum values reach 30! here; the walk and the engine both sum them exactly.
     assert main("wick-verify --count 200 --degree 60".split()) == 0
     assert "ok" in capsys.readouterr().out
     engine = wick.vacuum_expectation
@@ -369,24 +371,25 @@ def test_wick_verify_long_words(tmp_path):
     assert main("wick-verify --count 3 --degree 80".split()) == 0
 
 
-def test_wick_degree_bound(capsys, monkeypatch):
-    def no_oracle(*args):
-        raise AssertionError("a Fock matrix was built")
-
-    monkeypatch.setattr(wick, "fock_oracle", no_oracle)
-    args = build_parser().parse_args(f"wick-verify --degree {MAX_WICK_DEGREE}".split())
-    assert args.degree == MAX_WICK_DEGREE
+def test_wick_degree_bound(capsys):
+    assert main(f"wick-verify --count 20 --degree {MAX_WICK_DEGREE}".split()) == 0
+    assert "ok" in capsys.readouterr().out
     assert main(f"wick-verify --count 3 --degree {MAX_WICK_DEGREE + 1}".split()) == 1
     assert "--degree" in capsys.readouterr().err
 
 
 def test_fock_oracle_is_finite_at_the_degree_bound():
-    # (b b†)^(d/2) has the largest entries of any degree-d word in dim d + 2.
+    # b^(d/2) b†^(d/2) has the largest vacuum element of any degree-d word, (d/2)!:
+    # the walk and the engine both reach it exactly.
     half = MAX_WICK_DEGREE // 2
+    word = wick.OperatorPoly.from_word((wick.LOWER,) * half + (wick.RAISE,) * half)
+    assert wick.fock_oracle(word, MAX_WICK_DEGREE + 2) == float(math.factorial(half))
+    assert wick.vacuum_expectation(word) == float(math.factorial(half))
+    # (b b†)^(d/2) has the largest entries of any degree-d word in the dense test oracle.
     word = wick.OperatorPoly.from_word((wick.LOWER, wick.RAISE) * half)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.isfinite(wick.fock_matrix(word, MAX_WICK_DEGREE + 2)).all()
+        assert np.isfinite(fock_matrix(word, MAX_WICK_DEGREE + 2)).all()
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -648,16 +651,18 @@ print(json.dumps(loaded))
 
 
 def test_numpy_loads_at_the_first_array(tmp_path):
-    """Import, analytic and validity load neither numpy nor scipy; wick-verify loads numpy.
+    """Import and the closed-form commands load neither numpy nor scipy.
 
-    No command loads the numpy submodules that ``scipy.linalg``'s import pulls in.
+    No command loads the numpy submodules that ``scipy.linalg``'s import pulls in,
+    nor ``dataclasses``; only numpy's own import loads ``inspect``.
     """
     script = """
 import json, sys
 loaded = {}
 def record(step):
     loaded[step] = [name in sys.modules for name in
-                    ("numpy", "scipy.linalg._flapack", "numpy.f2py", "numpy.testing")]
+                    ("numpy", "scipy.linalg._flapack", "numpy.f2py", "numpy.testing",
+                     "dataclasses", "inspect")]
 import finitejj
 record("import finitejj")
 import finitejj.cli
@@ -678,11 +683,11 @@ print(json.dumps(loaded))
     )
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout.splitlines()[-1])
-    none = [False, False, False, False]
+    none = [False] * 6
     assert loaded == {
         "import finitejj": none, "import finitejj.cli": none, "analytic": none,
-        "validity": none, "wick-verify": [True, False, False, False],
-        "bands": [True, True, False, False],
+        "validity": none, "wick-verify": none,
+        "bands": [True, True, False, False, False, True],
     }
 
 

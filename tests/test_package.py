@@ -27,14 +27,15 @@ exec("from finitejj import *", namespace)
 report["star_missing"] = sorted(set(finitejj.__all__) - set(namespace))
 report["dir_missing"] = sorted(set(finitejj.__all__) - set(dir(finitejj)))
 # Test-only oracles live in tests/oracles.py, not in the package.
-report["oracles"] = [name for name in %r if hasattr(finitejj, name)]
+report["oracles"] = [name for name in %r
+                     if hasattr(finitejj, name) or any(name in home for home in homes)]
 try:
     finitejj.no_such_name
 except AttributeError as exc:
     report["missing"] = str(exc)
 print(json.dumps(report))
 """ % (LAYERS, ("spin_matrices", "SpinMatrices", "cpb_effective", "TwoLevelEffective",
-                "fock_oracle_stable"))
+                "fock_oracle_stable", "fock_matrix"))
 
 
 def test_every_public_name_resolves_to_its_home_object(tmp_path):

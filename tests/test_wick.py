@@ -11,7 +11,7 @@ from conftest import random_poly
 from finitejj import wick
 from finitejj.errors import TermBudgetError
 from finitejj.wick import LOWER, RAISE, OperatorPoly
-from oracles import fock_oracle_stable
+from oracles import fock_matrix, fock_oracle_stable
 
 
 def lowering():
@@ -42,8 +42,8 @@ class TestNormalOrder:
         rng = np.random.default_rng(7)
         for _ in range(25):
             poly = random_poly(rng)
-            before = wick.fock_matrix(poly, 64)
-            after = wick.fock_matrix(wick.normal_order(poly), 64)
+            before = fock_matrix(poly, 64)
+            after = fock_matrix(wick.normal_order(poly), 64)
             # Rows/columns touching the truncation boundary are garbage for
             # reordered words; compare the interior block only.
             keep = 64 - poly.degree()
@@ -136,6 +136,15 @@ class TestFockOracle:
         with pytest.raises(ValueError):
             wick.fock_oracle(OperatorPoly.identity(), 0)
 
+    def test_walk_matches_the_dense_matrix_at_every_truncation(self):
+        # Dims from 1 to degree + 2 include every truncation that cuts a walk short.
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            p = random_poly(rng, max_degree=8)
+            for dim in range(1, p.degree() + 3):
+                dense = fock_matrix(p, dim)[0, 0]
+                assert wick.fock_oracle(p, dim) == pytest.approx(dense, rel=1e-12, abs=1e-12)
+
 
 class TestSubstituteAffine:
     def test_pure_displacement(self):
@@ -180,7 +189,7 @@ class TestSubstituteAffine:
             _, vecs = np.linalg.eigh(b_mat.conj().T @ b_mat)
             vacuum = vecs[:, 0]
             poly = random_poly(rng, max_degree=4)
-            direct = vacuum.conj() @ wick.fock_matrix(poly, dim) @ vacuum
+            direct = vacuum.conj() @ fock_matrix(poly, dim) @ vacuum
             engine = wick.vacuum_expectation(
                 wick.substitute_affine(poly, u_plus, u_minus, u_0)
             )
