@@ -7,9 +7,10 @@ a CSV/JSON artifact.
 
 ``import finitejj`` loads none of the package's modules.  Every public name
 below resolves on first access through the module ``__getattr__``, which
-imports its home module, so a name costs only the layers it lives in: numpy
-loads at the first array, and the closed forms and the normal-ordering engine
-load only when a name from them is read.
+imports its home module, so a name costs only the layers it lives in: the closed
+forms and the normal-ordering engine load only when a name from them is read,
+and numpy only when a result is asked for as a numpy array
+(``Spectrum.values``, ``SweepTable.grid`` and ``SweepTable.columns``).
 """
 
 import importlib

@@ -18,9 +18,10 @@ and the library layers return values and tables without writing files.
 Exit codes: 0 success, 1 parameter error, 2 numerical non-convergence.
 
 Each command imports the layers it runs, on top of ``model`` and ``errors``:
-the solver commands load numpy with the array layers (``hamiltonian``,
-``eigensolve``, ``observables``) and scipy's compiled LAPACK wrappers at the
-first solve, without ever loading the ``scipy.linalg`` package;
+the solver commands load the solver layers (``hamiltonian``, ``eigensolve``,
+``observables``), which keep operators and vectors in flat double buffers and
+open, at the first solve, the LAPACK library that scipy's compiled wrappers
+link, through ``ctypes``; no command imports numpy or any part of scipy.
 ``transmon-shift`` and ``analytic`` add the closed forms (``perturbation``),
 ``wick-verify`` loads ``wick``, and ``validity`` nothing more.  The
 three sweeps share their flags and one handler, ``_cmd_sweep``.  Under
@@ -221,14 +222,18 @@ def _check_offsets(offsets, pairs: int, flag: str) -> None:
                            f" by {error:g} charge at 2N = {pairs}; such offsets are unresolved")
 
 
-def _grid_from(args) -> np.ndarray:
-    import numpy as np
-
-    if args.steps > 1 and not args.start < args.stop:
+def _grid_from(args) -> list[float]:
+    """``--steps`` points from ``--from`` to ``--to``, bit for bit those of ``np.linspace``."""
+    start, stop, div = args.start, args.stop, args.steps - 1
+    if div and not start < stop:
         raise CliError("--from must be smaller than --to")
-    if not math.isfinite(args.stop - args.start):
+    if not math.isfinite(delta := stop - start):
         raise CliError("--to minus --from overflows the float range")
-    return np.linspace(args.start, args.stop, args.steps)
+    if not div:
+        return [0.0 * delta + start]
+    if delta / div == 0.0:  # a subnormal step: np.linspace scales i / div instead
+        return [i / div * delta + start for i in range(div)] + [stop]
+    return [i * (delta / div) + start for i in range(div)] + [stop]
 
 
 def _write_artifact(args, default_name, meta: dict, header, rows, body: dict) -> Path:
@@ -260,11 +265,10 @@ def _write_artifact(args, default_name, meta: dict, header, rows, body: dict) ->
 
 def _write_table(table: SweepTable, args, default_name) -> Path:
     """A sweep as one CSV row per grid point, or a {meta, grid, columns} JSON object."""
-    header = [table.meta.get("grid_label", "n_g"), *table.columns]
-    body = {"grid": table.grid.tolist(),
-            "columns": {name: col.tolist() for name, col in table.columns.items()}}
+    header = [table.meta.get("grid_label", "n_g"), *table.column_values]
+    body = {"grid": table.grid_values, "columns": table.column_values}
     return _write_artifact(args, default_name, table.meta, header,
-                           zip(table.grid, *table.columns.values()), body)
+                           zip(table.grid_values, *table.column_values.values()), body)
 
 
 def _write_scalars(results: dict, meta: dict, args, default_name, flags: dict) -> Path:
@@ -292,7 +296,7 @@ def _cmd_sweep(args):
     params = _circuit(args.pairs, args.ejec, 1.0, max(abs(args.start), abs(args.stop)),
                       {"coupling": "--ejec", "diagonal": "--from/--to"})
     grid = _grid_from(args)
-    _check_offsets(grid.tolist(), args.pairs, "--from/--to")
+    _check_offsets(grid, args.pairs, "--from/--to")
     table = observables.band_sweep(
         params,
         grid,
@@ -303,10 +307,10 @@ def _cmd_sweep(args):
         subtract_ground=getattr(args, "subtract_e0", False),
     )
     path = _write_table(table, args, name)
-    bad = int((table.columns["converged"] == 0.0).sum())
+    bad = table.column_values["converged"].count(0.0)
     flagged = f", {bad} unconverged points" if bad else ""
     print(
-        f"{name}: {table.grid.size} points, 2N={args.pairs}, EJ/EC={args.ejec:g}"
+        f"{name}: {len(grid)} points, 2N={args.pairs}, EJ/EC={args.ejec:g}"
         f"{flagged} -> {path}"
     )
     return 2 if bad else 0

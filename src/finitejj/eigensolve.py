@@ -14,31 +14,35 @@ level's reduced resolvent by LAPACK tridiagonal solves (``dgtsv``): once for
 its static charge response, twice for the ground state's fourth-order
 energy.
 
-A pivot count is one O(dim) pass over the operator's two arrays.  A dense
+A pivot count is one O(dim) pass over the operator's two buffers.  A dense
 full-spectrum routine (LAPACK ``dstevd``) provides the reference oracle at
 small dimensions.
 
 ``window_certificate`` proves a charge window's lowest values to be the full
 operator's with two more counts per value at the window's dim.
 
-Every LAPACK routine comes from scipy's compiled wrappers
-``scipy.linalg._flapack``, which ``_lapack`` loads at the first solve.  The
-``scipy.linalg`` package never loads: its import pulls in most of numpy's
-submodules and costs more than numpy itself.  Importing this module, or
-running only the closed forms, loads no part of scipy.
+Vectors are flat double buffers (``array('d')``), and no numpy is needed.
+Every LAPACK routine, and the ``ddot`` behind each dot product and norm, is
+called through ``ctypes`` from the library that scipy's compiled wrappers
+``scipy.linalg._flapack`` link, which ``_lapack`` opens at the first solve:
+the same code as scipy's wrappers run, so the same bits as ``np.dot`` and
+``np.linalg.norm``.  No scipy module is imported.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import importlib.machinery
 import importlib.util
 import math
 import sys
 import warnings
+from array import array
+from ctypes import byref, c_double, c_int
+from itertools import chain
+from operator import mul, neg
 from pathlib import Path
-
-import numpy as np
 
 from .errors import (CapacityError, ConvergenceError, NearDegenerateWarning,
                      WindowConvergenceError)
@@ -47,8 +51,8 @@ from .model import Record, coupling_bound
 
 MAX_BISECTIONS = 2048
 
-_SAFMIN = float(np.finfo(float).tiny)
-_EPS = float(np.finfo(float).eps)
+_SAFMIN = sys.float_info.min
+_EPS = sys.float_info.epsilon
 # Covers the rounding of the couplings, their bound and the certificate's differences.
 _SLACK = 1.0 + 16.0 * _EPS
 
@@ -58,7 +62,7 @@ class EigenPair(Record):
 
     __slots__ = ("value", "vector", "residual")
 
-    def __init__(self, value: float, vector: np.ndarray | None, residual: float):
+    def __init__(self, value: float, vector: array | None, residual: float):
         self._fill(value, vector, residual)
 
 
@@ -71,31 +75,136 @@ class Spectrum(Record):
         self._fill(pairs, dim)
 
     @property
-    def values(self) -> np.ndarray:
+    def values(self):
+        """The values as a numpy array (numpy loads here, at the first access)."""
+        import numpy as np
+
         return np.array([p.value for p in self.pairs])
 
 
-@functools.cache
-def _lapack():
-    """scipy's compiled LAPACK wrappers, ``scipy.linalg._flapack``.
+def _zeros(n: int, code: str = "d") -> array:
+    return array(code, [0]) * n
 
-    Reuses the loaded module if there is one.  Otherwise loads the extension
-    from the installed scipy's ``linalg`` directory, without running any
-    package ``__init__``, and registers it, so a later ``import scipy.linalg``
-    binds this same module.
+
+def _ptr(buf) -> int:
+    """Address of the first item of an ``array``, or of a whole-array memoryview over one."""
+    if isinstance(buf, memoryview):
+        if buf.nbytes != len(buf.obj) * buf.obj.itemsize:
+            raise ValueError("a memoryview passed to LAPACK must span its whole array")
+        buf = buf.obj
+    return buf.buffer_info()[0]
+
+
+def _int(n: int):
+    return byref(c_int(n))
+
+
+_ONE, _ZERO = _int(1), byref(c_double(0.0))
+
+
+class _Lapack:
+    """The routines the solver calls, bound through ctypes from the shared library ``lib``.
+
+    Each is the library's ``scipy_<name>_`` symbol (scipy's bundled OpenBLAS),
+    else ``<name>_``, typed once as pointers followed by gfortran's hidden
+    CHARACTER lengths.  The methods take flat double buffers, return what
+    scipy's f2py wrappers of the same routines return, and bind every buffer
+    to a name for the whole call: an address alone does not keep it alive.
+    """
+
+    # Pointer arguments and hidden CHARACTER lengths of each routine.
+    SIGNATURES = {"dstebz": (18, 2), "dstein": (13, 0), "dgtsv": (8, 0), "dstevd": (11, 1),
+                  "ddot": (5, 0)}
+
+    def __init__(self, lib):
+        for name, (pointers, chars) in self.SIGNATURES.items():
+            routine = getattr(lib, f"scipy_{name}_", None) or getattr(lib, f"{name}_", None)
+            if routine is None:
+                raise ImportError(f"LAPACK routine {name} is not in {lib}")
+            routine.argtypes = [ctypes.c_void_p] * pointers + [ctypes.c_size_t] * chars
+            routine.restype = c_double if name == "ddot" else None
+            setattr(self, f"_{name}", routine)
+
+    def dstebz(self, d, e, k: int, tol: float):
+        """(m, w, info): the k lowest eigenvalues of (d, e) by bisection, ascending."""
+        n, m, info = len(d), c_int(), c_int()
+        w, work, ints = _zeros(n), _zeros(4 * n), _zeros(5 * n, "i")  # iblock, isplit, iwork
+        self._dstebz(b"I", b"E", _int(n), _ZERO, _ZERO, _ONE, _int(k), byref(c_double(tol)),
+                     _ptr(d), _ptr(e), byref(m), _int(0), _ptr(w), _ptr(ints),
+                     _ptr(ints) + 4 * n, _ptr(work), _ptr(ints) + 8 * n, byref(info), 1, 1)
+        return m.value, w[:m.value], info.value
+
+    def dstein(self, d, e, shift: float):
+        """(z, info): the eigenvector of (d, e) by inverse iteration from ``shift``."""
+        n, info = _int(len(d)), c_int()
+        z, work, iwork = _zeros(len(d)), _zeros(5 * len(d)), _zeros(len(d), "i")
+        self._dstein(n, _ptr(d), _ptr(e), _ONE, byref(c_double(shift)), _ONE, n, _ptr(z), n,
+                     _ptr(work), _ptr(iwork), _int(0), byref(info))
+        return z, info.value
+
+    def dgtsv(self, dl, d, du, b):
+        """(x, info): the solution of the tridiagonal system (dl, d, du) x = b, on copies."""
+        dl, d, du, x = array("d", dl), array("d", d), array("d", du), array("d", b)
+        n, info = _int(len(d)), c_int()
+        self._dgtsv(n, _ONE, _ptr(dl), _ptr(d), _ptr(du), _ptr(x), n, byref(info))
+        return x, info.value
+
+    def dstevd(self, d, e):
+        """(w, z, info): every eigenvalue of (d, e), ascending, and the vectors, z's columns."""
+        n, info, lwork, liwork = len(d), c_int(), 1 + 4 * len(d) + len(d) ** 2, 3 + 5 * len(d)
+        w, e, z, work, iwork = (array("d", d), array("d", e), _zeros(n * n), _zeros(lwork),
+                                _zeros(liwork, "i"))
+        self._dstevd(b"V", _int(n), _ptr(w), _ptr(e), _ptr(z), _int(n), _ptr(work),
+                     _int(lwork), _ptr(iwork), _int(liwork), byref(info), 1)
+        return w, [z[j * n:(j + 1) * n] for j in range(n)], info.value
+
+    def ddot(self, x, y) -> float:
+        return self._ddot(_int(len(x)), _ptr(x), _ONE, _ptr(y), _ONE)
+
+
+@functools.cache
+def _lapack() -> _Lapack:
+    """The LAPACK routines of the library that scipy's ``scipy.linalg._flapack`` links.
+
+    Finds the extension in the installed scipy's ``linalg`` directory without
+    running any package ``__init__`` and opens it with ``ctypes``: no module
+    is imported or registered, so a later ``import scipy.linalg`` runs as it
+    would have.
     """
     name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
     scipy = importlib.util.find_spec("scipy")
     dirs = [str(Path(d) / "linalg") for d in scipy.submodule_search_locations] if scipy else []
     spec = importlib.machinery.PathFinder.find_spec(name, dirs)
     if spec is None:
         raise ImportError(f"cannot find scipy's LAPACK wrappers {name}", name=name)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[name] = module
-    return module
+    return _Lapack(ctypes.CDLL(spec.origin))
+
+
+def _dot(x: array, y: array) -> float:
+    """x . y by the library's ddot, as ``np.dot`` sums it."""
+    return _lapack().ddot(x, y)
+
+
+def _norm(x: array) -> float:
+    """||x|| as ``np.linalg.norm`` takes it: sqrt(ddot(x, x))."""
+    return math.sqrt(_lapack().ddot(x, x))
+
+
+def _times(x, y) -> array:
+    """The element-wise product x * y."""
+    return array("d", map(mul, x, y))
+
+
+def _peak(v) -> int:
+    """Index of the first largest |v_i|."""
+    magnitudes = list(map(abs, v))
+    return magnitudes.index(max(magnitudes))
+
+
+def _centred(v) -> array:
+    """a = n - <n>_v over the window's local charges n = 0, 1, ... for the unit vector v."""
+    mean = _dot(array("d", range(len(v))), _times(v, v))
+    return array("d", map(mean.__rsub__, range(len(v))))
 
 
 def _pivmin(off_max: float) -> float:
@@ -116,20 +225,18 @@ def eigenvalue_count_below(
     return _count_below(h.diagonal_block(0, h.dim), h.offdiagonal_block(0, h.dim - 1), x, pivmin)
 
 
-def _count_below(diag: np.ndarray, off: np.ndarray, x: float, pivmin: float) -> int:
-    """Negative pivots of the LDL^T recurrence of the tridiagonal (diag, off) minus x."""
-    shifted = (diag - x).tolist()
-    offsq = np.empty(len(shifted))
-    offsq[0] = 0.0
-    np.square(off, out=offsq[1:])
-    count = 0
-    d = 1.0
-    for dj, oj in zip(shifted, offsq.tolist()):
-        d = dj - oj / d
-        if abs(d) <= pivmin:
-            d = -pivmin
-        if d < 0.0:
+def _count_below(diag, off, x: float, pivmin: float) -> int:
+    """Negative pivots of the LDL^T recurrence of the tridiagonal (diag, off) minus x.
+
+    A pivot within pivmin of zero is replaced by -pivmin, and so counted.
+    """
+    floor, count, d = -pivmin, 0, 1.0
+    for dj, oj in zip(diag, chain((0.0,), off)):
+        d = (dj - x) - oj * oj / d
+        if d <= pivmin:
             count += 1
+            if d >= floor:
+                d = floor
     return count
 
 
@@ -181,13 +288,13 @@ def lowest_eigenvalues(h: TridiagonalHamiltonian, k: int) -> Spectrum:
     lo0 = dmin - 2.0 * off_max
     hi0 = dmax + 2.0 * off_max
     if h.dim == 1:
-        values = [float(h.diag[0])]
+        values = [h.diag[0]]
     else:
         # Values with indices 1..k (range 2), in ascending order ("E").
-        m, w, _, _, info = _lapack().dstebz(h.diag, h.off, 2, 0.0, 1.0, 1, k, 2.0 * _SAFMIN, "E")
+        m, w, info = _lapack().dstebz(h.diag, h.off, k, 2.0 * _SAFMIN)
         if info != 0:
             raise ConvergenceError(f"dstebz bisection did not converge (info {info})")
-        values = w[:m].tolist()
+        values = w.tolist()
     pairs = []
     for j, value in enumerate(values):
         delta = 4.0 * _EPS * abs(value) + 2.0 * _SAFMIN
@@ -234,7 +341,7 @@ def window_certificate(h: TridiagonalHamiltonian, spectrum: Spectrum) -> list[fl
     below.  rho_j covers the counts' backward error (Kahan 1966; Demmel,
     Dhillon & Ren 1995), so r_j = 2 rho_j.  None when the window is too small.
     """
-    values = spectrum.values.tolist()
+    values = [p.value for p in spectrum.pairs]
     b_max = coupling_bound(h.params.e_j, h.params.n_half) * _SLACK
     # The diagonal is nonnegative: its largest entry plus 2 b_max bounds the norm.
     norm = h.coefficient_bounds()[1] + 2.0 * b_max
@@ -243,7 +350,7 @@ def window_certificate(h: TridiagonalHamiltonian, spectrum: Spectrum) -> list[fl
     sides = _outside_rooms(h, x, b_max)
     if sides is None:
         return None
-    lowered = h.diag.copy()
+    lowered = array("d", h.diag.tobytes())
     for corner, b_edge, kappa, _ in sides:
         lowered[corner] -= b_edge * b_edge / kappa * _SLACK
     pivmin = _pivmin(b_max)
@@ -276,7 +383,7 @@ class EdgeBound(Record):
     def __init__(self, sin_theta: float, gap: float, shift: float, sides: tuple, ng: float):
         self._fill(sin_theta, gap, shift, sides, ng)
 
-    def tail(self, a: np.ndarray, power: int, spread: float = 0.0) -> float:
+    def tail(self, a: array, power: int, spread: float = 0.0) -> float:
         """Bound on the sum over outside charges of |n - m|^power psi^2.
 
         ``a`` holds n - c on the window and |c - m| <= ``spread``, so the i-th
@@ -288,7 +395,7 @@ class EdgeBound(Record):
 
 
 def edge_bound(h: TridiagonalHamiltonian, spectrum: Spectrum, radii: list[float],
-               vector: np.ndarray, level: int = 0) -> EdgeBound | None:
+               vector: array, level: int = 0) -> EdgeBound | None:
     """The truncation lemma for level j of a window whose levels 0..j+1 are certified.
 
     ``radii`` come from ``window_certificate(h, spectrum)``.  With
@@ -304,7 +411,7 @@ def edge_bound(h: TridiagonalHamiltonian, spectrum: Spectrum, radii: list[float]
     Where the window gap is no wider than the radii, which grow with the
     window, no window proves the vector: WindowConvergenceError.
     """
-    values, j = spectrum.values.tolist(), level
+    values, j = [p.value for p in spectrum.pairs], level
     if j + 1 >= len(values):
         return None
     up = values[j] + radii[j]
@@ -331,7 +438,7 @@ def edge_bound(h: TridiagonalHamiltonian, spectrum: Spectrum, radii: list[float]
     return EdgeBound(sin_theta, gap, shift, tuple(sides), ng)
 
 
-def imbalance_bound(edge: EdgeBound, a: np.ndarray, vector: np.ndarray) -> float:
+def imbalance_bound(edge: EdgeBound, a: array, vector: array) -> float:
     """Bound on |<n>_full - <n>_window| for the window vector phi and a = n - <n>_window.
 
     The window part of psi is alpha (cos t phi + sin t w), w a unit vector
@@ -340,12 +447,10 @@ def imbalance_bound(edge: EdgeBound, a: np.ndarray, vector: np.ndarray) -> float
     of (n - c) psi^2.
     """
     st = edge.sin_theta
-    return (2.0 * st * float(np.linalg.norm(a * vector))
-            + st * st * float(np.max(np.abs(a))) + edge.tail(a, 1))
+    return 2.0 * st * _norm(_times(a, vector)) + st * st * max(map(abs, a)) + edge.tail(a, 1)
 
 
-def response_bound(edge: EdgeBound, a: np.ndarray, vector: np.ndarray,
-                   x: np.ndarray) -> tuple[float, float]:
+def response_bound(edge: EdgeBound, a: array, vector: array, x: array) -> tuple[float, float]:
     """(bound on |S_full - S_window|, bound on ||rho||) for S = <a phi, x>, x = R a phi.
 
     For any z orthogonal to psi and f = (n - m) psi, S = 2 <f, z> -
@@ -357,16 +462,16 @@ def response_bound(edge: EdgeBound, a: np.ndarray, vector: np.ndarray,
     """
     bn = imbalance_bound(edge, a, vector)
     d = math.sqrt(2.0) * edge.sin_theta + edge.tail(a, 0)  # ||psi_W - phi||
-    norm = float(np.linalg.norm(x))
-    rho = ((float(np.max(np.abs(a))) + bn) * d + math.sqrt(edge.tail(a, 2, bn)) + bn
+    norm = _norm(x)
+    rho = ((max(map(abs, a)) + bn) * d + math.sqrt(edge.tail(a, 2, bn)) + bn
            + math.hypot(*(b * x[corner] for corner, b, *_ in edge.sides)) + edge.shift * norm)
-    bound = (2.0 * d * (float(np.linalg.norm(a * x)) + bn * norm) + edge.shift * norm * norm
+    bound = (2.0 * d * (_norm(_times(a, x)) + bn * norm) + edge.shift * norm * norm
              + rho * rho / edge.gap)
     return bound, rho
 
 
-def fourth_order_bound(edge: EdgeBound, a: np.ndarray, vector: np.ndarray, x1: np.ndarray,
-                       s0: float, x2: np.ndarray) -> tuple[float, float]:
+def fourth_order_bound(edge: EdgeBound, a: array, vector: array, x1: array, s0: float,
+                       x2: array) -> tuple[float, float]:
     """(bound on |E4_full - E4_window|, on ||rho2||), E4 = S_0 ||x1||^2 - <r2, R r2>.
 
     r2 = a x1 - S_0 psi, and rho2 = r2_full - (H - E) x2 for the window's x2.
@@ -382,10 +487,10 @@ def fourth_order_bound(edge: EdgeBound, a: np.ndarray, vector: np.ndarray, x1: n
     bn = imbalance_bound(edge, a, vector)
     tail = edge.tail(a, 0)
     d = math.sqrt(2.0) * edge.sin_theta + tail
-    n1, n2 = float(np.linalg.norm(x1)), float(np.linalg.norm(x2))
+    n1, n2 = _norm(x1), _norm(x2)
     b_x = rho / edge.gap + d * n1
     first = b_s * (n1 + b_x) ** 2 + abs(s0) * b_x * (2.0 * n1 + b_x)
-    r2_window = (float(np.max(np.abs(a))) + bn) * b_x + bn * n1 + b_s + abs(s0) * d
+    r2_window = (max(map(abs, a)) + bn) * b_x + bn * n1 + b_s + abs(s0) * d
     offset = abs(edge.ng + a[0]) + bn  # |n_g - m|
     outside = abs(s0) * math.sqrt(tail)
     for corner, b, t, q, kappa, dist in edge.sides:
@@ -399,12 +504,11 @@ def fourth_order_bound(edge: EdgeBound, a: np.ndarray, vector: np.ndarray, x1: n
     return first + second, rho2
 
 
-def _with_vector(h: TridiagonalHamiltonian, value: float, v: np.ndarray) -> EigenPair:
+def _with_vector(h: TridiagonalHamiltonian, value: float, v: array) -> EigenPair:
     """Pair with ``v`` sign-normalized (largest component positive) and ||Hv - value v||."""
-    imax = int(np.argmax(np.abs(v)))
-    if v[imax] < 0:
-        v = -v
-    residual = float(np.linalg.norm(h.matvec(v) - value * v))
+    if v[_peak(v)] < 0:
+        v = array("d", map(neg, v))
+    residual = _norm(array("d", [y - value * x for y, x in zip(h.matvec(v), v)]))
     return EigenPair(value=value, vector=v, residual=residual)
 
 
@@ -417,11 +521,14 @@ def eigenpair(h: TridiagonalHamiltonian, level: int = 0,
     largest-magnitude component is positive; with all couplings negative the
     ground vector then comes out componentwise positive (Perron-Frobenius).
     Warns when a neighbouring level lies within 40 eps ||H||, where the vector
-    is ill-conditioned.
+    is ill-conditioned.  A level outside [0, dim) is a ValueError.
     """
+    if not 0 <= level < h.dim:
+        raise ValueError(f"level {level} is outside the {h.dim} charge states of the window"
+                         f" at n_g = {h.params.n_g:g}")
     pairs = (spectrum or lowest_eigenvalues(h, min(level + 2, h.dim))).pairs
     value = pairs[level].value
-    gap = min([abs(p.value - value) for p in pairs if p is not pairs[level]], default=np.inf)
+    gap = min([abs(p.value - value) for p in pairs if p is not pairs[level]], default=math.inf)
     dmin, dmax, off_max = h.coefficient_bounds()
     if gap < 40.0 * _EPS * (max(abs(dmin), abs(dmax)) + 2.0 * off_max):
         warnings.warn(
@@ -429,20 +536,14 @@ def eigenpair(h: TridiagonalHamiltonian, level: int = 0,
             NearDegenerateWarning,
             stacklevel=2,
         )
-    dim = h.dim
-    # scipy's dstein wrapper sizes e as max(n - 1, 1)
-    off = h.off if dim > 1 else np.zeros(1)
     # Shift to the lower end of the certified bracket.  At the value itself
     # dstein perturbs a near-zero pivot by about eps ||H||, mixing up to
     # eps ||H|| / gap of a neighbour's vector into the result; from r_j below
     # it, inverse iteration still converges at a rate of r_j / gap per step.
-    shift = value - pairs[level].residual
-    vectors, info = _lapack().dstein(
-        h.diag, off, [shift], np.ones(dim, dtype=np.int32), np.full(dim, dim, dtype=np.int32)
-    )
+    vector, info = _lapack().dstein(h.diag, h.off, value - pairs[level].residual)
     if info != 0:
         raise ConvergenceError("dstein inverse iteration did not converge")
-    return _with_vector(h, value, vectors[:, 0])
+    return _with_vector(h, value, vector)
 
 
 def _reduced_resolvent(h: TridiagonalHamiltonian, level: int, pair: EigenPair | None = None):
@@ -458,24 +559,24 @@ def _reduced_resolvent(h: TridiagonalHamiltonian, level: int, pair: EigenPair | 
     """
     pair = pair or eigenpair(h, level)
     v = pair.vector
-    n = np.arange(h.dim, dtype=float)
-    a = n - np.dot(n, v * v)
+    a = _centred(v)
     if h.dim == 1:
-        return v, a, np.zeros_like
+        return v, a, lambda phi: _zeros(len(phi))
     dgtsv = _lapack().dgtsv
     diag, off = h.to_arrays()
-    diag -= pair.value
-    j = int(np.argmax(np.abs(v)))
+    diag = array("d", map(pair.value.__rsub__, diag))
+    j = _peak(v)
     diag[j] = 1.0
-    off[max(j - 1, 0):j + 1] = 0.0
+    for i in range(max(j - 1, 0), min(j + 1, h.dim - 1)):
+        off[i] = 0.0
 
-    def solve(phi: np.ndarray) -> np.ndarray:
-        _, _, _, x, info = dgtsv(off, diag, off, phi)
+    def solve(phi: array) -> array:
+        x, info = dgtsv(off, diag, off, phi)
         if info != 0:
             raise ConvergenceError(f"dgtsv tridiagonal solve failed (info {info})")
         x[j] = 0.0  # row j returned phi_j; the other rows were solved as if x_j = 0
-        x -= np.dot(v, x) * v
-        return x
+        c = _dot(v, x)
+        return array("d", [y - c * u for y, u in zip(x, v)])
 
     return v, a, solve
 
@@ -488,9 +589,9 @@ def charge_response(h: TridiagonalHamiltonian, level: int = 0, pair: EigenPair |
     the caller has it, and the rest is ``_reduced_resolvent``'s.
     """
     v, a, solve = _reduced_resolvent(h, level, pair)
-    phi = a * v
+    phi = _times(a, v)
     x = solve(phi)
-    return float(np.dot(phi, x)), v, a, x, solve
+    return _dot(phi, x), v, a, x, solve
 
 
 def fourth_order_terms(h: TridiagonalHamiltonian, pair: EigenPair | None = None):
@@ -502,9 +603,9 @@ def fourth_order_terms(h: TridiagonalHamiltonian, pair: EigenPair | None = None)
     one decoupled matrix; ``response`` is ``charge_response``'s tuple.
     """
     s0, v, a, x1, solve = response = charge_response(h, 0, pair)
-    r2 = a * x1 - s0 * v
+    r2 = array("d", [ai * xi - s0 * vi for ai, xi, vi in zip(a, x1, v)])
     x2 = solve(r2)
-    return s0 * float(np.dot(x1, x1)), float(np.dot(r2, x2)), x2, response
+    return s0 * _dot(x1, x1), _dot(r2, x2), x2, response
 
 
 def dense_all(h: TridiagonalHamiltonian) -> Spectrum:
@@ -516,10 +617,10 @@ def dense_all(h: TridiagonalHamiltonian) -> Spectrum:
     if h.dim > DENSE_LIMIT:
         raise CapacityError(f"dim {h.dim} exceeds dense limit {DENSE_LIMIT}")
     if h.dim == 1:
-        values, vectors = h.diag[:1], np.ones((1, 1))
+        values, vectors = h.diag, [array("d", [1.0])]
     else:
-        values, vectors, info = _lapack().dstevd(h.diag, h.off, compute_v=1)
+        values, vectors, info = _lapack().dstevd(h.diag, h.off)
         if info != 0:
             raise ConvergenceError(f"dstevd eigensolve did not converge (info {info})")
-    pairs = [_with_vector(h, float(values[j]), vectors[:, j]) for j in range(h.dim)]
+    pairs = [_with_vector(h, values[j], vectors[j]) for j in range(h.dim)]
     return Spectrum(pairs, h.dim)

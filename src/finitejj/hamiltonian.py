@@ -4,20 +4,22 @@ In the basis of population-imbalance eigenstates |n>, n in {-N, ..., N},
 the junction Hamiltonian has diagonal entries ``E_C (n - n_g)^2`` and
 couplings ``-(E_J / 2N) sqrt(N(N+1) - n(n+1))`` between n and n+1.
 
-An operator over a charge window stores both as two read-only arrays,
-computed once at construction, and holds at most ``ARRAY_LIMIT`` (2^26)
-states whether the window is full or not.  Large islands fit through
-windows: the low-energy states are localized in charge.  A window is named
-by the integer basis offsets ``k = n + N`` in [0, 2N] of its ends, as in
-``TridiagonalHamiltonian(params, k_lo, k_hi)``; ``build(params, half_width)``
-centres one on n_g.  In k the square root argument factors as
-``(2N - k)(k + 1)``, which stays cancellation-free for n near the boundary
-at any island size.
+An operator over a charge window stores both as two flat double buffers,
+``array('d')`` behind read-only memoryviews (8 bytes per state, handed to
+LAPACK without a copy), computed once at construction, and holds at most
+``ARRAY_LIMIT`` (2^26) states whether the window is full or not.  Large
+islands fit through windows: the low-energy states are localized in charge.
+A window is named by the integer basis offsets ``k = n + N`` in [0, 2N] of
+its ends, as in ``TridiagonalHamiltonian(params, k_lo, k_hi)``;
+``build(params, half_width)`` centres one on n_g.  In k the square root
+argument factors as ``(2N - k)(k + 1)``, which stays cancellation-free for n
+near the boundary at any island size.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
+from array import array
 
 from .errors import CapacityError
 from .model import ARRAY_LIMIT, CircuitParams
@@ -26,14 +28,14 @@ from .model import ARRAY_LIMIT, CircuitParams
 DENSE_LIMIT = 4001
 
 class TridiagonalHamiltonian:
-    """Symmetric tridiagonal operator over a charge window, held as two arrays.
+    """Symmetric tridiagonal operator over a charge window, held as two buffers.
 
     The window is the integer basis offsets [k_lo, k_hi] (default: the whole
     basis [0, 2N]); local index i in [0, dim) addresses offset ``k_lo + i``,
     charge ``n = k_lo + i - N``.  ``diag[i]`` is exact up to floating point;
     ``off[i]`` couples local states i and i+1 and is strictly negative away
-    from the physical boundary, where it vanishes.  Both arrays are computed
-    at construction and are read-only.
+    from the physical boundary, where it vanishes.  Both are computed at
+    construction and are read-only memoryviews over ``array('d')``.
     """
 
     __slots__ = ("params", "k_lo", "dim", "diag", "off")
@@ -46,14 +48,15 @@ class TridiagonalHamiltonian:
         two_n = round(2.0 * params.n_half)  # = params.pairs_total
         if not 0 <= k_lo <= k_hi <= two_n:
             raise ValueError(f"window offsets [{k_lo}, {k_hi}] outside the basis [0, {two_n}]")
-        dim = int(k_hi - k_lo) + 1
+        k_lo, k_hi = int(k_lo), int(k_hi)
+        dim = k_hi - k_lo + 1
         if dim > ARRAY_LIMIT:
             raise CapacityError(f"dim {dim} exceeds array limit {ARRAY_LIMIT}")
-        k = k_lo + np.arange(dim, dtype=float)
-        diag, off = _diagonal(params, k), _couplings(params, k[:-1])
-        diag.flags.writeable = off.flags.writeable = False
-        for name, value in (("params", params), ("k_lo", int(k_lo)), ("dim", dim),
-                            ("diag", diag), ("off", off)):
+        diag = array("d", _diagonal(params, range(k_lo, k_hi + 1)))
+        off = array("d", _couplings(params, range(k_lo, k_hi)))
+        for name, value in (("params", params), ("k_lo", k_lo), ("dim", dim),
+                            ("diag", memoryview(diag).toreadonly()),
+                            ("off", memoryview(off).toreadonly())):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -63,54 +66,62 @@ class TridiagonalHamiltonian:
     def is_full_window(self) -> bool:
         return self.k_lo == 0 and self.dim == self.params.pairs_total + 1
 
-    def charges(self) -> np.ndarray:
-        return (self.k_lo + np.arange(self.dim, dtype=float)) - self.params.n_half
+    def charges(self) -> array:
+        return array("d", [k - self.params.n_half for k in range(self.k_lo, self.k_lo + self.dim)])
 
-    def outside(self) -> tuple[np.ndarray, np.ndarray]:
+    def outside(self) -> tuple[array, array]:
         """(diag, off) of the two charges just past the window's ends, as the
         full operator holds them; off couples each to its end, 0 past a basis end."""
-        past = np.array([self.k_lo - 1.0, self.k_lo + self.dim])
-        return _diagonal(self.params, past), _couplings(self.params, past - [0, 1])
+        lo, hi = self.k_lo - 1, self.k_lo + self.dim
+        return (array("d", _diagonal(self.params, (lo, hi))),
+                array("d", _couplings(self.params, (lo, hi - 1))))
 
-    def diagonal_block(self, lo: int, hi: int) -> np.ndarray:
+    def diagonal_block(self, lo: int, hi: int) -> memoryview:
         """Read-only view of the diagonal for local indices [lo, hi)."""
         return self.diag[lo:hi]
 
-    def offdiagonal_block(self, lo: int, hi: int) -> np.ndarray:
+    def offdiagonal_block(self, lo: int, hi: int) -> memoryview:
         """Read-only view of the couplings of local indices [lo, hi), each to i+1."""
         return self.off[lo:hi]
 
-    def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+    def to_arrays(self) -> tuple[array, array]:
         """Writable copies of (diag, off)."""
-        return self.diag.copy(), self.off.copy()
+        return array("d", self.diag.tobytes()), array("d", self.off.tobytes())
 
-    def to_dense(self) -> np.ndarray:
+    def to_dense(self):
+        """The operator as a dense numpy matrix (a test and tracing aid)."""
+        import numpy as np
+
         if self.dim > DENSE_LIMIT:
             raise CapacityError(f"dim {self.dim} exceeds dense limit {DENSE_LIMIT}")
         return np.diag(self.diag) + np.diag(self.off, 1) + np.diag(self.off, -1)
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag * v
-        if self.dim > 1:
-            out[:-1] += self.off * v[1:]
-            out[1:] += self.off * v[:-1]
-        return out
+    def matvec(self, v) -> array:
+        """H v, summed per row as diag v, then + off v_next, then + off_prev v_prev."""
+        diag, off = self.diag, self.off
+        if self.dim == 1:
+            return array("d", [diag[0] * v[0]])
+        v = memoryview(v)
+        rows = [d * x + o * y + p * z
+                for d, x, o, y, p, z in zip(diag[1:-1], v[1:-1], off[1:], v[2:], off, v)]
+        return array("d", [diag[0] * v[0] + off[0] * v[1], *rows,
+                           diag[-1] * v[-1] + off[-1] * v[-2]])
 
     def coefficient_bounds(self) -> tuple[float, float, float]:
         """(min diag, max diag, max |off|)."""
-        off_max = float(np.max(np.abs(self.off), initial=0.0))
-        return float(self.diag.min()), float(self.diag.max()), off_max
+        return min(self.diag), max(self.diag), max(map(abs, self.off), default=0.0)
 
 
-def _diagonal(params: CircuitParams, k: np.ndarray) -> np.ndarray:
+def _diagonal(params: CircuitParams, k):
     # One rounding for n - n_g = k - center, same value at every index.
-    delta = k - (params.n_half + params.n_g)
-    return params.e_c * delta * delta
+    e_c, center = params.e_c, float(params.n_half + params.n_g)
+    return [e_c * (delta := j - center) * delta for j in k]
 
 
-def _couplings(params: CircuitParams, k: np.ndarray) -> np.ndarray:
+def _couplings(params: CircuitParams, k):
     """Couplings of basis offsets ``k`` to k + 1."""
-    return -(params.e_j / (2.0 * params.n_half)) * np.sqrt((2.0 * params.n_half - k) * (k + 1.0))
+    scale, two_n, sqrt = -(params.e_j / (2.0 * params.n_half)), 2.0 * params.n_half, math.sqrt
+    return [scale * sqrt((two_n - j) * (j + 1.0)) for j in k]
 
 
 def build(params: CircuitParams, half_width: int | None = None) -> TridiagonalHamiltonian:

@@ -27,12 +27,10 @@ from __future__ import annotations
 import math
 import warnings
 
-import numpy as np
-
 from .errors import ConvergenceError, RegimeWarning, WindowConvergenceError
-from .eigensolve import (charge_response, edge_bound, eigenpair, fourth_order_bound,
-                         fourth_order_terms, imbalance_bound, lowest_eigenvalues, response_bound,
-                         window_certificate)
+from .eigensolve import (_centred, _dot, _norm, _times, charge_response, edge_bound, eigenpair,
+                         fourth_order_bound, fourth_order_terms, imbalance_bound,
+                         lowest_eigenvalues, response_bound, window_certificate)
 from .hamiltonian import TridiagonalHamiltonian, build
 from .model import DEFAULT_W_MAX, CircuitParams, Record
 
@@ -129,7 +127,7 @@ def _eigenvalues(levels: int):
         spectrum = lowest_eigenvalues(h, levels)
         if check and window_certificate(h, spectrum) is None:
             return None
-        return spectrum.values
+        return [p.value for p in spectrum.pairs]
 
     return column
 
@@ -148,11 +146,9 @@ def _level(h: TridiagonalHamiltonian, level: int, check: bool):
 def _imbalance(h: TridiagonalHamiltonian, check: bool):
     pair, edge = _level(h, 0, check)
     v = pair.vector
-    if check:
-        n = np.arange(h.dim, dtype=float)
-        if not edge or imbalance_bound(edge, n - np.dot(n, v * v), v) > _TARGET:
-            return None
-    return float(np.dot(h.charges(), v * v))
+    if check and (not edge or imbalance_bound(edge, _centred(v), v) > _TARGET):
+        return None
+    return _dot(h.charges(), _times(v, v))
 
 
 def _response(h: TridiagonalHamiltonian, level: int, check: bool):
@@ -161,7 +157,7 @@ def _response(h: TridiagonalHamiltonian, level: int, check: bool):
     if check and not edge:
         return None
     s, v, a, x, _ = charge_response(h, level, pair)
-    scale = float(np.linalg.norm(a * v) * np.linalg.norm(x))
+    scale = _norm(_times(a, v)) * _norm(x)
     if check and response_bound(edge, a, v, x)[0] > _TARGET * scale:
         return None
     return s
@@ -299,19 +295,34 @@ class SweepTable:
     """Columnar observable-vs-n_g results with full parameter provenance.
 
     A validated container only: the CLI writes it as an artifact, naming the
-    grid column ``meta["grid_label"]`` (default n_g).
+    grid column ``meta["grid_label"]`` (default n_g).  ``grid_values`` and
+    ``column_values`` hold float lists; ``grid`` and ``columns`` hand them out
+    as numpy arrays, importing numpy at the first access.
     """
 
-    def __init__(self, grid, columns: dict[str, np.ndarray], meta: dict):
-        self.grid = np.asarray(grid, dtype=float)
-        if self.grid.size and np.any(np.diff(self.grid) <= 0):
+    def __init__(self, grid, columns: dict, meta: dict):
+        self.grid_values = [float(g) for g in grid]
+        if any(b <= a for a, b in zip(self.grid_values, self.grid_values[1:])):
             raise ValueError("grid must be strictly increasing")
+        self.column_values = {}
         for name, col in columns.items():
-            col = np.asarray(col, dtype=float)
-            if col.shape != self.grid.shape:
+            col = [float(c) for c in col]
+            if len(col) != len(self.grid_values):
                 raise ValueError(f"column {name!r} length does not match grid")
-            columns[name] = col
-        self.columns, self.meta = columns, meta
+            self.column_values[name] = col
+        self.meta = meta
+
+    @property
+    def grid(self):
+        import numpy as np
+
+        return np.array(self.grid_values)
+
+    @property
+    def columns(self) -> dict:
+        import numpy as np
+
+        return {name: np.array(col) for name, col in self.column_values.items()}
 
 
 def band_sweep(
@@ -330,8 +341,8 @@ def band_sweep(
     to converge are flagged in the ``converged`` column
     and carry NaNs rather than being dropped.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
+    grid = [float(ng) for ng in grid]
+    if not grid:
         raise ValueError("grid must be nonempty")
     if levels < 1:
         raise ValueError("levels must be at least 1")
@@ -346,19 +357,19 @@ def band_sweep(
     if include_susceptibility:
         names.append("chi")
         columns.append(_chi(params))
-    table = {name: np.full(grid.size, np.nan) for name in names}
-    flags = np.ones(grid.size)
+    table = {name: [math.nan] * len(grid) for name in names}
+    flags = [1.0] * len(grid)
 
     for i, ng in enumerate(grid):
         try:
             # Half-width levels - 1 holds ``levels`` states even at the basis edge.
-            values, *others = _solve_windowed(params.with_ng(float(ng)), policy, columns,
+            values, *others = _solve_windowed(params.with_ng(ng), policy, columns,
                                               min_half_width=levels - 1)
         except WindowConvergenceError:
             flags[i] = 0.0
             continue
         if subtract_ground:
-            values = values - values[0]
+            values = [value - values[0] for value in values]
         for name, value in zip(names, [*values, *others]):
             table[name][i] = value
     table["converged"] = flags

@@ -260,7 +260,7 @@ def test_criterion_7_invariant_suite():
     positive = True
     for pairs, ejec, ng in [(10, 0.2, 0.0), (10, 0.2, 0.4), (14, 1.0, -0.7), (8, 0.3, 2.1)]:
         vector = eigenpair(build(params(pairs, ejec, ng=ng))).vector
-        positive = positive and bool(np.all(vector > 0.0))
+        positive = positive and all(x > 0.0 for x in vector)
     checks.append(("ground-vector positivity", positive))
 
     # saturation at |n_g| >= 4N for E_J/E_C = 0.2, 2N = 10

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import read_table
@@ -19,6 +19,7 @@ from finitejj import observables, wick
 from finitejj.cli import (
     MAX_WICK_DEGREE,
     CliError,
+    _grid_from,
     _write_scalars,
     _write_table,
     build_parser,
@@ -617,78 +618,78 @@ def test_levels_beyond_fixed_window_names_both_flags(capsys):
     assert "--half-width" in err
 
 
-def test_scipy_loads_at_the_first_solve(tmp_path):
-    """Import and the closed-form commands leave scipy unloaded; a solve loads its
-    LAPACK wrappers, and neither the ``scipy`` nor the ``scipy.linalg`` package."""
-    script = """
-import json, sys
-def modules():
-    return [name in sys.modules for name in ("scipy", "scipy.linalg", "scipy.linalg._flapack")]
-import finitejj.cli
-loaded = {"import": modules()}
-for argv in (["analytic", "--ej", "1", "--ec", "1", "--pairs", "10"],
-             ["validity", "--pairs", "1e6", "--ng", "3"],
-             ["wick-verify", "--count", "5"]):
-    assert finitejj.cli.main(argv) == 0
-    loaded[argv[0]] = modules()
-argv = ["bands", "--pairs", "4", "--ejec", "1", "--from", "0", "--to", "1", "--steps", "2"]
-assert finitejj.cli.main(argv) == 0
-loaded["bands"] = modules()
-print(json.dumps(loaded))
-"""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
-    )
-    assert done.returncode == 0, done.stderr
-    loaded = json.loads(done.stdout.splitlines()[-1])
-    none = [False, False, False]
-    assert loaded == {
-        "import": none, "analytic": none, "validity": none, "wick-verify": none,
-        "bands": [False, False, True],
-    }
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_SUBNORMAL = st.floats(min_value=-1e-320, max_value=1e-320)
+# transmon-window's sweeps: a unit window around a centre 1e6 +- 1000 +- 0.5.
+_CENTRE = st.builds(lambda k, f: 1e6 + k + f, st.integers(-1000, 1000), st.floats(-0.5, 0.5))
 
 
-def test_numpy_loads_at_the_first_array(tmp_path):
-    """Import and the closed-form commands load neither numpy nor scipy.
+@given(ends=st.one_of(
+           st.tuples(_FINITE, _FINITE).map(sorted),
+           _CENTRE.map(lambda c: (c - 0.5, c + 0.5)),
+           st.tuples(_SUBNORMAL, _SUBNORMAL).map(sorted),
+       ),
+       steps=st.one_of(st.sampled_from([1, 2, 3, 21, 89]), st.integers(1, 2000)))
+@example(ends=(0.0, 1.5e-323), steps=10)  # a step that rounds to 0
+@example(ends=(-5e-324, 5e-324), steps=2)
+@example(ends=(1e6 - 0.25, 1e6 + 0.75), steps=1)
+@example(ends=(-0.0, 1.0), steps=1)  # 0 * delta + start is +0.0
+@example(ends=(-1e308, 1e308), steps=3)
+def test_grid_is_linspace_bit_for_bit(ends, steps):
+    start, stop = ends
+    args = argparse.Namespace(start=start, stop=stop, steps=steps)
+    if steps > 1 and not start < stop or not math.isfinite(stop - start):
+        with pytest.raises(CliError):
+            _grid_from(args)
+        return
+    expected = np.linspace(start, stop, steps)
+    assert np.array(_grid_from(args)).tobytes() == expected.tobytes()
 
-    No command loads the numpy submodules that ``scipy.linalg``'s import pulls in,
-    nor ``dataclasses``; only numpy's own import loads ``inspect``.
+
+_UNLOADED = ("numpy", "scipy", "scipy.linalg", "scipy.linalg._flapack", "dataclasses", "inspect")
+
+
+def test_no_command_loads_numpy_scipy_or_dataclasses(tmp_path):
+    """Import and all eight commands load neither numpy nor any scipy module.
+
+    The solver commands open LAPACK through ctypes; no command imports
+    ``dataclasses``, nor ``inspect``, which numpy's import and dataclasses pull in.
     """
-    script = """
+    script = f"""
 import json, sys
-loaded = {}
+loaded = {{}}
 def record(step):
-    loaded[step] = [name in sys.modules for name in
-                    ("numpy", "scipy.linalg._flapack", "numpy.f2py", "numpy.testing",
-                     "dataclasses", "inspect")]
+    loaded[step] = [name for name in {_UNLOADED!r} if name in sys.modules]
 import finitejj
 record("import finitejj")
 import finitejj.cli
 record("import finitejj.cli")
-for argv in (["analytic", "--ej", "1", "--ec", "1", "--pairs", "10", "--ng", "0.5"],
-             ["validity", "--pairs", "1e6", "--ng", "3"],
-             ["wick-verify", "--count", "5"],
-             ["bands", "--pairs", "4", "--ejec", "1", "--from", "0", "--to", "1",
-              "--steps", "2"]):
-    assert finitejj.cli.main(argv) == 0
+for line in sys.argv[1:]:
+    argv = line.split()
+    assert finitejj.cli.main(argv) == 0, argv
     record(argv[0])
 print(json.dumps(loaded))
 """
+    commands = [
+        "analytic --ej 1 --ec 1 --pairs 10 --ng 0.5",
+        "validity --pairs 1e6 --ng 3",
+        "wick-verify --count 5",
+        "bands --pairs 4 --ejec 1 --from 0 --to 1 --steps 2",
+        "imbalance --pairs 4 --ejec 1 --from 0 --to 1 --steps 2",
+        "susceptibility --pairs 4 --ejec 1 --from 0 --to 1 --steps 2",
+        "curvature --kind dispersion --pairs 60 --values 10,20",
+        "transmon-shift --ej-ghz 10 --ec-ghz 0.2 --pairs 100 --ng 1",
+    ]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+        [sys.executable, "-c", script, *commands], cwd=tmp_path, env=env, capture_output=True,
+        text=True
     )
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout.splitlines()[-1])
-    none = [False] * 6
-    assert loaded == {
-        "import finitejj": none, "import finitejj.cli": none, "analytic": none,
-        "validity": none, "wick-verify": none,
-        "bands": [True, True, False, False, False, True],
-    }
+    steps = ["import finitejj", "import finitejj.cli", *(c.split()[0] for c in commands)]
+    assert loaded == dict.fromkeys(steps, [])
 
 
 # Cheap invocations (fixed small windows, few points) and the flags fed hostile values.

@@ -1,11 +1,14 @@
 """Certified eigenvalues against dense and mpmath oracles, plus the solver invariants."""
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import math
 import os
 import subprocess
 import sys
+import warnings
+from array import array
 from pathlib import Path
 
 import mpmath
@@ -58,8 +61,8 @@ def wrong_lapack_values(monkeypatch):
     dstebz = lapack.dstebz
 
     def shifted(*args):
-        m, w, iblock, isplit, info = dstebz(*args)
-        return m, w + 1e-3, iblock, isplit, info
+        m, w, info = dstebz(*args)
+        return m, array("d", [x + 1e-3 for x in w]), info
 
     monkeypatch.setattr(lapack, "dstebz", shifted)
 
@@ -156,8 +159,8 @@ class TestLowestEigenvalues:
         dstebz = lapack.dstebz
 
         def shifted(*args):
-            m, w, iblock, isplit, info = dstebz(*args)
-            return m, w + shift, iblock, isplit, info
+            m, w, info = dstebz(*args)
+            return m, array("d", [x + shift for x in w]), info
 
         monkeypatch.setattr(lapack, "dstebz", shifted)
         spec = lowest_eigenvalues(h, 3)
@@ -225,7 +228,7 @@ class TestGroundState:
                     charges = h.charges().tolist()
                     exact = sum(mpmath.mpf(n) * vectors[i, j] ** 2 for i, n in enumerate(charges))
                     v = eigenpair(h).vector
-                    error = abs(mpmath.mpf(float(np.dot(charges, v * v))) - exact)
+                    error = abs(mpmath.mpf(float(np.dot(charges, np.square(v)))) - exact)
                     assert error <= 4 * eps * max(1.0, abs(exact)), ng
 
     def test_overlap_with_dense_oracle_by_bisection(self, wrong_lapack_values, sturm_counts):
@@ -237,13 +240,13 @@ class TestGroundState:
         # so strict positivity is numerically meaningful.
         for pairs, ejec, ng in [(8, 0.3, 0.0), (10, 0.2, 0.4), (14, 1.0, -0.7)]:
             pair = eigenpair(build(params(pairs, ejec, ng=ng)))
-            assert np.all(pair.vector > 0.0)
+            assert all(x > 0.0 for x in pair.vector)
 
     def test_positive_above_noise_floor_when_strongly_localized(self):
         # Far tails of a localized state underflow double precision; the
         # Perron sign statement applies to components above solver noise.
         pair = eigenpair(build(params(60, 4.0, ng=1.3)))
-        v = pair.vector
+        v = np.asarray(pair.vector)
         floor = 64 * np.finfo(float).eps
         assert np.all(v[np.abs(v) > floor] > 0.0)
         assert np.min(v) > -floor
@@ -252,7 +255,8 @@ class TestGroundState:
         pair = eigenpair(build(params(80, 10.0, ng=0.4)))
         assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-12)
         h = build(params(80, 10.0, ng=0.4))
-        direct = np.linalg.norm(h.matvec(pair.vector) - pair.value * pair.vector)
+        direct = np.linalg.norm(np.asarray(h.matvec(pair.vector))
+                                - pair.value * np.asarray(pair.vector))
         assert pair.residual == pytest.approx(direct, rel=1e-6, abs=1e-14)
 
     def test_near_degenerate_warning(self):
@@ -277,7 +281,7 @@ class TestChargeResponse:
         for pairs, ejec, ng in [(10, 0.2, 0.3), (20, 3.0, 0.8), (30, 1.0, -2.5)]:
             h = build(params(pairs, ejec, ng=ng))
             spec = dense_all(h)
-            n = h.charges()
+            n = np.asarray(h.charges())
             v0 = spec.pairs[0].vector
             exact = sum(
                 np.dot(p.vector, n * v0) ** 2 / (p.value - spec.pairs[0].value)
@@ -291,7 +295,7 @@ class TestChargeResponse:
         spec = dense_all(h)
         energies = spec.values
         vectors = np.array([p.vector for p in spec.pairs]).T
-        n = vectors.T @ (h.charges()[:, None] * vectors)  # <k|n|m>
+        n = vectors.T @ (np.asarray(h.charges())[:, None] * vectors)  # <k|n|m>
         m = np.arange(h.dim)
 
         def response(level):
@@ -311,9 +315,16 @@ class TestChargeResponse:
         first, second = fourth_order_terms(h)[:2]
         assert first - second == pytest.approx(exact, rel=1e-9)
 
+    @pytest.mark.parametrize("solve", [eigenpair, charge_response])
+    @pytest.mark.parametrize("level", [-1, 3, 5])
+    def test_level_outside_the_window_is_refused(self, solve, level):
+        h = TridiagonalHamiltonian(params(10, 1.0), 4, 6)  # dim 3
+        with pytest.raises(ValueError, match=rf"level {level} is outside the 3 charge states"):
+            solve(h, level)
+
     def test_failed_solve_raises(self, monkeypatch):
         monkeypatch.setattr(
-            eigensolve._lapack(), "dgtsv", lambda dl, d, du, b: (dl, d, du, b, 2)
+            eigensolve._lapack(), "dgtsv", lambda dl, d, du, b: (b, 2)
         )
         with pytest.raises(ConvergenceError, match="dgtsv"):
             charge_response(build(params(10, 0.2, ng=0.3)))
@@ -338,7 +349,7 @@ class TestDenseAll:
         h = build(params(pairs, ejec, ng=ng))
         values = dense_all(h).values
         diag, off = h.to_arrays()
-        frob_sq = float(np.sum(diag**2) + 2.0 * np.sum(off**2))
+        frob_sq = float(np.sum(np.square(diag)) + 2.0 * np.sum(np.square(off)))
         assert float(np.sum(values**2)) == pytest.approx(frob_sq, rel=1e-10)
 
     def test_capacity_guard(self):
@@ -362,7 +373,7 @@ def random_operator(rng, dim):
 
 
 class TestLapackLoader:
-    """``eigensolve._lapack``: scipy's LAPACK wrappers without the scipy.linalg package."""
+    """``eigensolve._lapack``: the LAPACK under scipy's wrappers, through ctypes."""
 
     @pytest.mark.parametrize("dim", [1, 2, 11, 65, 2049])
     def test_bit_identical_to_scipy_linalg(self, dim):
@@ -382,28 +393,107 @@ class TestLapackLoader:
             for j, pair in enumerate(spec.pairs):
                 v = vectors[:, j]
                 assert (pair.vector == v).all() or (pair.vector == -v).all()
+            diag, off = np.asarray(h.diag), np.asarray(h.off)
+            # Vectors: scipy's dstein wrapper at the shift eigenpair takes, sign-normalized.
+            for level in sorted({0, min(1, dim - 1)}):
+                pairs = lowest_eigenvalues(h, min(level + 2, dim)).pairs
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", NearDegenerateWarning)
+                    mine = eigenpair(h, level)
+                shift = pairs[level].value - pairs[level].residual
+                z, info = scipy.linalg.lapack.dstein(
+                    diag, off if dim > 1 else np.zeros(1), [shift], np.ones(dim, np.int32),
+                    np.full(dim, dim, np.int32))
+                v = z[:, 0] if z[np.argmax(np.abs(z[:, 0])), 0] > 0 else -z[:, 0]
+                assert info == 0 and np.asarray(mine.vector).tobytes() == v.tobytes()
+            # The response: the same solve through scipy's dgtsv wrapper and np.dot.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NearDegenerateWarning)
+                s, v, a, x, _ = charge_response(h)
+            v = np.asarray(v)
+            n = np.arange(dim, dtype=float)
+            assert np.asarray(a).tobytes() == (n - np.dot(n, v * v)).tobytes()
+            phi = np.asarray(a) * v
+            if dim > 1:
+                peak = np.argmax(np.abs(v))
+                d = diag - lowest_eigenvalues(h, 2).pairs[0].value
+                e = off.copy()
+                d[peak] = 1.0
+                e[max(peak - 1, 0):peak + 1] = 0.0
+                *_, expected, info = scipy.linalg.lapack.dgtsv(e, d, e, phi)
+                assert info == 0
+                expected[peak] = 0.0
+                expected -= np.dot(v, expected) * v
+            else:
+                expected = np.zeros(1)
+            assert np.asarray(x).tobytes() == expected.tobytes()
+            assert s == np.dot(phi, expected)
+            # Every dot product and norm, as numpy sums them.
+            for _ in range(4):
+                x, y = rng.standard_normal((2, dim)) * 10.0 ** rng.uniform(-3, 3, 2)[:, None]
+                assert eigensolve._dot(array("d", x), array("d", y)) == np.dot(x, y)
+                assert eigensolve._norm(array("d", x)) == np.linalg.norm(x)
 
     @pytest.mark.parametrize("scipy_first", [False, True])
-    def test_same_module_as_scipy_linalg_in_either_import_order(self, scipy_first):
+    def test_binding_works_in_either_import_order_and_registers_no_module(self, scipy_first):
         script = f"""
 import sys
 if {scipy_first}:
     import scipy.linalg
-from finitejj import eigensolve
-lapack = eigensolve._lapack()
-assert ("scipy.linalg" in sys.modules) == {scipy_first}
-import scipy.linalg.lapack
-assert lapack is scipy.linalg.lapack._flapack
-assert lapack is sys.modules["scipy.linalg._flapack"]
-assert eigensolve._lapack() is lapack
-print("same")
+from finitejj import eigensolve, hamiltonian, model
+h = hamiltonian.build(model.CircuitParams.from_pairs(40, e_j=3.0, e_c=1.0, n_g=0.2))
+before = set(sys.modules)
+values = [p.value for p in eigensolve.lowest_eigenvalues(h, 3).pairs]
+vector = eigensolve.eigenpair(h).vector
+assert set(sys.modules) == before
+assert ("scipy" in sys.modules) == {scipy_first}
+import scipy.linalg
+expected = scipy.linalg.eigh_tridiagonal(h.diag, h.off, eigvals_only=True, select="i",
+                                         select_range=(0, 2), lapack_driver="stebz",
+                                         tol=2.0 * sys.float_info.min)
+assert values == expected.tolist()
+assert list(vector) == list(eigensolve.eigenpair(h).vector)
+print("bound")
 """
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["same"]
+        assert done.stdout.split() == ["bound"]
+
+    @pytest.mark.parametrize("routine", sorted(eigensolve._Lapack.SIGNATURES))
+    def test_library_without_a_routine_raises_import_error_naming_it(self, routine):
+        real = ctypes.CDLL(scipy.linalg.lapack._flapack.__file__)
+
+        class Library:
+            """The real library, less both names of ``routine``; the rest only as <name>_."""
+
+            def __getattr__(self, symbol):
+                if symbol.startswith("scipy_") or symbol == f"{routine}_":
+                    raise AttributeError(symbol)
+                return getattr(real, f"scipy_{symbol}")
+
+        with pytest.raises(ImportError, match=routine):
+            eigensolve._Lapack(Library())
+
+    def test_refuses_a_memoryview_over_part_of_an_array(self):
+        h = build(params(10, 0.2, ng=0.3))
+        with pytest.raises(ValueError, match="whole array"):
+            eigensolve._lapack().ddot(h.diag[1:], h.diag[1:])
+
+    def test_falls_back_to_the_plain_symbol_names(self):
+        real = ctypes.CDLL(scipy.linalg.lapack._flapack.__file__)
+
+        class Library:
+            def __getattr__(self, symbol):
+                if symbol.startswith("scipy_"):
+                    raise AttributeError(symbol)
+                return getattr(real, f"scipy_{symbol}")
+
+        lapack = eigensolve._Lapack(Library())
+        x = array("d", [1.0, 2.0, 3.0])
+        assert lapack.ddot(x, x) == 14.0
 
     @pytest.mark.parametrize("installed", [True, False])
     def test_missing_module_raises_import_error_naming_it(self, monkeypatch, tmp_path,
@@ -558,7 +648,7 @@ class TestWindowCertificate:
         spectrum = lowest_eigenvalues(h, 2)
         assert abs(spectrum.values[0]) < 1e-16
         radii = eigensolve.window_certificate(h, spectrum)
-        assert radii[0] >= 8.0 * np.finfo(float).eps * h.diag.max()
+        assert radii[0] >= 8.0 * np.finfo(float).eps * max(h.diag)
 
     def test_full_mode_returns_the_whole_basis_answer(self):
         from finitejj.observables import WindowPolicy, band_sweep

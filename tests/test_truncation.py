@@ -245,7 +245,7 @@ def test_imbalance_bound_covers_every_vector_within_the_angle():
     # u = cos t phi + sin t w.  Charge on the far corner (w along e_edge) needs
     # the sin^2 term; w along a phi needs the 2 sin t term.
     h = build(CircuitParams.from_pairs(1000, e_j=50.0, e_c=1.0, n_g=0.3), 16)
-    phi = eigenpair(h).vector
+    phi = np.asarray(eigenpair(h).vector)
     n = np.arange(h.dim, dtype=float)
     a = n - np.dot(n, phi * phi)
     for sin in (1e-3, 0.3, 0.9):
