@@ -150,13 +150,13 @@ class _Lapack:
         return x, info.value
 
     def dstevd(self, d, e):
-        """(w, z, info): every eigenvalue of (d, e), ascending, and the vectors, z's columns."""
+        """(w, z, info): every eigenvalue of (d, e), ascending, and vector j at z[j n:(j + 1) n]."""
         n, info, lwork, liwork = len(d), c_int(), 1 + 4 * len(d) + len(d) ** 2, 3 + 5 * len(d)
         w, e, z, work, iwork = (array("d", d), array("d", e), _zeros(n * n), _zeros(lwork),
                                 _zeros(liwork, "i"))
         self._dstevd(b"V", _int(n), _ptr(w), _ptr(e), _ptr(z), _int(n), _ptr(work),
                      _int(lwork), _ptr(iwork), _int(liwork), byref(info), 1)
-        return w, [z[j * n:(j + 1) * n] for j in range(n)], info.value
+        return w, z, info.value
 
     def ddot(self, x, y) -> float:
         return self._ddot(_int(len(x)), _ptr(x), _ONE, _ptr(y), _ONE)
@@ -504,20 +504,12 @@ def fourth_order_bound(edge: EdgeBound, a: array, vector: array, x1: array, s0: 
     return first + second, rho2
 
 
-def _with_vector(h: TridiagonalHamiltonian, value: float, v: array) -> EigenPair:
-    """Pair with ``v`` sign-normalized (largest component positive) and ||Hv - value v||."""
-    if v[_peak(v)] < 0:
-        v = array("d", map(neg, v))
-    residual = _norm(array("d", [y - value * x for y, x in zip(h.matvec(v), v)]))
-    return EigenPair(value=value, vector=v, residual=residual)
-
-
 def eigenpair(h: TridiagonalHamiltonian, level: int = 0,
               spectrum: Spectrum | None = None) -> EigenPair:
     """Eigenpair ``level``: certified value plus its inverse-iteration vector.
 
-    ``spectrum`` is ``lowest_eigenvalues(h, min(level + 2, h.dim))`` when the
-    caller has it already.  The vector is sign-normalized so its
+    ``spectrum`` is the window's ``lowest_eigenvalues`` through level + 1 or
+    more (by default ``min(level + 2, h.dim)`` levels).  The vector is sign-normalized so its
     largest-magnitude component is positive; with all couplings negative the
     ground vector then comes out componentwise positive (Perron-Frobenius).
     Warns when a neighbouring level lies within 40 eps ||H||, where the vector
@@ -543,7 +535,10 @@ def eigenpair(h: TridiagonalHamiltonian, level: int = 0,
     vector, info = _lapack().dstein(h.diag, h.off, value - pairs[level].residual)
     if info != 0:
         raise ConvergenceError("dstein inverse iteration did not converge")
-    return _with_vector(h, value, vector)
+    if vector[_peak(vector)] < 0:
+        vector = array("d", map(neg, vector))
+    residual = _norm(array("d", [y - value * x for y, x in zip(h.matvec(vector), vector)]))
+    return EigenPair(value=value, vector=vector, residual=residual)
 
 
 def _reduced_resolvent(h: TridiagonalHamiltonian, level: int, pair: EigenPair | None = None):
@@ -612,15 +607,25 @@ def dense_all(h: TridiagonalHamiltonian) -> Spectrum:
     """Full spectrum with eigenvectors via the dense LAPACK tridiagonal path.
 
     Reference oracle for small dimensions; ``DENSE_LIMIT`` keeps runtimes
-    around a second.
+    around a second.  Vectors are sign-normalized and residuals taken as by
+    ``eigenpair``, in the same order of roundings, on numpy rows (numpy loads here).
     """
+    import numpy as np
+
     if h.dim > DENSE_LIMIT:
         raise CapacityError(f"dim {h.dim} exceeds dense limit {DENSE_LIMIT}")
     if h.dim == 1:
-        values, vectors = h.diag, [array("d", [1.0])]
+        values, z = h.diag, array("d", [1.0])
     else:
-        values, vectors, info = _lapack().dstevd(h.diag, h.off)
+        values, z, info = _lapack().dstevd(h.diag, h.off)
         if info != 0:
             raise ConvergenceError(f"dstevd eigensolve did not converge (info {info})")
-    pairs = [_with_vector(h, values[j], vectors[j]) for j in range(h.dim)]
+    diag, off, pairs = np.asarray(h.diag), np.asarray(h.off), []
+    for value, v in zip(values, np.frombuffer(z).reshape(h.dim, h.dim)):
+        v = -v if v[np.abs(v).argmax()] < 0 else v
+        hv = diag * v  # h.matvec's order: diag v, + off v_next, + off_prev v_prev
+        hv[:-1] += off * v[1:]
+        hv[1:] += off * v[:-1]
+        residual = _norm(array("d", (hv - value * v).tobytes()))
+        pairs.append(EigenPair(value=value, vector=array("d", v.tobytes()), residual=residual))
     return Spectrum(pairs, h.dim)

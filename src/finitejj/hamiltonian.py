@@ -35,10 +35,10 @@ class TridiagonalHamiltonian:
     charge ``n = k_lo + i - N``.  ``diag[i]`` is exact up to floating point;
     ``off[i]`` couples local states i and i+1 and is strictly negative away
     from the physical boundary, where it vanishes.  Both are computed at
-    construction and are read-only memoryviews over ``array('d')``.
+    construction, with their bounds, as read-only memoryviews over ``array('d')``.
     """
 
-    __slots__ = ("params", "k_lo", "dim", "diag", "off")
+    __slots__ = ("params", "k_lo", "dim", "diag", "off", "_bounds")
 
     def __init__(self, params: CircuitParams, k_lo: int = 0, k_hi: int | None = None):
         if k_hi is None:
@@ -52,11 +52,11 @@ class TridiagonalHamiltonian:
         dim = k_hi - k_lo + 1
         if dim > ARRAY_LIMIT:
             raise CapacityError(f"dim {dim} exceeds array limit {ARRAY_LIMIT}")
-        diag = array("d", _diagonal(params, range(k_lo, k_hi + 1)))
-        off = array("d", _couplings(params, range(k_lo, k_hi)))
+        diag, off = _diagonal(params, range(k_lo, k_hi + 1)), _couplings(params, range(k_lo, k_hi))
         for name, value in (("params", params), ("k_lo", k_lo), ("dim", dim),
-                            ("diag", memoryview(diag).toreadonly()),
-                            ("off", memoryview(off).toreadonly())):
+                            ("diag", memoryview(array("d", diag)).toreadonly()),
+                            ("off", memoryview(array("d", off)).toreadonly()),
+                            ("_bounds", (min(diag), max(diag), max(map(abs, off), default=0.0)))):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -108,8 +108,8 @@ class TridiagonalHamiltonian:
                            diag[-1] * v[-1] + off[-1] * v[-2]])
 
     def coefficient_bounds(self) -> tuple[float, float, float]:
-        """(min diag, max diag, max |off|)."""
-        return min(self.diag), max(self.diag), max(map(abs, self.off), default=0.0)
+        """(min diag, max diag, max |off|), taken at construction."""
+        return self._bounds
 
 
 def _diagonal(params: CircuitParams, k):

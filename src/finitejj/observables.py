@@ -11,8 +11,8 @@ from the ground state's fourth-order energy
 Large islands are handled through charge windows: the low-energy states are
 exponentially localized around the offset charge, so a window of a few dozen
 charge states around round(n_g) holds the whole basis's answers.  Adaptive
-and full mode double the half-width, building each window once for every
-quantity still open, and stop each quantity at the first window that proves
+and full mode double the half-width, solving and certifying each window once
+for every quantity still open, and stop each at the first window that proves
 it: eigenvalues once ``eigensolve.window_certificate`` closes, <n>, chi and
 the curvatures once the truncation bounds built on ``eigensolve.edge_bound``
 are below ``_TARGET`` of their own rounding scale.  A window that holds the
@@ -24,12 +24,13 @@ files (the CLI is the only artifact writer).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
 from .errors import ConvergenceError, RegimeWarning, WindowConvergenceError
-from .eigensolve import (_centred, _dot, _norm, _times, charge_response, edge_bound, eigenpair,
-                         fourth_order_bound, fourth_order_terms, imbalance_bound,
+from .eigensolve import (Spectrum, _centred, _dot, _norm, _times, charge_response, edge_bound,
+                         eigenpair, fourth_order_bound, fourth_order_terms, imbalance_bound,
                          lowest_eigenvalues, response_bound, window_certificate)
 from .hamiltonian import TridiagonalHamiltonian, build
 from .model import DEFAULT_W_MAX, CircuitParams, Record
@@ -91,84 +92,75 @@ def initial_half_width(params: CircuitParams) -> int:
 
 
 def _solve_windowed(params, policy, columns, min_half_width=0):
-    """Each of ``columns``' values under the window policy: one window if fixed, else doubling W.
+    """Each of ``columns``' values under the window policy, one certified solve per window.
 
-    ``column(h, check)`` maps a window operator to its value; with ``check``
-    it returns None unless the window proves the value the whole basis's.  A
-    fixed window is solved once, unchecked.  Every other walk starts at
+    A fixed window is one window, unchecked.  Other walks start at
     ``w_initial`` (default ``initial_half_width``), or ``min_half_width`` if
-    larger, builds each window once for the columns still open, and doubles
-    W; a window that swallows the whole basis is exact and closes them all.
-    Adaptive mode raises at ``w_max``; full mode only at the operator limit.
+    larger, and double W until every column closes; a window holding the
+    whole basis is exact, so unchecked too.  Adaptive mode raises at
+    ``w_max``, full mode only at the operator limit.
+
+    A column ``(levels, vectors, value)`` reads the lowest ``levels`` values
+    and the eigenpair of each level in ``vectors``, proven with levels 0..level+1.
+    Each window is solved for the most levels an open column reads and
+    certified once; where that fails, a column reading fewer certifies its
+    prefix.  Each column unchecked or certified gets ``value(h, spectrum,
+    radii, pair)``, ``radii`` False unchecked and ``pair(level)`` the window's
+    one eigenpair, and returns None unless the window proves its value.
     """
-    if policy.mode == "fixed":
-        h = build(params, policy.half_width)
-        return [column(h, False) for column in columns]
+    fixed = policy.mode == "fixed"
+    w = policy.half_width if fixed else max(policy.w_initial or initial_half_width(params),
+                                             min_half_width)
     values = [None] * len(columns)
-    w = max(policy.w_initial or initial_half_width(params), min_half_width)
     while True:
         h = build(params, w)
-        values = [column(h, not h.is_full_window) if value is None else value
-                  for column, value in zip(columns, values)]
+        reads = {i: max([levels, *(min(level + 2, h.dim) for level in vectors)])
+                 for i, (levels, vectors, _) in enumerate(columns) if values[i] is None}
+        spectrum = lowest_eigenvalues(h, k := max(reads.values()))
+        checked = not (fixed or h.is_full_window)
+        certify = functools.cache(
+            lambda n: window_certificate(h, Spectrum(spectrum.pairs[:n], h.dim)))
+        pair = functools.cache(lambda level: eigenpair(h, level, spectrum))
+        for i, n in reads.items():
+            radii = checked and (certify(k) or certify(n))
+            if radii or not checked:
+                values[i] = columns[i][2](h, spectrum, radii, pair)
         if all(value is not None for value in values):
             return values
         if policy.mode == "adaptive" and w >= policy.w_max:
             raise WindowConvergenceError(
-                f"window not converged at half-width cap {policy.w_max}",
-                achieved=w,
-            )
+                f"window not converged at half-width cap {policy.w_max}", achieved=w)
         w = 2 * w if policy.mode == "full" else min(2 * w, policy.w_max)
 
 
 def _eigenvalues(levels: int):
-    """Column of the window's lowest ``levels`` values, proven by ``window_certificate``."""
-
-    def column(h: TridiagonalHamiltonian, check: bool):
-        spectrum = lowest_eigenvalues(h, levels)
-        if check and window_certificate(h, spectrum) is None:
-            return None
-        return [p.value for p in spectrum.pairs]
-
-    return column
+    """Column of the window's lowest ``levels`` values."""
+    return levels, (), lambda h, spectrum, radii, pair: [p.value for p in spectrum.pairs[:levels]]
 
 
-def _level(h: TridiagonalHamiltonian, level: int, check: bool):
-    """(eigenpair, edge) of a level; with ``check``, edge is ``eigensolve.edge_bound``.
-
-    The edge is None where the window does not prove levels 0..level+1.
-    """
-    spectrum = lowest_eigenvalues(h, min(level + 2, h.dim))
-    pair = eigenpair(h, level, spectrum)
-    radii = check and window_certificate(h, spectrum)
-    return pair, radii and edge_bound(h, spectrum, radii, pair.vector, level)
-
-
-def _imbalance(h: TridiagonalHamiltonian, check: bool):
-    pair, edge = _level(h, 0, check)
-    v = pair.vector
-    if check and (not edge or imbalance_bound(edge, _centred(v), v) > _TARGET):
+def _imbalance(h: TridiagonalHamiltonian, spectrum, radii, pair):
+    v = pair(0).vector
+    edge = radii and edge_bound(h, spectrum, radii, v, 0)
+    if radii and (not edge or imbalance_bound(edge, _centred(v), v) > _TARGET):
         return None
     return _dot(h.charges(), _times(v, v))
 
 
-def _response(h: TridiagonalHamiltonian, level: int, check: bool):
-    """S_m of a level, or None where ``check`` finds no bound below _TARGET |a psi| |x|."""
-    pair, edge = _level(h, level, check)
-    if check and not edge:
+def _response(h: TridiagonalHamiltonian, spectrum, radii, pair, level: int):
+    """S_m of a level, or None where a certified window finds no bound below _TARGET |a psi| |x|."""
+    edge = radii and edge_bound(h, spectrum, radii, pair(level).vector, level)
+    if radii and not edge:
         return None
-    s, v, a, x, _ = charge_response(h, level, pair)
+    s, v, a, x, _ = charge_response(h, level, pair(level))
     scale = _norm(_times(a, v)) * _norm(x)
-    if check and response_bound(edge, a, v, x)[0] > _TARGET * scale:
+    if radii and response_bound(edge, a, v, x)[0] > _TARGET * scale:
         return None
     return s
 
 
-def _chi(params: CircuitParams):
-    def column(h: TridiagonalHamiltonian, check: bool):
-        s = _response(h, 0, check)
-        return None if s is None else 4.0 * params.e_c * s
-
-    return column
+def _chi(h: TridiagonalHamiltonian, spectrum, radii, pair):
+    s = _response(h, spectrum, radii, pair, 0)
+    return None if s is None else 4.0 * h.params.e_c * s
 
 
 def qubit_frequency(params: CircuitParams, policy: WindowPolicy = DEFAULT_POLICY) -> float:
@@ -179,7 +171,7 @@ def qubit_frequency(params: CircuitParams, policy: WindowPolicy = DEFAULT_POLICY
 
 def expected_imbalance(params: CircuitParams, policy: WindowPolicy = DEFAULT_POLICY) -> float:
     """Ground-state charge imbalance <n> = sum_n n |psi_0(n)|^2."""
-    return _solve_windowed(params, policy, [_imbalance])[0]
+    return _solve_windowed(params, policy, [(0, (0,), _imbalance)])[0]
 
 
 def charge_susceptibility(params: CircuitParams, policy: WindowPolicy = DEFAULT_POLICY) -> float:
@@ -188,7 +180,7 @@ def charge_susceptibility(params: CircuitParams, policy: WindowPolicy = DEFAULT_
     First-order perturbation theory in dH/dn_g = -2 E_C (n - n_g), from one
     tridiagonal solve per window, each checked by ``eigensolve.response_bound``.
     """
-    return _solve_windowed(params, policy, [_chi(params)])[0]
+    return _solve_windowed(params, policy, [(0, (0,), _chi)])[0]
 
 
 class CurvatureResult(Record):
@@ -247,15 +239,15 @@ def dispersion_curvature(
     """
     _warn_outside_transmon(params, "dispersion")
 
-    def curvature(h: TridiagonalHamiltonian, check: bool):
+    def curvature(h: TridiagonalHamiltonian, spectrum, radii, pair):
         if h.dim < 2:
             raise ValueError("dispersion curvature needs at least two charge states")
-        s0, s1 = (_response(h, level, check) for level in (0, 1))
+        s0, s1 = (_response(h, spectrum, radii, pair, level) for level in (0, 1))
         if s0 is None or s1 is None:
             return None
         return 8.0 * params.e_c**2 * (s0 - s1), 8.0 * params.e_c**2 * max(abs(s0), abs(s1))
 
-    (value, terms), = _solve_windowed(params.with_ng(0.0), policy, [curvature])
+    (value, terms), = _solve_windowed(params.with_ng(0.0), policy, [(0, (0, 1), curvature)])
     reference = -math.sqrt(2.0 * params.e_c * params.e_j) / (2.0 * params.n_half**2)
     return CurvatureResult(value=_resolved("dispersion", params, value, terms),
                            reference=reference)
@@ -275,17 +267,17 @@ def susceptibility_curvature(
     """
     _warn_outside_transmon(params, "susceptibility")
 
-    def curvature(h: TridiagonalHamiltonian, check: bool):
-        pair, edge = _level(h, 0, check)
-        if check and not edge:
+    def curvature(h: TridiagonalHamiltonian, spectrum, radii, pair):
+        edge = radii and edge_bound(h, spectrum, radii, pair(0).vector, 0)
+        if radii and not edge:
             return None
-        first, second, x2, (s0, v, a, x1, _) = fourth_order_terms(h, pair)
+        first, second, x2, (s0, v, a, x1, _) = fourth_order_terms(h, pair(0))
         terms = max(abs(first), abs(second))
-        if check and fourth_order_bound(edge, a, v, x1, s0, x2)[0] > _TARGET * terms:
+        if radii and fourth_order_bound(edge, a, v, x1, s0, x2)[0] > _TARGET * terms:
             return None
         return -192.0 * params.e_c**3 * (first - second), 192.0 * params.e_c**3 * terms
 
-    (value, terms), = _solve_windowed(params.with_ng(0.0), policy, [curvature])
+    (value, terms), = _solve_windowed(params.with_ng(0.0), policy, [(0, (0,), curvature)])
     reference = -3.0 * params.e_j / (2.0 * params.e_c * params.n_half**4)
     return CurvatureResult(value=_resolved("susceptibility", params, value, terms),
                            reference=reference)
@@ -353,10 +345,10 @@ def band_sweep(
     columns = [_eigenvalues(levels)]
     if include_imbalance:
         names.append("n_expect")
-        columns.append(_imbalance)
+        columns.append((0, (0,), _imbalance))
     if include_susceptibility:
         names.append("chi")
-        columns.append(_chi(params))
+        columns.append((0, (0,), _chi))
     table = {name: [math.nan] * len(grid) for name in names}
     flags = [1.0] * len(grid)
 

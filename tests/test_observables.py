@@ -1,6 +1,7 @@
 """Qubit frequency, imbalance, susceptibility, sweeps, and curvatures."""
 
 import argparse
+import collections
 import math
 import warnings
 
@@ -73,6 +74,71 @@ class TestQubitFrequency:
         p = params(500_000_000, 50.0)
         with pytest.raises(WindowConvergenceError):
             qubit_frequency(p, WindowPolicy(mode="adaptive", w_initial=16, w_max=16))
+
+
+def _count_per_window(monkeypatch):
+    """(windows built, Counter of (routine, window index, level)) for the solver calls."""
+    windows, calls = [], collections.Counter()
+    real_build = observables.build
+    monkeypatch.setattr(observables, "build",
+                        lambda *args: windows.append(real_build(*args)) or windows[-1])
+    for name in ("lowest_eigenvalues", "window_certificate", "eigenpair"):
+        def counting(h, *args, _name=name, _real=getattr(observables, name)):
+            level = args[0] if _name == "eigenpair" else None
+            calls[_name, next(i for i, w in enumerate(windows) if w is h), level] += 1
+            return _real(h, *args)
+
+        monkeypatch.setattr(observables, name, counting)
+    return windows, calls
+
+
+# 2N = 1e6 at E_J/E_C = 50 walks half-widths 16 and 32 (the bands close at the
+# first, <n> and chi at the second); 2N = 60 at E_J/E_C = 100 walks 16 and the
+# whole basis.
+_SWEEP, _CURVE = params(1_000_000, 50.0), params(60, 100.0)
+_QUANTITIES = {
+    "bands+imbalance": lambda policy: band_sweep(_SWEEP, [0.0, 0.3], levels=3, policy=policy,
+                                                 include_imbalance=True),
+    "bands+chi": lambda policy: band_sweep(_SWEEP, [0.3], levels=2, policy=policy,
+                                           include_susceptibility=True),
+    "imbalance": lambda policy: expected_imbalance(_SWEEP.with_ng(0.3), policy),
+    "dispersion": lambda policy: dispersion_curvature(_CURVE, policy),
+    "susceptibility": lambda policy: susceptibility_curvature(_CURVE, policy),
+}
+
+
+@pytest.mark.parametrize("policy", [WindowPolicy.fixed(20), WindowPolicy.adaptive(), FULL],
+                         ids=["fixed", "adaptive", "full"])
+@pytest.mark.parametrize("quantity", list(_QUANTITIES))
+def test_each_window_is_solved_and_certified_once(quantity, policy, monkeypatch):
+    windows, calls = _count_per_window(monkeypatch)
+    _QUANTITIES[quantity](policy)
+    walked = len(windows) > len({w.params.n_g for w in windows})
+    assert walked == (policy.mode != "fixed")
+    for i, h in enumerate(windows):
+        assert calls["lowest_eigenvalues", i, None] == 1
+        certificates = calls["window_certificate", i, None]
+        assert certificates == (0 if policy.mode == "fixed" or h.is_full_window else 1)
+    assert max(n for (name, *_), n in calls.items() if name == "eigenpair") == 1
+
+
+def test_a_column_reading_fewer_levels_certifies_its_prefix(monkeypatch):
+    """Where the certificate of every level a window solves fails, <n> still closes at
+    the window that proves the two levels it reads, as it does alone."""
+    real = observables.window_certificate
+    monkeypatch.setattr(observables, "window_certificate",
+                        lambda h, spectrum: None if len(spectrum.pairs) > 2 and h.dim < 129
+                        else real(h, spectrum))
+    alone = expected_imbalance(_SWEEP.with_ng(0.3))
+    windows, _ = _count_per_window(monkeypatch)
+    bounded = []
+    real_bound = observables.imbalance_bound
+    monkeypatch.setattr(observables, "imbalance_bound",
+                        lambda edge, a, v: bounded.append(len(v)) or real_bound(edge, a, v))
+    table = band_sweep(_SWEEP, [0.3], levels=3, include_imbalance=True)
+    assert [h.dim for h in windows] == [33, 65, 129]
+    assert bounded == [33, 65]
+    assert table.column_values["n_expect"] == [alone]
 
 
 class TestExpectedImbalance:
