@@ -15,7 +15,8 @@ Outputs are CSV (RFC-4180 body, '#'-prefixed meta lines, 17 significant
 digits) or JSON; identical configurations produce byte-identical files.  The
 CLI is the only artifact writer: ``_write_artifact`` holds the whole format,
 and the library layers return values and tables without writing files.
-Exit codes: 0 success, 1 parameter error, 2 numerical non-convergence.
+Exit codes: 0 success, 1 parameter error, 2 numerical non-convergence; each
+class of warning prints one line naming the command's coupling flag.
 
 Each command imports the layers it runs, on top of ``model`` and ``errors``:
 the solver commands load the solver layers (``hamiltonian``, ``eigensolve``,
@@ -137,15 +138,16 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _circuit(pairs: int, e_j: float, e_c: float, ng_reach: float, flags: dict) -> CircuitParams:
+def _circuit(args, e_j: float, e_c: float, ng_reach: float, diagonal: str) -> CircuitParams:
     """Parameters at n_g = 0 whose operator fits in floats for every |n_g| <= ``ng_reach``.
 
-    ``flags`` names the flags behind the "diagonal" and the "coupling".
+    An overflow names ``args.coupling`` or the ``diagonal`` flags.
     """
-    part = coefficient_overflow(e_j, e_c, pairs / 2.0, ng_reach)
+    part = coefficient_overflow(e_j, e_c, args.pairs / 2.0, ng_reach)
     if part is not None:
-        raise CliError(f"{flags[part]}: the operator's {part} overflows the float range")
-    return CircuitParams.from_pairs(pairs, e_j=e_j, e_c=e_c)
+        flag = args.coupling if part == "coupling" else diagonal
+        raise CliError(f"{flag}: the operator's {part} overflows the float range")
+    return CircuitParams.from_pairs(args.pairs, e_j=e_j, e_c=e_c)
 
 
 def _float_list(text: str) -> list[float]:
@@ -293,8 +295,7 @@ def _cmd_sweep(args):
     name = args.command
     levels = getattr(args, "levels", 1)
     _check_levels(args, levels, "--levels")
-    params = _circuit(args.pairs, args.ejec, 1.0, max(abs(args.start), abs(args.stop)),
-                      {"coupling": "--ejec", "diagonal": "--from/--to"})
+    params = _circuit(args, args.ejec, 1.0, max(abs(args.start), abs(args.stop)), "--from/--to")
     grid = _grid_from(args)
     _check_offsets(grid, args.pairs, "--from/--to")
     table = observables.band_sweep(
@@ -325,8 +326,7 @@ def _cmd_curvature(args):
     rows = {"curvature": [], "reference": [], "ratio": []}
     fn = getattr(observables, f"{args.kind}_curvature")
     for ratio in ratios:
-        params = _circuit(args.pairs, ratio, 1.0, 0.0,
-                          {"coupling": "--values", "diagonal": "--pairs"})
+        params = _circuit(args, ratio, 1.0, 0.0, "--pairs")
         result = fn(params, policy)
         rows["curvature"].append(result.value)
         rows["reference"].append(result.reference)
@@ -352,8 +352,7 @@ def _cmd_curvature(args):
 def _cmd_transmon_shift(args):
     from . import observables, perturbation
 
-    params = _circuit(args.pairs, args.ej_ghz, args.ec_ghz, abs(args.ng),
-                      {"coupling": "--ej-ghz", "diagonal": "--ec-ghz/--ng"})
+    params = _circuit(args, args.ej_ghz, args.ec_ghz, abs(args.ng), "--ec-ghz/--ng")
     _check_offsets([args.ng], args.pairs, "--ng")
     policy = _policy_from(args)
     w0 = observables.qubit_frequency(params, policy)
@@ -390,8 +389,7 @@ def _cmd_transmon_shift(args):
 def _cmd_analytic(args):
     from . import perturbation
 
-    params = _circuit(args.pairs, args.ej, args.ec, abs(args.ng),
-                      {"coupling": "--ej", "diagonal": "--ec/--ng"}).with_ng(args.ng)
+    params = _circuit(args, args.ej, args.ec, abs(args.ng), "--ec/--ng").with_ng(args.ng)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
@@ -525,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="report bands relative to the ground level")
         _add_window_flags(p)
         _add_output_flags(p, name)
-        p.set_defaults(func=_cmd_sweep)
+        p.set_defaults(func=_cmd_sweep, coupling="--ejec")
 
     curv = sub.add_parser("curvature", help="zero-offset curvature vs E_J/E_C")
     curv.add_argument("--kind", choices=("dispersion", "susceptibility"), required=True)
@@ -534,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     curv.add_argument("--pairs", type=_pairs, required=True)
     _add_window_flags(curv)
     _add_output_flags(curv, "curvature")
-    curv.set_defaults(func=_cmd_curvature)
+    curv.set_defaults(func=_cmd_curvature, coupling="--values")
 
     shift = sub.add_parser("transmon-shift", help="windowed numerical frequency shift")
     shift.add_argument("--ej-ghz", type=_positive_float, required=True)
@@ -543,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     shift.add_argument("--ng", type=_finite_float, required=True)
     _add_window_flags(shift)
     _add_output_flags(shift, "transmon_shift")
-    shift.set_defaults(func=_cmd_transmon_shift)
+    shift.set_defaults(func=_cmd_transmon_shift, coupling="--ej-ghz")
 
     ana = sub.add_parser("analytic", help="closed-form values for given parameters")
     ana.add_argument("--ej", type=_positive_float, required=True)
@@ -551,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--pairs", type=_pairs, required=True)
     ana.add_argument("--ng", type=_finite_float, default=0.0)
     _add_output_flags(ana, "analytic")
-    ana.set_defaults(func=_cmd_analytic)
+    ana.set_defaults(func=_cmd_analytic, coupling="--ej")
 
     val = sub.add_parser("validity", help="minimum island size for a material")
     val.add_argument("--material", default="aluminum")
@@ -581,7 +579,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                return args.func(args)
+            finally:  # the first message of each class
+                for message in {w.category: w.message for w in reversed(caught)}.values():
+                    print(f"warning: {args.coupling}: {message}", file=sys.stderr)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,14 +2,13 @@
 
 LAPACK computes, Sturm certifies.  Every operator (at most ARRAY_LIMIT
 states, enforced when it is built) gets its lowest values from one call to
-LAPACK bisection (``dstebz``) at the floating-point floor.  Each returned
-value v_j is then certified by two Sturm pivot counts: the number of
-negative pivots in the shifted LDL^T recurrence equals the number of
-eigenvalues below the shift, and count(v_j - delta) <= j < count(v_j + delta)
-puts exactly j eigenvalues below the bracket.  A value that fails its
-certificate is re-bracketed by bisection on the same count.  Eigenvectors
-come from LAPACK inverse iteration (``dstein``) shifted to the lower end of
-the certified bracket.  Perturbation theory in the charge n applies a
+LAPACK bisection (``dstebz``) at the floating-point floor.  Sturm pivot
+counts then move each value v_j to the adjacent doubles x < x+ with
+count(x) <= j < count(x+): the number of negative pivots in the shifted
+LDL^T recurrence is the number of eigenvalues below the shift, and is
+monotone in it, so that pair depends only on the operator and j.
+Eigenvectors come from LAPACK inverse iteration (``dstein``) shifted one
+bracket width below x.  Perturbation theory in the charge n applies a
 level's reduced resolvent by LAPACK tridiagonal solves (``dgtsv``): once for
 its static charge response, twice for the ground state's fourth-order
 energy.
@@ -36,6 +35,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import struct
 import sys
 import warnings
 from array import array
@@ -49,16 +49,19 @@ from .errors import (CapacityError, ConvergenceError, NearDegenerateWarning,
 from .hamiltonian import DENSE_LIMIT, TridiagonalHamiltonian
 from .model import Record, coupling_bound
 
-MAX_BISECTIONS = 2048
-
 _SAFMIN = sys.float_info.min
 _EPS = sys.float_info.epsilon
 # Covers the rounding of the couplings, their bound and the certificate's differences.
 _SLACK = 1.0 + 16.0 * _EPS
+_F64, _U64, _SIGN = struct.Struct("d"), struct.Struct("Q"), 1 << 63
+_INF = 0x7FF0_0000_0000_0000  # _key(inf); the count is 0 at -inf and dim at inf
 
 
 class EigenPair(Record):
-    """One eigenvalue, optionally with its unit-norm real eigenvector."""
+    """One eigenvalue, optionally with its unit-norm real eigenvector.
+
+    ``residual``: x+ - x from ``lowest_eigenvalues``, ||H v - value v|| from ``eigenpair``.
+    """
 
     __slots__ = ("value", "vector", "residual")
 
@@ -240,73 +243,62 @@ def _count_below(diag, off, x: float, pivmin: float) -> int:
     return count
 
 
-def _bisect(
-    h: TridiagonalHamiltonian, j: int, lo: float, hi: float, pivmin: float
-) -> EigenPair:
-    """Eigenvalue j from a bracket with count(lo) <= j < count(hi).
+def _key(x: float) -> int:
+    """The place of x in the integer order of doubles, where neighbours differ by 1."""
+    u = _U64.unpack(_F64.pack(x))[0]
+    return u if u < _SIGN else _SIGN - u
 
-    Halves the bracket down to a few ulps of its endpoints and returns its
-    midpoint, with the half-width as residual.
+
+def _double(key: int) -> float:
+    return _F64.unpack(_U64.pack(key if key >= 0 else _SIGN - key))[0]
+
+
+def _bracket(h: TridiagonalHamiltonian, j: int, start: float, lo0: float, hi0: float,
+             pivmin: float) -> EigenPair:
+    """Eigenvalue j as the lower x of the adjacent doubles x < x+ with count(x) <= j < count(x+).
+
+    The count is monotone in its shift (Kahan 1966; Demmel, Dhillon & Ren
+    1995), so that pair is unique.  The search counts at ``start`` and then
+    1, 2, 4, ... places from it in the integer order of doubles, clipped to
+    the Gershgorin interval [lo0, hi0] (past it, to -inf or inf), until the
+    count crosses j, then bisects that order.  The residual is x+ - x.
     """
-    width = hi - lo
-    for _ in range(MAX_BISECTIONS):
-        if width <= 2.0 * _EPS * (abs(lo) + abs(hi)) + 2.0 * _SAFMIN:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if eigenvalue_count_below(h, mid, pivmin) >= j + 1:
-            hi = mid
+    lo, hi, step, end_lo, end_hi = -_INF, _INF, 1, _key(lo0), _key(hi0)
+    x = first = min(max(_key(start), end_lo), end_hi)
+    while hi - lo > 1:
+        if eigenvalue_count_below(h, _double(x), pivmin) > j:
+            hi = x
         else:
-            lo = mid
-        width = hi - lo
-    else:
-        raise ConvergenceError(
-            f"bisection for eigenvalue {j} stalled at bracket width {width}",
-            achieved=width,
-        )
-    return EigenPair(value=0.5 * (lo + hi), vector=None, residual=0.5 * width)
+            lo = x
+        if lo == -_INF and hi > end_lo:
+            x = max(first - step, end_lo)
+        elif hi == _INF and lo < end_hi:
+            x = min(first + step, end_hi)
+        else:
+            x = (lo + hi) // 2
+        step *= 2
+    return EigenPair(value=_double(lo), vector=None, residual=_double(hi) - _double(lo))
 
 
 def lowest_eigenvalues(h: TridiagonalHamiltonian, k: int) -> Spectrum:
-    """The k smallest eigenvalues, each certified by two Sturm pivot counts.
+    """The k smallest eigenvalues, each LAPACK's (``dstebz``) moved by ``_bracket``.
 
-    Every value v_j is solved to the floating-point floor and returned with
-    a residual r_j such that count(v_j - r_j) <= j and count(v_j + r_j) >= j+1.
-    For a LAPACK value r_j is 4 eps |v_j| + 2 safmin, the bisection floor at
-    v_j; for a bisected one, the half-width of its final bracket.
-
-    Fixed evaluation order makes results bitwise reproducible.
+    Each is the lower of its two adjacent doubles, with the same bits for
+    every k; a one-state window returns its diagonal entry, with residual 0.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if k > h.dim:
         raise ValueError(f"levels {k} exceeds the {h.dim} charge states of the window"
                          f" at n_g = {h.params.n_g:g}")
-    dmin, dmax, off_max = h.coefficient_bounds()
-    pivmin = _pivmin(off_max)
-    lo0 = dmin - 2.0 * off_max
-    hi0 = dmax + 2.0 * off_max
     if h.dim == 1:
-        values = [h.diag[0]]
-    else:
-        # Values with indices 1..k (range 2), in ascending order ("E").
-        m, w, info = _lapack().dstebz(h.diag, h.off, k, 2.0 * _SAFMIN)
-        if info != 0:
-            raise ConvergenceError(f"dstebz bisection did not converge (info {info})")
-        values = w.tolist()
-    pairs = []
-    for j, value in enumerate(values):
-        delta = 4.0 * _EPS * abs(value) + 2.0 * _SAFMIN
-        below = eigenvalue_count_below(h, value - delta, pivmin)
-        above = eigenvalue_count_below(h, value + delta, pivmin)
-        if below <= j < above:
-            pairs.append(EigenPair(value=value, vector=None, residual=delta))
-        elif below > j:
-            pairs.append(_bisect(h, j, lo0, value - delta, pivmin))
-        else:
-            pairs.append(_bisect(h, j, value + delta, hi0, pivmin))
-    return Spectrum(pairs, h.dim)
+        return Spectrum([EigenPair(value=h.diag[0], vector=None, residual=0.0)], 1)
+    m, w, info = _lapack().dstebz(h.diag, h.off, k, 2.0 * _SAFMIN)
+    if info != 0:
+        raise ConvergenceError(f"dstebz bisection did not converge (info {info})")
+    dmin, dmax, off_max = h.coefficient_bounds()
+    lo0, hi0, pivmin = dmin - 2.0 * off_max, dmax + 2.0 * off_max, _pivmin(off_max)
+    return Spectrum([_bracket(h, j, v, lo0, hi0, pivmin) for j, v in enumerate(w)], h.dim)
 
 
 def _outside_rooms(h: TridiagonalHamiltonian, x: float, b_max: float):
@@ -513,22 +505,27 @@ def eigenpair(h: TridiagonalHamiltonian, level: int = 0,
     largest-magnitude component is positive; with all couplings negative the
     ground vector then comes out componentwise positive (Perron-Frobenius).
     Warns when a neighbouring level lies within 40 eps ||H||, where the vector
-    is ill-conditioned.  A level outside [0, dim) is a ValueError.
+    is ill-conditioned.  A level outside [0, dim), or a shorter spectrum, is a
+    ValueError.
     """
     if not 0 <= level < h.dim:
         raise ValueError(f"level {level} is outside the {h.dim} charge states of the window"
                          f" at n_g = {h.params.n_g:g}")
-    pairs = (spectrum or lowest_eigenvalues(h, min(level + 2, h.dim))).pairs
+    need = min(level + 2, h.dim)
+    pairs = (spectrum or lowest_eigenvalues(h, need)).pairs
+    if len(pairs) < need:
+        raise ValueError(f"level {level} needs a spectrum of {need} values, got {len(pairs)}")
     value = pairs[level].value
     gap = min([abs(p.value - value) for p in pairs if p is not pairs[level]], default=math.inf)
     dmin, dmax, off_max = h.coefficient_bounds()
     if gap < 40.0 * _EPS * (max(abs(dmin), abs(dmax)) + 2.0 * off_max):
         warnings.warn(
-            f"levels nearly degenerate (gap {gap:.3e}); eigenvector may be ill-conditioned",
+            f"levels nearly degenerate (gap {gap:.3e}) at n_g = {h.params.n_g:g}; eigenvector"
+            " may be ill-conditioned",
             NearDegenerateWarning,
             stacklevel=2,
         )
-    # Shift to the lower end of the certified bracket.  At the value itself
+    # Shift one bracket width below the value.  At the value itself
     # dstein perturbs a near-zero pivot by about eps ||H||, mixing up to
     # eps ||H|| / gap of a neighbour's vector into the result; from r_j below
     # it, inverse iteration still converges at a rate of r_j / gap per step.

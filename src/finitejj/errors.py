@@ -2,7 +2,7 @@
 
 
 class CapacityError(RuntimeError):
-    """Requested materialized storage exceeds the configured dense limit."""
+    """Storage past a limit: ARRAY_LIMIT states of an operator, or DENSE_LIMIT of a dense solve."""
 
 
 class ConvergenceError(RuntimeError):

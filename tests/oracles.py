@@ -1,17 +1,20 @@
 """Oracles that only the tests use: spin matrices, the charge-qubit two-level
-reduction, the dense truncated-Fock matrix of a ladder polynomial, and a
-self-stabilising truncated-Fock vacuum element.
+reduction, the dense truncated-Fock matrix of a ladder polynomial, a
+self-stabilising truncated-Fock vacuum element, and high-precision lowest
+eigenvalues of a tridiagonal operator.
 
 Each checks a library path from outside it: the spin ladder generates the
 operator's couplings, the 2x2 block reproduces ``perturbation.cpb_gap``, the
 dense Fock matrix checks ``wick.normal_order`` and ``wick.fock_oracle``'s
-ladder walk by matrix products, and the Fock truncation is doubled until the
-vacuum element of a ladder polynomial settles.
+ladder walk by matrix products, the Fock truncation is doubled until the
+vacuum element of a ladder polynomial settles, and Sturm counts at 50 digits
+certify the eigenvalues of an operator's coefficients.
 """
 
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from finitejj.errors import CapacityError, ConvergenceError
@@ -129,3 +132,74 @@ def fock_oracle_stable(
     raise ConvergenceError(
         f"Fock truncation still unstable at dim {dim} (last value {value})", achieved=dim
     )
+
+
+def mp_levels(diag, off, levels: int, dps: int = 50) -> list:
+    """The lowest ``levels`` eigenvalues of the tridiagonal (diag, off), as mpmath numbers.
+
+    ``diag`` holds floats or mpmath numbers, ``off`` floats; pass an
+    operator's ``h.diag`` and ``h.off`` for its stored coefficients.  At
+    ``dps`` digits, Newton's method on det(T - x) from LAPACK's values, each
+    result kept only where two Sturm counts put eigenvalue j within
+    10^(5 - dps) of its size; else Sturm bisection from a bracket widened until
+    the count holds it.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    with mpmath.workdps(dps):
+        diag = [mpmath.mpf(d) for d in diag]
+        offsq = [mpmath.mpf(o) ** 2 for o in off]
+        tiny, tol = mpmath.mpf(10) ** -200, mpmath.mpf(10) ** (5 - dps)
+
+        def count(x):
+            c, d = 0, mpmath.mpf(1)
+            for i, di in enumerate(diag):
+                d = di - x - (offsq[i - 1] / d if i else 0)
+                if d == 0:
+                    d = -tiny
+                if d < 0:
+                    c += 1
+            return c
+
+        def newton(x):
+            """det(T - x) / det'(T - x): 1 / sum p_i' / p_i over the LDL^T pivots p_i."""
+            p, dp, s = mpmath.mpf(1), mpmath.mpf(0), 0
+            for i, di in enumerate(diag):
+                e2 = offsq[i - 1] if i else 0
+                p, dp = di - x - e2 / p, -1 + e2 * dp / (p * p)
+                s += dp / p
+            return 1 / s
+
+        seeds = eigh_tridiagonal(np.array([float(x) for x in diag]), np.array(off, float),
+                                 eigvals_only=True, select="i", select_range=(0, levels - 1))
+        out = []
+        for j, seed in enumerate(seeds.tolist()):
+            x = mpmath.mpf(seed)
+            try:
+                for _ in range(4):
+                    x -= newton(x)
+            except ZeroDivisionError:
+                pass
+            delta = tol * max(abs(x), tiny)
+            if count(x - delta) <= j < count(x + delta):
+                out.append(x)
+                continue
+            margin = mpmath.mpf(1e-13) * max(1.0, abs(seed))
+            lo, hi = mpmath.mpf(seed) - margin, mpmath.mpf(seed) + margin
+            while count(lo) > j:
+                lo -= 10 * (hi - lo)
+            while count(hi) <= j:
+                hi += 10 * (hi - lo)
+            while hi - lo > tol * max(abs(lo), abs(hi), tiny):
+                mid = (lo + hi) / 2
+                if count(mid) > j:
+                    hi = mid
+                else:
+                    lo = mid
+            out.append((lo + hi) / 2)
+        return out
+
+
+def ulps(value: float, exact) -> float:
+    """|value - exact| in units of the spacing of doubles at ``value``."""
+    return float(abs(mpmath.mpf(value) - exact) / mpmath.mpf(math.ulp(value)))

@@ -529,6 +529,20 @@ def test_nonconvergence_exit_code(capsys, monkeypatch):
     assert "window" in capsys.readouterr().err
 
 
+def test_warnings_name_the_coupling_flag_not_a_source_line(capsys):
+    # Two near-degenerate points, n_g = 0 and 1, print one line for their class.
+    for argv, line in (
+        ("imbalance --pairs 3 --ejec 1e-16 --from 0 --to 1 --steps 3",
+         "warning: --ejec: levels nearly degenerate (gap 1.388e-16) at n_g = 0;"),
+        ("curvature --kind dispersion --pairs 60 --values 5",
+         "warning: --values: dispersion curvature is a transmon-regime diagnostic;"),
+    ):
+        assert main(argv.split()) == 0
+        err = capsys.readouterr().err
+        assert err.startswith(line) and err.count("\n") == 1, err
+        assert ".py:" not in err
+
+
 def test_curvature_below_its_rounding_floor_is_refused(capsys):
     for kind in ("dispersion", "susceptibility"):
         assert main(f"curvature --kind {kind} --pairs 1e8 --values 50".split()) == 2

@@ -29,6 +29,7 @@ from finitejj.eigensolve import (
 )
 from finitejj.hamiltonian import TridiagonalHamiltonian, build
 from finitejj.model import CircuitParams
+from oracles import mp_levels, ulps
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -53,18 +54,26 @@ def mpmath_matrix(mpmath, h):
     return a
 
 
-@pytest.fixture
-def wrong_lapack_values(monkeypatch):
-    """LAPACK's selected eigenvalues shifted by 1e-3: each fails its certificate
-    and is bisected.  The full spectrum that ``dense_all`` asks for stays exact."""
+def lapack_starts(monkeypatch, start):
+    """Make LAPACK's selected eigenvalues ``start(x)`` from now on, for each x it returns."""
     lapack = eigensolve._lapack()
     dstebz = lapack.dstebz
 
     def shifted(*args):
         m, w, info = dstebz(*args)
-        return m, array("d", [x + 1e-3 for x in w]), info
+        return m, array("d", map(start, w)), info
 
     monkeypatch.setattr(lapack, "dstebz", shifted)
+
+
+@pytest.fixture
+def wrong_lapack_values(monkeypatch):
+    """LAPACK's selected eigenvalues shifted by ``offset[0]``, 1e-3 unless a test sets it:
+    each is searched for from that far away.  The full spectrum that ``dense_all`` asks
+    for stays exact."""
+    offset = [1e-3]
+    lapack_starts(monkeypatch, lambda x: x + offset[0])
+    return offset
 
 
 @pytest.fixture
@@ -80,16 +89,32 @@ def sturm_counts(monkeypatch):
     return shifts
 
 
+def random_operators(seed, count):
+    rng = np.random.default_rng(seed)
+    return [build(random_params(rng)) for _ in range(count)]
+
+
+def charge_sweep_operators():
+    """The README charge sweep's operators: 2N = 10, n_g from -11 to 11 in steps of 1/4."""
+    return [build(params(10, ejec, ng=-11.0 + 0.25 * i))
+            for ejec in (0.15, 0.2, 0.25) for i in range(89)]
+
+
+def transmon_windows(count=20):
+    """Half-width-16 windows of the paper's island, 2N = 5e8, at E_J/E_C 40 to 60 and random n_g."""
+    rng = np.random.default_rng(21)
+    return [build(params(500_000_000, rng.uniform(40.0, 60.0),
+                         ng=float(rng.integers(-10**6, 10**6) + rng.uniform(-0.5, 0.5))), 16)
+            for _ in range(count)]
+
+
 class TestLowestEigenvalues:
     def test_two_by_two_closed_form(self):
         spec = lowest_eigenvalues(build(params(1, 1.0)), 2)
         assert spec.values == pytest.approx([-0.75, 1.25], abs=1e-13)
 
     def test_matches_dense_oracle(self):
-        rng = np.random.default_rng(42)
-        for _ in range(25):
-            p = random_params(rng)
-            h = build(p)
+        for h in random_operators(42, 25):
             k = min(5, h.dim)
             mine = lowest_eigenvalues(h, k).values
             oracle = dense_all(h).values[:k]
@@ -97,22 +122,62 @@ class TestLowestEigenvalues:
             assert np.max(np.abs(mine - oracle)) < 1e-10 * scale
 
     def test_matches_dense_oracle_by_bisection(self, wrong_lapack_values, sturm_counts):
-        # Values that fail their certificate are bisected, which needs far
-        # more than the certificate's two counts per value.
+        # Values 1e-3 off take far more than two counts each to find, and come
+        # out bit for bit as from LAPACK's own values.
         self.test_matches_dense_oracle()
         assert len(sturm_counts) > 2 * 5 * 25
+        operators = random_operators(42, 25)
+        shifted = [lowest_eigenvalues(h, min(5, h.dim)).values.tolist() for h in operators]
+        wrong_lapack_values[0] = 0.0
+        assert shifted == [lowest_eigenvalues(h, min(5, h.dim)).values.tolist()
+                           for h in operators]
 
-    def test_matches_mpmath_oracle(self):
-        # README charge sweep: 2N = 10, E_J/E_C = 0.2, n_g in [-11, 11] at
-        # step 1/4, against 40-digit eigenvalues of the same coefficients.
+    @pytest.mark.parametrize("operators", [charge_sweep_operators, transmon_windows])
+    def test_matches_mpmath_oracle(self, operators):
+        # The README charge sweep at E_J/E_C = 0.15, 0.2 and 0.25, and windows
+        # of the paper's island: every value within 2 ulps of 50-digit
+        # eigenvalues of the same coefficients.
         eps = np.finfo(float).eps
-        with mpmath.workdps(40):
-            for ng in np.linspace(-11.0, 11.0, 89):
-                h = build(params(10, 0.2, ng=float(ng)))
-                exact = sorted(mpmath.eigsy(mpmath_matrix(mpmath, h), eigvals_only=True))[:3]
-                for mine, ref in zip(lowest_eigenvalues(h, 3).values.tolist(), exact):
-                    error = abs(mpmath.mpf(mine) - ref)
-                    assert error <= 2 * eps * max(1.0, abs(ref)), (ng, mine)
+        for h in operators():
+            for mine, ref in zip(lowest_eigenvalues(h, 3).values.tolist(),
+                                 mp_levels(h.diag, h.off, 3)):
+                assert ulps(mine, ref) <= 2.0, (h.params, mine)
+                assert abs(mpmath.mpf(mine) - ref) <= 2 * eps * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("operators", [charge_sweep_operators, transmon_windows])
+    def test_same_bits_for_every_k(self, operators):
+        for h in operators():
+            values = lowest_eigenvalues(h, 3).values.tolist()
+            for k in (1, 2):
+                assert lowest_eigenvalues(h, k).values.tolist() == values[:k], (h.params, k)
+
+    @pytest.mark.parametrize("start", [lambda x: x + 1e-3, lambda x: x - 1e-3, lambda x: 0.0,
+                                       lambda x: math.inf, lambda x: -math.inf],
+                             ids=["+1e-3", "-1e-3", "0", "inf", "-inf"])
+    def test_same_value_from_any_start(self, monkeypatch, sturm_counts, start):
+        # Among them E_0 = -2.8e-17, where a start of 0 lies a few ulps of
+        # the norm from the value.
+        zero = CircuitParams.from_pairs(1000, e_j=0.45356997823038725, e_c=1.0, n_g=0.5)
+        operators = [*charge_sweep_operators(), *transmon_windows(), build(zero, 16)]
+        expected = [lowest_eigenvalues(h, 3).values.tolist() for h in operators]
+        lapack_starts(monkeypatch, start)
+        per_value, bracket = [], eigensolve._bracket
+
+        def counted(*args):
+            before = len(sturm_counts)
+            pair = bracket(*args)
+            per_value.append(len(sturm_counts) - before)
+            return pair
+
+        monkeypatch.setattr(eigensolve, "_bracket", counted)
+        for h, values in zip(operators, expected):
+            assert lowest_eigenvalues(h, 3).values.tolist() == values, h.params
+        assert len(per_value) == 3 * len(operators) and max(per_value) <= 130
+
+    def test_one_state_window_is_its_diagonal_entry(self):
+        h = TridiagonalHamiltonian(params(10, 1.0, ng=0.3), 7, 7)
+        (pair,) = lowest_eigenvalues(h, 1).pairs
+        assert (pair.value, pair.residual) == (h.diag[0], 0.0)
 
     def test_saturation_regime_spacings(self):
         # far beyond the basis edge the levels climb by about 2 E_C |n_g| each
@@ -129,7 +194,7 @@ class TestLowestEigenvalues:
         h = build(params(40, 3.0, ng=0.2))
         five = lowest_eigenvalues(h, 5).values
         six = lowest_eigenvalues(h, 6).values
-        assert six[:5] == pytest.approx(five, rel=1e-12, abs=1e-12)
+        assert six[:5].tolist() == five.tolist()
 
     def test_sturm_certification(self):
         tol = 1e-8
@@ -139,33 +204,28 @@ class TestLowestEigenvalues:
             assert eigenvalue_count_below(h, pair.value + tol) >= j + 1
             assert eigenvalue_count_below(h, pair.value - tol) <= j
 
-    def test_two_count_certificate(self, sturm_counts):
+    def test_bracket_of_adjacent_doubles(self, sturm_counts):
         h = build(params(60, 2.0, ng=0.3))
         spec = lowest_eigenvalues(h, 4)
-        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
-        assert len(sturm_counts) == 2 * 4
         for j, pair in enumerate(spec.pairs):
-            assert pair.residual == 4 * eps * abs(pair.value) + 2 * tiny
-            assert sturm_counts[2 * j : 2 * j + 2] == [pair.value - pair.residual,
-                                                       pair.value + pair.residual]
-            assert eigenvalue_count_below(h, pair.value - pair.residual) <= j
-            assert eigenvalue_count_below(h, pair.value + pair.residual) >= j + 1
+            above = math.nextafter(pair.value, math.inf)
+            assert pair.residual == above - pair.value
+            assert eigenvalue_count_below(h, pair.value) <= j < eigenvalue_count_below(h, above)
+            # The solver counted at both ends itself.
+            assert {pair.value, above} <= set(sturm_counts)
 
     @pytest.mark.parametrize("shift", [1e-3, -1e-3])
     def test_certificate_catches_wrong_lapack_values(self, monkeypatch, sturm_counts, shift):
         h = build(params(40, 3.0, ng=0.2))
         oracle = dense_all(h)
-        lapack = eigensolve._lapack()
-        dstebz = lapack.dstebz
-
-        def shifted(*args):
-            m, w, info = dstebz(*args)
-            return m, array("d", [x + shift for x in w]), info
-
-        monkeypatch.setattr(lapack, "dstebz", shifted)
+        reference = lowest_eigenvalues(h, 3).values.tolist()
+        lapack_starts(monkeypatch, lambda x: x + shift)
+        sturm_counts.clear()
         spec = lowest_eigenvalues(h, 3)
-        # Every value fails its certificate and is bisected.
+        # Every value starts 1e-3 off, takes far more than two counts to find,
+        # and comes out with the bits it has from LAPACK's own start.
         assert len(sturm_counts) > 2 * 3
+        assert spec.values.tolist() == reference
         assert spec.values == pytest.approx(oracle.values[:3], rel=1e-14, abs=1e-14)
         for j, pair in enumerate(spec.pairs):
             assert eigenvalue_count_below(h, pair.value - pair.residual) <= j
@@ -189,6 +249,11 @@ class TestLowestEigenvalues:
             lowest_eigenvalues(h, 0)
         with pytest.raises(ValueError):
             lowest_eigenvalues(h, 6)
+        # eigenpair reads min(level + 2, dim) values: level 2 of these 5 states needs 4.
+        for k in (1, 3):
+            with pytest.raises(ValueError, match=f"level 2 needs a spectrum of 4 values, got {k}"):
+                eigenpair(h, 2, lowest_eigenvalues(h, k))
+        assert eigenpair(h, 2, lowest_eigenvalues(h, 4)).value == lowest_eigenvalues(h, 3).values[2]
 
     def test_bitwise_determinism(self):
         h = build(params(100, 5.0, ng=0.37))
@@ -204,10 +269,7 @@ class TestGroundState:
         assert pair.vector == pytest.approx([1 / math.sqrt(2)] * 2, rel=1e-12)
 
     def test_overlap_with_dense_oracle(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            p = random_params(rng)
-            h = build(p)
+        for h in random_operators(7, 20):
             mine = eigenpair(h)
             oracle = dense_all(h).pairs[0]
             overlap = abs(float(np.dot(mine.vector, oracle.vector)))
@@ -234,6 +296,13 @@ class TestGroundState:
     def test_overlap_with_dense_oracle_by_bisection(self, wrong_lapack_values, sturm_counts):
         self.test_overlap_with_dense_oracle()
         assert len(sturm_counts) > 2 * 2 * 20
+        # The same bits, value and vector, as from LAPACK's own values.
+        operators = random_operators(7, 20)
+        shifted = [eigenpair(h) for h in operators]
+        wrong_lapack_values[0] = 0.0
+        for h, pair in zip(operators, shifted):
+            reference = eigenpair(h)
+            assert (pair.value, list(pair.vector)) == (reference.value, list(reference.vector))
 
     def test_componentwise_positive(self):
         # Mild localization: every true component clears the noise floor,
@@ -381,12 +450,14 @@ class TestLapackLoader:
         for _ in range(3):
             h = random_operator(rng, dim)
             assert h.dim == dim
-            for k in sorted({1, min(3, dim), min(40, dim)}):
+            for k in sorted({1, min(3, dim), min(40, dim)}) if dim > 1 else ():
                 expected = scipy.linalg.eigh_tridiagonal(
                     h.diag, h.off, eigvals_only=True, select="i", select_range=(0, k - 1),
                     lapack_driver="stebz", tol=2.0 * np.finfo(float).tiny,
                 )
-                assert (lowest_eigenvalues(h, k).values == expected).all()
+                m, w, info = eigensolve._lapack().dstebz(h.diag, h.off, k,
+                                                         2.0 * np.finfo(float).tiny)
+                assert (m, info) == (k, 0) and list(w) == expected.tolist()
             values, vectors = scipy.linalg.eigh_tridiagonal(h.diag, h.off)
             spec = dense_all(h)
             assert (spec.values == values).all()
@@ -443,7 +514,7 @@ if {scipy_first}:
 from finitejj import eigensolve, hamiltonian, model
 h = hamiltonian.build(model.CircuitParams.from_pairs(40, e_j=3.0, e_c=1.0, n_g=0.2))
 before = set(sys.modules)
-values = [p.value for p in eigensolve.lowest_eigenvalues(h, 3).pairs]
+values = list(eigensolve._lapack().dstebz(h.diag, h.off, 3, 2.0 * sys.float_info.min)[1])
 vector = eigensolve.eigenpair(h).vector
 assert set(sys.modules) == before
 assert ("scipy" in sys.modules) == {scipy_first}

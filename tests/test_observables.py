@@ -32,6 +32,7 @@ from finitejj.observables import (
     qubit_frequency,
     susceptibility_curvature,
 )
+from oracles import mp_levels
 
 FULL = WindowPolicy.full()
 
@@ -481,45 +482,9 @@ class TestSusceptibilityCurvature:
         assert odd.value < 0.0
 
 
-def _mp_levels(mpmath, off, charges, ng, levels):
-    """Lowest eigenvalues of diag (n - ng)^2 (E_C = 1, exact) plus float couplings ``off``.
-
-    Sturm bisection at the working precision, from brackets seeded by LAPACK.
-    """
-    from scipy.linalg import eigh_tridiagonal
-
-    diag = [(q - ng) ** 2 for q in charges]
-    offsq = [mpmath.mpf(o) ** 2 for o in off]
-    tiny = mpmath.mpf(10) ** -200
-
-    def count(x):
-        c, d = 0, mpmath.mpf(1)
-        for i, di in enumerate(diag):
-            d = di - x - (offsq[i - 1] / d if i else 0)
-            if d == 0:
-                d = -tiny
-            if d < 0:
-                c += 1
-        return c
-
-    seeds = eigh_tridiagonal(np.array([float(x) for x in diag]), off, eigvals_only=True,
-                             select="i", select_range=(0, levels - 1))
-    out = []
-    for j, seed in enumerate(seeds.tolist()):
-        margin = mpmath.mpf(1e-9) * max(1.0, abs(seed))
-        lo, hi = mpmath.mpf(seed) - margin, mpmath.mpf(seed) + margin
-        while count(lo) > j:
-            lo -= 10 * (hi - lo)
-        while count(hi) <= j:
-            hi += 10 * (hi - lo)
-        while hi - lo > mpmath.mpf(10) ** -45:
-            mid = (lo + hi) / 2
-            if count(mid) > j:
-                hi = mid
-            else:
-                lo = mid
-        out.append((lo + hi) / 2)
-    return out
+def _mp_levels(off, charges, ng, levels):
+    """Lowest eigenvalues of diag (n - ng)^2 (E_C = 1, exact) plus float couplings ``off``."""
+    return mp_levels([(q - ng) ** 2 for q in charges], off, levels)
 
 
 @pytest.mark.parametrize("pairs", [60, 61])
@@ -540,7 +505,7 @@ def test_curvatures_match_mpmath_central_differences(pairs, ejec):
     with mpmath.workdps(50):
         charges = [mpmath.mpf(k) - mpmath.mpf(pairs) / 2 for k in range(pairs + 1)]
         h = mpmath.mpf("1e-6")
-        e = {s: _mp_levels(mpmath, off, charges, s * h, 2 if abs(s) < 2 else 1)
+        e = {s: _mp_levels(off, charges, s * h, 2 if abs(s) < 2 else 1)
              for s in (-2, -1, 0, 1, 2)}
         gap = {s: e[s][1] - e[s][0] for s in (-1, 0, 1)}
         dispersion = (gap[1] - 2 * gap[0] + gap[-1]) / h**2
@@ -581,7 +546,7 @@ def test_large_island_curvatures_are_refused_or_accurate(pairs, ejec):
     with mpmath.workdps(50):
         charges = [mpmath.mpf(q) for q in h.charges().tolist()]
         step = mpmath.mpf("1e-6")
-        e = {s: _mp_levels(mpmath, h.off, charges, s * step, 2 if abs(s) < 2 else 1)
+        e = {s: _mp_levels(h.off, charges, s * step, 2 if abs(s) < 2 else 1)
              for s in (-2, -1, 0, 1, 2)}
         gap = {s: e[s][1] - e[s][0] for s in (-1, 0, 1)}
         exact = {

@@ -227,8 +227,12 @@ def test_window_responses_leave_residuals_within_their_bounds(pairs, ejec, level
     rho = response_bound(edge, a, v, x1)[1]
     full = build(p)
     ref, win = exact(full, level), exact(h, level)
-    padded = [[mpmath.mpf(0)] * h.k_lo + list(x) + [mpmath.mpf(0)] * (full.dim - h.k_lo - h.dim)
-              for x in win.vectors()[1::3]]
+    # A vector's sign is a convention: level 1 at n_g = 0 is odd, so rounding
+    # picks which of its two equal peaks comes out positive.  The responses
+    # flip with the vector; take the window's sign from the whole basis's.
+    sign = mpmath.sign(_dot(ref.psi[h.k_lo:h.k_lo + h.dim], win.psi))
+    padded = [[mpmath.mpf(0)] * h.k_lo + [sign * c for c in x]
+              + [mpmath.mpf(0)] * (full.dim - h.k_lo - h.dim) for x in win.vectors()[1::3]]
     f, _, _, r2, _ = ref.vectors()
     bounds = [(f, rho)]
     if level == 0:
