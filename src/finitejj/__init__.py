@@ -33,8 +33,7 @@ _LAZY = {
     "perturbation": ("BogoliubovCoeffs", "FirstOrderResult", "bogoliubov", "cpb_gap",
                      "cpb_susceptibility", "transmon_first_order_numeric", "transmon_frequency",
                      "transmon_susceptibility"),
-    "wick": ("OperatorPoly", "fock_oracle", "normal_order", "substitute_affine",
-             "vacuum_expectation"),
+    "wick": ("OperatorPoly", "fock_oracle", "vacuum_expectation"),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
 __all__ = sorted(_HOME)

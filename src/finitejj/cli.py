@@ -297,6 +297,9 @@ def _cmd_sweep(args):
     _check_levels(args, levels, "--levels")
     params = _circuit(args, args.ejec, 1.0, max(abs(args.start), abs(args.stop)), "--from/--to")
     grid = _grid_from(args)
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise CliError("--from/--to/--steps: the grid points, rounded to doubles, do not"
+                       " strictly increase; use fewer steps or a wider range")
     _check_offsets(grid, args.pairs, "--from/--to")
     table = observables.band_sweep(
         params,
@@ -393,24 +396,28 @@ def _cmd_analytic(args):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            coeffs = perturbation.bogoliubov(params)
-        except ZeroDivisionError:
-            raise CliError(f"--ej: at E_J = {args.ej:g} the Bogoliubov denominator"
-                           " sqrt(4 N eps E_J) underflows to zero") from None
-        results = {
-            "level_spacing": coeffs.epsilon,
-            "bogoliubov_u_plus": coeffs.u_plus,
-            "bogoliubov_u_minus": coeffs.u_minus,
-            "bogoliubov_u_0": coeffs.u_0,
-            "transmon_frequency": perturbation.transmon_frequency(params),
-            "transmon_susceptibility": perturbation.transmon_susceptibility(params),
-        }
-        try:
-            results["cpb_gap"] = perturbation.cpb_gap(params)
-            results["cpb_susceptibility"] = perturbation.cpb_susceptibility(params)
-        except ValueError:
-            results["cpb_gap"] = None
-            results["cpb_susceptibility"] = None
+            try:
+                coeffs = perturbation.bogoliubov(params)
+            except ZeroDivisionError:
+                raise CliError(f"--ej: at E_J = {args.ej:g} the Bogoliubov denominator"
+                               " sqrt(4 N eps E_J) underflows to zero") from None
+            results = {
+                "level_spacing": coeffs.epsilon,
+                "bogoliubov_u_plus": coeffs.u_plus,
+                "bogoliubov_u_minus": coeffs.u_minus,
+                "bogoliubov_u_0": coeffs.u_0,
+                "transmon_frequency": perturbation.transmon_frequency(params),
+                "transmon_susceptibility": perturbation.transmon_susceptibility(params),
+            }
+            try:
+                results["cpb_gap"] = perturbation.cpb_gap(params)
+                results["cpb_susceptibility"] = perturbation.cpb_susceptibility(params)
+            except ValueError:
+                results["cpb_gap"] = None
+                results["cpb_susceptibility"] = None
+        except ArithmeticError as exc:  # an overflow or underflow in a closed form
+            raise CliError(f"--ej/--ec/--ng: {exc}; a parameter is outside the float"
+                           " range") from None
     meta = {"e_j": args.ej, "e_c": args.ec, "pairs_total": args.pairs, "n_g": args.ng}
     path = _write_scalars(results, meta, args, "analytic",
                           dict.fromkeys(results, "--ej/--ec/--ng"))

@@ -12,9 +12,10 @@ maximally tunneling state, an affine Bogoliubov rotation with level spacing
 eps = sqrt(2 E_C E_J + E_J^2/N^2), and first-order corrections that collapse
 to sqrt(2 E_C E_J) [1 - (n_g/2N)^2] and d<n>/dn_g = 1 - 3 E_J n_g^2/(4 E_C N^4)
 for 1 << E_J/E_C << N^2.  ``transmon_first_order_numeric`` evaluates the
-corrections without the final limit by pushing the ladder polynomials through
-the normal-ordering engine, so the gap between the exact first-order numbers
-and the asymptotic formulas stays measurable.
+corrections without the final limit: it writes the perturbation in the
+quasiparticle quadratures and takes its vacuum elements from the
+normal-ordering engine, so the gap between the exact first-order numbers and
+the asymptotic formulas stays measurable at any island size.
 """
 
 from __future__ import annotations
@@ -136,64 +137,49 @@ class FirstOrderResult(Record):
         self._fill(frequency, imbalance)
 
 
-def _perturbation_poly(params: CircuitParams) -> OperatorPoly:
-    """Cross term of the perturbation, E_C sqrt(N) (p' dSz + dSz p'), in the bare mode.
-
-    dSz is the first-order Taylor remainder of the spin z component,
-    -a^dag p a / sqrt(16 N), and p' = p - n_g/sqrt(N) the shifted momentum.
-    """
-    from .wick import OperatorPoly
-
-    n = params.n_half
-    a = OperatorPoly.lowering()
-    a_dag = OperatorPoly.raising()
-    p = OperatorPoly.momentum()
-    p_shift = p - OperatorPoly.identity(params.n_g / math.sqrt(n))
-    d_sz = (-1.0 / math.sqrt(16.0 * n)) * (a_dag * p * a)
-    return (params.e_c * math.sqrt(n)) * (p_shift * d_sz + d_sz * p_shift)
-
-
 def transmon_first_order_numeric(params: CircuitParams) -> FirstOrderResult:
     """Evaluate the first-order frequency and imbalance through the wick engine.
 
-    The perturbation (quadratic-order spin remainder dropped) is rewritten in
-    the quasiparticle frame by the exact affine substitution, and every matrix
-    element reduces to a vacuum expectation of a normal-ordered polynomial.
-    The ground-state correction only reaches excitation numbers up to four,
-    since the perturbation has degree four, so that sum is exact.
+    The perturbation E_C sqrt(N) (p' dSz + dSz p') (quadratic-order spin
+    remainder dropped) is built in the quasiparticle mode b, whose quadratures
+    map the bare ones exactly:
+
+        x = x_b / s,    p = s p_b + 2 n_g E_C E_J / (eps^2 sqrt(N)),
+
+    with s = u_+ + u_- = sqrt(E_J / (N eps)) formed directly.  Then a = (x +
+    i p) / sqrt(2), dSz = -a^dag p a / sqrt(16 N) is the first-order remainder
+    of the spin z component, and the shifted momentum p' = p - n_g / sqrt(N)
+    is s p_b - (n_g / sqrt(N)) (E_J / N)^2 / eps^2 in closed form.  No
+    coefficient of size u_+/- ~ sqrt(N) has to cancel.  The ground-state
+    correction only reaches excitation numbers up to four, since the
+    perturbation has degree four, so that sum is exact.
     """
     from . import wick
     from .wick import OperatorPoly
 
     _warn_transmon_regime(params)
-    n = params.n_half
-    coeffs = bogoliubov(params)
-    eps = coeffs.epsilon
+    n, n_g, e_c, e_j = params.n_half, params.n_g, params.e_c, params.e_j
+    eps = bogoliubov(params).epsilon
+    s = math.sqrt(e_j / (n * eps))
+    root_half = 1.0 / math.sqrt(2.0)
 
-    delta_h = wick.substitute_affine(
-        _perturbation_poly(params), coeffs.u_plus, coeffs.u_minus, coeffs.u_0
-    )
     b = OperatorPoly.lowering()
     b_dag = OperatorPoly.raising()
+    x = (root_half / s) * (b + b_dag)
+    s_p_b = (1j * root_half * s) * (b_dag - b)
+    p = s_p_b + 2.0 * n_g * e_c * e_j / (eps**2 * math.sqrt(n))
+    p_shift = s_p_b - (n_g / math.sqrt(n)) * (e_j / n) ** 2 / eps**2
+    a = root_half * (x + 1j * p)
+    a_dag = root_half * (x - 1j * p)
+    d_sz = (-1.0 / math.sqrt(16.0 * n)) * (a_dag * p * a)
+    delta_h = (e_c * math.sqrt(n)) * (p_shift * d_sz + d_sz * p_shift)
+    momentum_term = math.sqrt(n) * p
 
     freq = (
         eps
         + wick.vacuum_expectation(b * delta_h * b_dag).real
         - wick.vacuum_expectation(delta_h).real
     )
-
-    momentum_term = wick.substitute_affine(
-        math.sqrt(n) * OperatorPoly.momentum(), coeffs.u_plus, coeffs.u_minus, coeffs.u_0
-    )
-    a = OperatorPoly.lowering()
-    a_dag = OperatorPoly.raising()
-    d_sz = wick.substitute_affine(
-        (-1.0 / math.sqrt(16.0 * n)) * (a_dag * OperatorPoly.momentum() * a),
-        coeffs.u_plus,
-        coeffs.u_minus,
-        coeffs.u_0,
-    )
-
     imbalance = wick.vacuum_expectation(momentum_term).real
     imbalance += wick.vacuum_expectation(d_sz).real
 

@@ -6,11 +6,8 @@ polynomial maps words to complex coefficients.  Normal ordering reads each
 word once from left to right, commuting every raising symbol past the
 lowering symbols before it (b^n b^dag = b^dag b^n + n b^(n-1)), so every word
 ends with all raising symbols first; the identity (empty word) coefficient of
-the normal form is then the vacuum expectation value.
-
-An affine frame change ``b = u_plus a + u_minus a^dag - i u_0`` (with its
-conjugate) is supported by exact inversion, so polynomials written in the
-original mode can be evaluated in the quasiparticle vacuum.
+the normal form is then the vacuum expectation value.  Frame changes are the
+caller's: ``perturbation`` writes its operators in the quasiparticle mode.
 
 The independent oracle acts with the ladder operators on Fock states instead
 of counting commutators: ``fock_oracle`` walks each word from |0> in a Fock
@@ -67,12 +64,6 @@ class OperatorPoly:
         return cls({(RAISE,): coeff})
 
     @classmethod
-    def momentum(cls) -> "OperatorPoly":
-        """i (a^dag - a) / sqrt(2)."""
-        s = 1j / math.sqrt(2.0)
-        return cls({(RAISE,): s, (LOWER,): -s})
-
-    @classmethod
     def from_word(cls, word: Word, coeff: complex = 1.0) -> "OperatorPoly":
         for sym in word:
             if sym not in (RAISE, LOWER):
@@ -114,12 +105,6 @@ class OperatorPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __neg__(self):
         return OperatorPoly({w: -c for w, c in self._terms.items()})
 
@@ -155,20 +140,8 @@ class OperatorPoly:
             result = result * self
         return result
 
-    def dagger(self) -> "OperatorPoly":
-        """Hermitian conjugate: reverse words, swap symbols, conjugate coefficients."""
-        flip = {RAISE: LOWER, LOWER: RAISE}
-        return OperatorPoly(
-            {tuple(flip[s] for s in reversed(w)): c.conjugate() for w, c in self._terms.items()}
-        )
-
-    def __eq__(self, other):
-        if isinstance(other, OperatorPoly):
-            return self._terms == other._terms
-        return NotImplemented
-
     def __repr__(self):
-        return f"OperatorPoly({dump(self)})"
+        return f"OperatorPoly({self._terms!r})"
 
 
 def _as_poly(value) -> "OperatorPoly":
@@ -177,31 +150,6 @@ def _as_poly(value) -> "OperatorPoly":
     if isinstance(value, (int, float, complex)):
         return OperatorPoly.identity(value)
     return NotImplemented
-
-
-def dump(p: OperatorPoly) -> str:
-    """Render as a sum of ``coeff * b†^m b^n``-style strings (debug aid)."""
-    if not p._terms:
-        return "0"
-    pieces = []
-    for word, coeff in p.terms():
-        if coeff.imag == 0:
-            coeff = coeff.real
-        if not word:
-            pieces.append(f"({coeff:.6g})")
-            continue
-        ops = ["b†" if sym == RAISE else "b" for sym in word]
-        # compress runs: b†^m etc.
-        compact = []
-        i = 0
-        while i < len(ops):
-            j = i
-            while j < len(ops) and ops[j] == ops[i]:
-                j += 1
-            compact.append(ops[i] if j - i == 1 else f"{ops[i]}^{j - i}")
-            i = j
-        pieces.append(f"({coeff:.6g}) {' '.join(compact)}")
-    return " + ".join(pieces)
 
 
 @lru_cache(maxsize=None)
@@ -226,20 +174,6 @@ def _normal_order_word(word: Word) -> tuple[tuple[Word, int], ...]:
     return tuple(sorted(((RAISE,) * m + (LOWER,) * n, count) for (m, n), count in form.items()))
 
 
-def normal_order(p: OperatorPoly) -> OperatorPoly:
-    """Rewrite so every word has all raising symbols before lowering symbols."""
-    result: dict[Word, complex] = {}
-    for word, coeff in p.terms():
-        for canon, count in _normal_order_word(word):
-            c = result.get(canon, 0j) + coeff * count
-            if c == 0:
-                result.pop(canon, None)
-            else:
-                result[canon] = c
-        _check_budget(len(result))
-    return OperatorPoly(result)
-
-
 def vacuum_expectation(p: OperatorPoly) -> complex:
     """<0| p |0>: the identity coefficient after normal ordering.
 
@@ -254,42 +188,6 @@ def vacuum_expectation(p: OperatorPoly) -> complex:
                 re_parts.append(coeff.real * count)
                 im_parts.append(coeff.imag * count)
     return complex(math.fsum(re_parts), math.fsum(im_parts))
-
-
-def substitute_affine(
-    p: OperatorPoly, u_plus: float, u_minus: float, u_0: float = 0.0
-) -> OperatorPoly:
-    """Rewrite a polynomial in mode ``a`` in terms of the transformed mode ``b``.
-
-    The forward map is ``b = u_plus a + u_minus a^dag - i u_0`` together with
-    its conjugate; symplectic normalization ``u_plus^2 - u_minus^2 = 1`` makes
-    it exactly invertible:
-
-        a     = u_plus b - u_minus b^dag + i u_0 (u_plus + u_minus)
-        a^dag = u_plus b^dag - u_minus b - i u_0 (u_plus + u_minus)
-
-    Each symbol of every word is replaced by its image and the expansion is
-    collected into canonical terms.
-    """
-    # Tolerance scales with u^2: the identity is evaluated by cancelling two
-    # squares, so machine error grows with the squeezing strength.
-    scale = max(1.0, u_plus * u_plus + u_minus * u_minus)
-    if abs(u_plus * u_plus - u_minus * u_minus - 1.0) > 1e-12 * scale:
-        raise ValueError(
-            f"non-symplectic coefficients: u_plus^2 - u_minus^2 = {u_plus**2 - u_minus**2!r}"
-        )
-    shift = 1j * u_0 * (u_plus + u_minus)
-    images = {
-        LOWER: OperatorPoly({(LOWER,): u_plus, (RAISE,): -u_minus, (): shift}),
-        RAISE: OperatorPoly({(RAISE,): u_plus, (LOWER,): -u_minus, (): -shift}),
-    }
-    result = OperatorPoly()
-    for word, coeff in p.terms():
-        factor = OperatorPoly.identity(coeff)
-        for sym in word:
-            factor = factor * images[sym]
-        result = result + factor
-    return result
 
 
 def fock_oracle(p: OperatorPoly, dim: int) -> complex:

@@ -1,14 +1,17 @@
 """Oracles that only the tests use: spin matrices, the charge-qubit two-level
-reduction, the dense truncated-Fock matrix of a ladder polynomial, a
+reduction, the dense truncated-Fock matrix of a ladder polynomial, the
+first-order transmon corrections from truncated-Fock matrices, a
 self-stabilising truncated-Fock vacuum element, and high-precision lowest
 eigenvalues of a tridiagonal operator.
 
 Each checks a library path from outside it: the spin ladder generates the
 operator's couplings, the 2x2 block reproduces ``perturbation.cpb_gap``, the
-dense Fock matrix checks ``wick.normal_order`` and ``wick.fock_oracle``'s
-ladder walk by matrix products, the Fock truncation is doubled until the
-vacuum element of a ladder polynomial settles, and Sturm counts at 50 digits
-certify the eigenvalues of an operator's coefficients.
+dense Fock matrix checks ``wick.vacuum_expectation``'s normal forms and
+``wick.fock_oracle``'s ladder walk by matrix products, Fock matrices in
+doubles or at 50 digits check ``perturbation.transmon_first_order_numeric``
+through the bare-mode operators it never forms, the Fock truncation is doubled
+until the vacuum element of a ladder polynomial settles, and Sturm counts at
+50 digits certify the eigenvalues of an operator's coefficients.
 """
 
 import math
@@ -116,6 +119,51 @@ def fock_matrix(p: OperatorPoly, dim: int) -> np.ndarray:
             m = m @ mats[sym]
         total += coeff * m
     return total
+
+
+def first_order_fock_reference(p: CircuitParams, dim: int = 40, dps: int | None = None):
+    """Independent matrix evaluation of the first-order transmon corrections.
+
+    Works in the rotated frame, where the rotated mode is the plain
+    annihilation matrix and the bare mode follows from the inverse map
+    a = u_+ b - u_- b^dag + i u_0 (u_+ + u_-).  Every element read is of a
+    product of degree at most 4 between levels up to 4, so exact for dim > 8.
+    Returns (frequency, imbalance): numpy doubles when ``dps`` is None, else
+    mpmath numbers at ``dps`` digits.  The doubles form u_+/- ~ sqrt(N), whose
+    products cancel, so large-N checks need the mpmath backend.
+    """
+    if dps is None:
+        return _first_order_from_matrices(
+            p, np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex),
+            np.eye(dim, dtype=complex), float, math.sqrt, lambda m: m.conj().T)
+    with mpmath.workdps(dps):
+        lower = mpmath.matrix(dim)
+        for i in range(1, dim):
+            lower[i - 1, i] = mpmath.sqrt(i)
+        return _first_order_from_matrices(p, lower, mpmath.eye(dim), mpmath.mpf, mpmath.sqrt,
+                                          lambda m: m.H)
+
+
+def _first_order_from_matrices(p: CircuitParams, lower, eye, real, sqrt, dagger):
+    """``first_order_fock_reference`` in the number type ``real`` and its matrices."""
+    n, ng, e_c, e_j = map(real, (p.n_half, p.n_g, p.e_c, p.e_j))
+    eps = sqrt(2 * e_c * e_j + (e_j / n) ** 2)
+    u_p = (e_j + n * eps) / sqrt(4 * n * eps * e_j)
+    u_m = (e_j - n * eps) / sqrt(4 * n * eps * e_j)
+    u_0 = ng * sqrt(2 * e_c**2 * e_j / eps**3)
+    a = u_p * lower - u_m * dagger(lower) + 1j * u_0 * (u_p + u_m) * eye
+    a_dag = dagger(a)
+    momentum = 1j * (a_dag - a) / sqrt(2)
+    shifted = momentum - (ng / sqrt(n)) * eye
+    d_sz = -(a_dag @ momentum @ a) / sqrt(16 * n)
+    d_h = e_c * sqrt(n) * (shifted @ d_sz + d_sz @ shifted)
+    n_op = sqrt(n) * momentum
+
+    freq = eps + (d_h[1, 1] - d_h[0, 0]).real
+    imbalance = (n_op[0, 0] + d_sz[0, 0]).real
+    for k in range(1, 5):  # <0|n|k> <k|dH|0> / (E_0 - E_k), twice
+        imbalance += 2 * (n_op[0, k] * d_h[k, 0] / (-k * eps)).real
+    return freq, imbalance
 
 
 def fock_oracle_stable(

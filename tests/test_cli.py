@@ -317,6 +317,10 @@ def test_coefficients_below_overflow_are_solved(argv):
          "--half-width 4", "--ng"),
         ("bands --pairs 4 --ejec 1 --from 0 --to 1e153 --steps 3", "--from/--to"),
         ("imbalance --pairs 2 --ejec 1 --from 0 --to 1e16 --steps 2", "--from/--to"),
+        # Steps finer than the doubles between the ends: the grid repeats a point.
+        ("bands --pairs 10 --ejec 0.2 --from 1 --to 1.0000000000000002 --steps 5",
+         "--from/--to/--steps"),
+        ("bands --pairs 10 --ejec 0.2 --from 0 --to 5e-324 --steps 3", "--from/--to/--steps"),
     ],
 )
 def test_unresolved_offsets_name_the_flag(argv, flag, capsys, monkeypatch):
@@ -601,6 +605,7 @@ def test_scientific_notation_counts():
         ("transmon-shift --ej-ghz 10 --ec-ghz inf --pairs 100 --ng 1", "--ec-ghz"),
         ("validity --ng inf", "--ng"),
         ("curvature --kind dispersion --pairs 60 --values 10,inf", "--values"),
+        ("analytic --ej 1e-300 --ec 1e300 --pairs 10", "--ej/--ec/--ng"),  # e_c**2 overflows
     ],
 )
 def test_non_finite_inputs_name_the_flag(argv, flag, capsys):

@@ -22,7 +22,7 @@ from finitejj.perturbation import (
     transmon_frequency,
     transmon_susceptibility,
 )
-from oracles import cpb_effective
+from oracles import cpb_effective, first_order_fock_reference
 
 
 def params(pairs, e_j, ng=0.0, e_c=1.0):
@@ -203,44 +203,6 @@ class TestTransmonSusceptibility:
         )
 
 
-def first_order_fock_reference(p: CircuitParams, dim: int = 40):
-    """Independent matrix evaluation of the first-order corrections.
-
-    Works in the rotated frame, where the rotated mode is the plain
-    annihilation matrix and the bare mode follows from the inverse map; all
-    vacuum elements of degree-8 polynomials are exact for dim > 8.
-    """
-    lower = np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
-    eye = np.eye(dim, dtype=complex)
-    n, ng, e_c, e_j = p.n_half, p.n_g, p.e_c, p.e_j
-    eps = math.sqrt(2 * e_c * e_j + (e_j / n) ** 2)
-    u_p = (e_j + n * eps) / math.sqrt(4 * n * eps * e_j)
-    u_m = (e_j - n * eps) / math.sqrt(4 * n * eps * e_j)
-    u_0 = ng * math.sqrt(2 * e_c**2 * e_j / eps**3)
-    a = u_p * lower - u_m * lower.conj().T + 1j * u_0 * (u_p + u_m) * eye
-    a_dag = a.conj().T
-    momentum = 1j * (a_dag - a) / math.sqrt(2)
-    shifted = momentum - (ng / math.sqrt(n)) * eye
-    d_sz = -(a_dag @ momentum @ a) / math.sqrt(16 * n)
-    d_h = e_c * math.sqrt(n) * (shifted @ d_sz + d_sz @ shifted)
-
-    vac = np.zeros(dim, dtype=complex)
-    vac[0] = 1.0
-    one = lower.conj().T @ vac
-    freq = eps + (one.conj() @ d_h @ one).real - (vac.conj() @ d_h @ vac).real
-
-    imbalance = (vac.conj() @ (math.sqrt(n) * momentum) @ vac).real
-    imbalance += (vac.conj() @ d_sz @ vac).real
-    factorial = 1.0
-    for k in range(1, 5):
-        factorial *= k
-        amp = (np.linalg.matrix_power(lower, k) @ d_h @ vac)[0]
-        ket = np.linalg.matrix_power(lower.conj().T, k) @ vac
-        bra = vac.conj() @ (math.sqrt(n) * momentum) @ ket
-        imbalance += 2.0 * (bra * amp / (-factorial * k * eps)).real
-    return freq, imbalance
-
-
 class TestFirstOrderNumeric:
     @pytest.mark.parametrize(
         "pairs,e_j,ng", [(400, 10.0, 40.0), (60, 50.0, 4.0), (100, 20.0, 0.0), (41, 30.0, -2.5)]
@@ -273,3 +235,24 @@ class TestFirstOrderNumeric:
             down = quiet(transmon_first_order_numeric, p.with_ng(4.0 - step)).imbalance
             derivative = (up - down) / (2.0 * step)
             assert derivative == pytest.approx(quiet(transmon_susceptibility, p), rel=0.01)
+
+    @pytest.mark.parametrize("pairs", [60, 400, 10**4, 10**6, 10**8, 5 * 10**8])
+    def test_large_island_ladder_matches_fifty_digits(self, pairs):
+        # The quadratures carry no sqrt(N)-sized coefficient, so the error
+        # stays at a few ulps up to the README's 2N = 5e8 island.
+        eps = np.finfo(float).eps
+        for ng in (0.0, 0.25, pairs / 500):
+            p = params(pairs, 10.0, ng=ng, e_c=0.2)
+            result = quiet(transmon_first_order_numeric, p)
+            freq_ref, imb_ref = first_order_fock_reference(p, dim=14, dps=50)
+            assert abs(result.frequency - freq_ref) <= 64 * eps * abs(freq_ref)
+            assert abs(result.imbalance - imb_ref) <= 4 * eps * max(1.0, abs(ng))
+
+    def test_device_scale_first_order_shift(self):
+        p = params(500_000_000, 10.0, e_c=0.2)
+        shift = (quiet(transmon_first_order_numeric, p.with_ng(1e6)).frequency
+                 - quiet(transmon_first_order_numeric, p).frequency)
+        reference = (first_order_fock_reference(p.with_ng(1e6), dim=14, dps=50)[0]
+                     - first_order_fock_reference(p, dim=14, dps=50)[0])
+        assert abs(shift - reference) <= 1e-8 * abs(reference)
+        assert shift * 1e6 == pytest.approx(-8.0, rel=1e-6)  # kHz
