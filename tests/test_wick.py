@@ -22,7 +22,37 @@ def raising():
     return OperatorPoly.raising()
 
 
+def normal_form(poly):
+    """Normal form of ``poly`` as {canonical word: coefficient}, from each word's form."""
+    form = {}
+    for word, coeff in poly.terms():
+        for canon, count in wick._normal_order_word(word):
+            form[canon] = form.get(canon, 0) + coeff * count
+    return {w: c for w, c in form.items() if c != 0}
+
+
 class TestNormalOrder:
+    def test_single_commutator(self):
+        # b b† = b†b + 1
+        assert wick._normal_order_word((LOWER, RAISE)) == (((), 1), ((RAISE, LOWER), 1))
+
+    def test_quadratic_expansion(self):
+        # (b + b†)^2 = b†b† + 2 b†b + bb + 1
+        result = normal_form((lowering() + raising()) ** 2)
+        assert result == {
+            (RAISE, RAISE): 1, (RAISE, LOWER): 2, (LOWER, LOWER): 1, (): 1}
+
+    def test_idempotent(self):
+        # A word already in normal form, b†^m b^n, is its own normal form.
+        for m in range(5):
+            for n in range(5):
+                canon = (RAISE,) * m + (LOWER,) * n
+                assert wick._normal_order_word(canon) == ((canon, 1),)
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            once = normal_form(random_poly(rng))
+            assert normal_form(OperatorPoly(once)) == once
+
     def test_preserves_operator_in_fock_space(self):
         # <j| p |i> = <0| b^j p b†^i |0> / sqrt(i! j!) reads the non-vacuum
         # terms of each word's normal form, not only its identity coefficient.
