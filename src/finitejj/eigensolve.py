@@ -70,12 +70,12 @@ class EigenPair(Record):
 
 
 class Spectrum(Record):
-    """Ascending eigenvalues E_0 <= E_1 <= ... over the operator's window."""
+    """Ascending eigenvalues E_0 <= E_1 <= ... over the window, and dstebz's split (None: one)."""
 
-    __slots__ = ("pairs", "dim")
+    __slots__ = ("pairs", "dim", "split")
 
-    def __init__(self, pairs: list[EigenPair], dim: int):
-        self._fill(pairs, dim)
+    def __init__(self, pairs: list[EigenPair], dim: int, split: tuple | None = None):
+        self._fill(pairs, dim, split)
 
     @property
     def values(self):
@@ -129,20 +129,21 @@ class _Lapack:
             setattr(self, f"_{name}", routine)
 
     def dstebz(self, d, e, k: int, tol: float):
-        """(m, w, info): the k lowest eigenvalues of (d, e) by bisection, ascending."""
-        n, m, info = len(d), c_int(), c_int()
+        """(m, w, (iblock, isplit), info): the k lowest eigenvalues of (d, e) by bisection,
+        their blocks, and each block's last index (from 1) where small couplings split it."""
+        n, m, nsplit, info = len(d), c_int(), c_int(), c_int()
         w, work, ints = _zeros(n), _zeros(4 * n), _zeros(5 * n, "i")  # iblock, isplit, iwork
         self._dstebz(b"I", b"E", _int(n), _ZERO, _ZERO, _ONE, _int(k), byref(c_double(tol)),
-                     _ptr(d), _ptr(e), byref(m), _int(0), _ptr(w), _ptr(ints),
+                     _ptr(d), _ptr(e), byref(m), byref(nsplit), _ptr(w), _ptr(ints),
                      _ptr(ints) + 4 * n, _ptr(work), _ptr(ints) + 8 * n, byref(info), 1, 1)
-        return m.value, w[:m.value], info.value
+        return m.value, w[:m.value], (ints[:m.value], ints[n:n + nsplit.value]), info.value
 
-    def dstein(self, d, e, shift: float):
-        """(z, info): the eigenvector of (d, e) by inverse iteration from ``shift``."""
+    def dstein(self, d, e, shift: float, block: int, isplit):
+        """(z, info): the eigenvector of (d, e) on ``block`` of ``isplit`` by inverse iteration."""
         n, info = _int(len(d)), c_int()
         z, work, iwork = _zeros(len(d)), _zeros(5 * len(d)), _zeros(len(d), "i")
-        self._dstein(n, _ptr(d), _ptr(e), _ONE, byref(c_double(shift)), _ONE, n, _ptr(z), n,
-                     _ptr(work), _ptr(iwork), _int(0), byref(info))
+        self._dstein(n, _ptr(d), _ptr(e), _ONE, byref(c_double(shift)), _int(block),
+                     _ptr(isplit), _ptr(z), n, _ptr(work), _ptr(iwork), _int(0), byref(info))
         return z, info.value
 
     def dgtsv(self, dl, d, du, b):
@@ -293,12 +294,12 @@ def lowest_eigenvalues(h: TridiagonalHamiltonian, k: int) -> Spectrum:
                          f" at n_g = {h.params.n_g:g}")
     if h.dim == 1:
         return Spectrum([EigenPair(value=h.diag[0], vector=None, residual=0.0)], 1)
-    m, w, info = _lapack().dstebz(h.diag, h.off, k, 2.0 * _SAFMIN)
+    m, w, split, info = _lapack().dstebz(h.diag, h.off, k, 2.0 * _SAFMIN)
     if info != 0:
         raise ConvergenceError(f"dstebz bisection did not converge (info {info})")
     dmin, dmax, off_max = h.coefficient_bounds()
     lo0, hi0, pivmin = dmin - 2.0 * off_max, dmax + 2.0 * off_max, _pivmin(off_max)
-    return Spectrum([_bracket(h, j, v, lo0, hi0, pivmin) for j, v in enumerate(w)], h.dim)
+    return Spectrum([_bracket(h, j, v, lo0, hi0, pivmin) for j, v in enumerate(w)], h.dim, split)
 
 
 def _outside_rooms(h: TridiagonalHamiltonian, x: float, b_max: float):
@@ -506,19 +507,22 @@ def eigenpair(h: TridiagonalHamiltonian, level: int = 0,
     ground vector then comes out componentwise positive (Perron-Frobenius).
     Warns when a neighbouring level lies within 40 eps ||H||, where the vector
     is ill-conditioned.  A level outside [0, dim), or a shorter spectrum, is a
-    ValueError.
+    ValueError.  Inverse iteration runs on the value's block of ``spectrum.split``;
+    a residual ||H v - value v|| over 64 eps ||H|| (the benchmark's vectors reach
+    0.21, one from the wrong block the gap) raises ConvergenceError.
     """
     if not 0 <= level < h.dim:
         raise ValueError(f"level {level} is outside the {h.dim} charge states of the window"
                          f" at n_g = {h.params.n_g:g}")
     need = min(level + 2, h.dim)
-    pairs = (spectrum or lowest_eigenvalues(h, need)).pairs
+    pairs = (spectrum := spectrum or lowest_eigenvalues(h, need)).pairs
     if len(pairs) < need:
         raise ValueError(f"level {level} needs a spectrum of {need} values, got {len(pairs)}")
     value = pairs[level].value
     gap = min([abs(p.value - value) for p in pairs if p is not pairs[level]], default=math.inf)
     dmin, dmax, off_max = h.coefficient_bounds()
-    if gap < 40.0 * _EPS * (max(abs(dmin), abs(dmax)) + 2.0 * off_max):
+    norm = max(abs(dmin), abs(dmax)) + 2.0 * off_max
+    if gap < 40.0 * _EPS * norm:
         warnings.warn(
             f"levels nearly degenerate (gap {gap:.3e}) at n_g = {h.params.n_g:g}; eigenvector"
             " may be ill-conditioned",
@@ -529,12 +533,17 @@ def eigenpair(h: TridiagonalHamiltonian, level: int = 0,
     # dstein perturbs a near-zero pivot by about eps ||H||, mixing up to
     # eps ||H|| / gap of a neighbour's vector into the result; from r_j below
     # it, inverse iteration still converges at a rate of r_j / gap per step.
-    vector, info = _lapack().dstein(h.diag, h.off, value - pairs[level].residual)
+    blocks, isplit = spectrum.split or ([1] * len(pairs), array("i", [h.dim]))
+    vector, info = _lapack().dstein(h.diag, h.off, value - pairs[level].residual,
+                                    blocks[level], isplit)
     if info != 0:
         raise ConvergenceError("dstein inverse iteration did not converge")
     if vector[_peak(vector)] < 0:
         vector = array("d", map(neg, vector))
     residual = _norm(array("d", [y - value * x for y, x in zip(h.matvec(vector), vector)]))
+    if not residual <= 64.0 * _EPS * norm:
+        raise ConvergenceError(f"level {level} vector has residual {residual:.3e} over"
+                               f" 64 eps ||H|| at n_g = {h.params.n_g:g}")
     return EigenPair(value=value, vector=vector, residual=residual)
 
 

@@ -12,11 +12,12 @@ Large islands are handled through charge windows: the low-energy states are
 exponentially localized around the offset charge, so a window of a few dozen
 charge states around round(n_g) holds the whole basis's answers.  Adaptive
 and full mode double the half-width, solving and certifying each window once
-for every quantity still open, and stop each at the first window that proves
-it: eigenvalues once ``eigensolve.window_certificate`` closes, <n>, chi and
-the curvatures once the truncation bounds built on ``eigensolve.edge_bound``
-are below ``_TARGET`` of their own rounding scale.  A window that holds the
-whole basis is exact.
+for every quantity still open.  The walk alone judges a window: it stops each
+quantity at the first window that proves it, eigenvalues once
+``eigensolve.window_certificate`` closes, <n>, chi and the curvatures once
+the truncation bounds built on ``eigensolve.edge_bound`` are below
+``_TARGET`` of their own rounding scale, and refuses a non-finite value or
+bound.  A window that holds the whole basis is exact.
 
 Results are values and ``SweepTable`` containers; this module writes no
 files (the CLI is the only artifact writer).
@@ -27,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from itertools import chain
 
 from .errors import ConvergenceError, RegimeWarning, WindowConvergenceError
 from .eigensolve import (Spectrum, _centred, _dot, _norm, _times, charge_response, edge_bound,
@@ -91,42 +93,55 @@ def initial_half_width(params: CircuitParams) -> int:
     return max(16, math.ceil(min(8.0 * sigma, params.pairs_total)))
 
 
-def _solve_windowed(params, policy, columns, min_half_width=0):
-    """Each of ``columns``' values under the window policy, one certified solve per window.
+def _solve_windowed(params, policy, columns):
+    """Each column's result under the window policy, one certified solve per window.
 
-    A fixed window is one window, unchecked.  Other walks start at
-    ``w_initial`` (default ``initial_half_width``), or ``min_half_width`` if
-    larger, and double W until every column closes; a window holding the
-    whole basis is exact, so unchecked too.  Adaptive mode raises at
-    ``w_max``, full mode only at the operator limit.
+    The walk alone judges a window.  A fixed window, or one holding the whole
+    basis, is taken unchecked.  Other walks start at ``w_initial`` (default
+    ``initial_half_width``), or at the half-width holding the most levels a
+    column reads, and double W until every column closes; adaptive mode
+    raises at ``w_max``, full mode only at the operator limit.
 
     A column ``(levels, vectors, value)`` reads the lowest ``levels`` values
     and the eigenpair of each level in ``vectors``, proven with levels 0..level+1.
     Each window is solved for the most levels an open column reads and
     certified once; where that fails, a column reading fewer certifies its
-    prefix.  Each column unchecked or certified gets ``value(h, spectrum,
-    radii, pair)``, ``radii`` False unchecked and ``pair(level)`` the window's
-    one eigenpair, and returns None unless the window proves its value.
+    prefix.  Each level's ``edge_bound`` is taken once per certified window.
+    ``value(h, spectrum, pair, edges)`` returns (result, gates): floats, and
+    (bound, scale) per bound taken from ``edges`` (empty unchecked).  A
+    certified window accepts the result once each bound <= _TARGET scale.
+    A non-finite result or gate raises WindowConvergenceError.
     """
     fixed = policy.mode == "fixed"
-    w = policy.half_width if fixed else max(policy.w_initial or initial_half_width(params),
-                                             min_half_width)
-    values = [None] * len(columns)
+    w = policy.half_width if fixed else max(policy.w_initial or initial_half_width(params), *(
+        max([levels, *(level + 2 for level in vectors)]) - 1 for levels, vectors, _ in columns))
+    results = [None] * len(columns)
     while True:
         h = build(params, w)
         reads = {i: max([levels, *(min(level + 2, h.dim) for level in vectors)])
-                 for i, (levels, vectors, _) in enumerate(columns) if values[i] is None}
+                 for i, (levels, vectors, _) in enumerate(columns) if results[i] is None}
         spectrum = lowest_eigenvalues(h, k := max(reads.values()))
         checked = not (fixed or h.is_full_window)
         certify = functools.cache(
             lambda n: window_certificate(h, Spectrum(spectrum.pairs[:n], h.dim)))
         pair = functools.cache(lambda level: eigenpair(h, level, spectrum))
+        # A level's radius, so its edge bound, is the same in every prefix's certificate.
+        edge = functools.cache(
+            lambda level: edge_bound(h, spectrum, radii, pair(level).vector, level))
         for i, n in reads.items():
+            _, vectors, value = columns[i]
             radii = checked and (certify(k) or certify(n))
-            if radii or not checked:
-                values[i] = columns[i][2](h, spectrum, radii, pair)
-        if all(value is not None for value in values):
-            return values
+            edges = {level: edge(level) for level in vectors} if radii else {}
+            if checked and not (radii and all(edges.values())):
+                continue
+            result, gates = value(h, spectrum, pair, edges)
+            if not all(map(math.isfinite, [*result, *chain.from_iterable(gates)])):
+                raise WindowConvergenceError(f"a non-finite result or bound at half-width {w},"
+                                             f" n_g = {params.n_g:g}", achieved=w)
+            if not checked or all(bound <= _TARGET * scale for bound, scale in gates):
+                results[i] = result
+        if all(result is not None for result in results):
+            return results
         if policy.mode == "adaptive" and w >= policy.w_max:
             raise WindowConvergenceError(
                 f"window not converged at half-width cap {policy.w_max}", achieved=w)
@@ -135,32 +150,42 @@ def _solve_windowed(params, policy, columns, min_half_width=0):
 
 def _eigenvalues(levels: int):
     """Column of the window's lowest ``levels`` values."""
-    return levels, (), lambda h, spectrum, radii, pair: [p.value for p in spectrum.pairs[:levels]]
+    return levels, (), lambda h, spectrum, *_: ([p.value for p in spectrum.pairs[:levels]], ())
 
 
-def _imbalance(h: TridiagonalHamiltonian, spectrum, radii, pair):
+def _imbalance(h: TridiagonalHamiltonian, spectrum, pair, edges):
     v = pair(0).vector
-    edge = radii and edge_bound(h, spectrum, radii, v, 0)
-    if radii and (not edge or imbalance_bound(edge, _centred(v), v) > _TARGET):
-        return None
-    return _dot(h.charges(), _times(v, v))
+    gates = [(imbalance_bound(edges[0], _centred(v), v), 1.0)] if edges else ()
+    return [_dot(h.charges(), _times(v, v))], gates
 
 
-def _response(h: TridiagonalHamiltonian, spectrum, radii, pair, level: int):
-    """S_m of a level, or None where a certified window finds no bound below _TARGET |a psi| |x|."""
-    edge = radii and edge_bound(h, spectrum, radii, pair(level).vector, level)
-    if radii and not edge:
-        return None
+def _response(h: TridiagonalHamiltonian, pair, edges, level: int):
+    """(S_m of a level, its gates): ``response_bound`` against |a psi| |x|."""
     s, v, a, x, _ = charge_response(h, level, pair(level))
-    scale = _norm(_times(a, v)) * _norm(x)
-    if radii and response_bound(edge, a, v, x)[0] > _TARGET * scale:
-        return None
-    return s
+    if not edges:
+        return s, ()
+    return s, [(response_bound(edges[level], a, v, x)[0], _norm(_times(a, v)) * _norm(x))]
 
 
-def _chi(h: TridiagonalHamiltonian, spectrum, radii, pair):
-    s = _response(h, spectrum, radii, pair, 0)
-    return None if s is None else 4.0 * h.params.e_c * s
+def _chi(h: TridiagonalHamiltonian, spectrum, pair, edges):
+    s, gates = _response(h, pair, edges, 0)
+    return [4.0 * h.params.e_c * s], gates
+
+
+def _dispersion(h: TridiagonalHamiltonian, spectrum, pair, edges):
+    """[8 E_C^2 (S_0 - S_1), 8 E_C^2 max(|S_0|, |S_1|)] and both responses' gates."""
+    (s0, gates0), (s1, gates1) = (_response(h, pair, edges, level) for level in (0, 1))
+    scale = 8.0 * h.params.e_c**2
+    return [scale * (s0 - s1), scale * max(abs(s0), abs(s1))], [*gates0, *gates1]
+
+
+def _fourth_order(h: TridiagonalHamiltonian, spectrum, pair, edges):
+    """[-192 E_C^3 E4, 192 E_C^3 max|terms|] and ``fourth_order_bound``'s gate."""
+    first, second, x2, (s0, v, a, x1, _) = fourth_order_terms(h, pair(0))
+    terms = max(abs(first), abs(second))
+    gates = [(fourth_order_bound(edges[0], a, v, x1, s0, x2)[0], terms)] if edges else ()
+    scale = 192.0 * h.params.e_c**3
+    return [-scale * (first - second), scale * terms], gates
 
 
 def qubit_frequency(params: CircuitParams, policy: WindowPolicy = DEFAULT_POLICY) -> float:
@@ -171,7 +196,7 @@ def qubit_frequency(params: CircuitParams, policy: WindowPolicy = DEFAULT_POLICY
 
 def expected_imbalance(params: CircuitParams, policy: WindowPolicy = DEFAULT_POLICY) -> float:
     """Ground-state charge imbalance <n> = sum_n n |psi_0(n)|^2."""
-    return _solve_windowed(params, policy, [(0, (0,), _imbalance)])[0]
+    return _solve_windowed(params, policy, [(0, (0,), _imbalance)])[0][0]
 
 
 def charge_susceptibility(params: CircuitParams, policy: WindowPolicy = DEFAULT_POLICY) -> float:
@@ -180,7 +205,7 @@ def charge_susceptibility(params: CircuitParams, policy: WindowPolicy = DEFAULT_
     First-order perturbation theory in dH/dn_g = -2 E_C (n - n_g), from one
     tridiagonal solve per window, each checked by ``eigensolve.response_bound``.
     """
-    return _solve_windowed(params, policy, [(0, (0,), _chi)])[0]
+    return _solve_windowed(params, policy, [(0, (0,), _chi)])[0][0]
 
 
 class CurvatureResult(Record):
@@ -196,32 +221,27 @@ class CurvatureResult(Record):
         return self.value / self.reference
 
 
-def _warn_outside_transmon(params: CircuitParams, kind: str) -> None:
-    if params.e_j / params.e_c < 10.0:
-        warnings.warn(
-            f"{kind} curvature is a transmon-regime diagnostic; "
-            f"E_J/E_C = {params.e_j / params.e_c:.3g} is outside it",
-            RegimeWarning,
-            stacklevel=3,
-        )
-
-
 # Rounding leaves up to 3e-14 of the larger of the two terms that cancel in
 # a curvature (the most seen under 1-ulp perturbations of the couplings, for
 # 2N from 60 to 5e8 and E_J/E_C from 10 to 500).
 _CANCELLATION_FLOOR = 1e-13
 
 
-def _resolved(kind: str, params: CircuitParams, value: float, terms: float) -> float:
-    """``value``, unless the rounding floor of its cancelling ``terms`` exceeds 1e-4 of it."""
+def _curvature(kind: str, params: CircuitParams, policy, column, reference: float):
+    """The ``CurvatureResult`` of a column walked at n_g = 0, warning outside the transmon
+    regime; ConvergenceError unless it exceeds 1e4 times its cancelling terms' rounding floor."""
+    if params.e_j / params.e_c < 10.0:
+        warnings.warn(f"{kind} curvature is a transmon-regime diagnostic; E_J/E_C ="
+                      f" {params.e_j / params.e_c:.3g} is outside it", RegimeWarning, stacklevel=3)
+    ((value, terms),) = _solve_windowed(params.with_ng(0.0), policy, [column])
     floor = _CANCELLATION_FLOOR * terms
-    if floor > 1e-4 * abs(value):
+    if not floor < 1e-4 * abs(value):
         raise ConvergenceError(
             f"{kind} curvature {value:.3e} at 2N = {params.pairs_total}, E_J/E_C ="
-            f" {params.e_j / params.e_c:g} is less than 1e4 times its rounding floor {floor:.1e};"
+            f" {params.e_j / params.e_c:g} is not above 1e4 times its rounding floor {floor:.1e};"
             " lower --pairs, or take the shift at integer n_g from transmon-shift"
         )
-    return value
+    return CurvatureResult(value=value, reference=reference)
 
 
 def dispersion_curvature(
@@ -237,20 +257,8 @@ def dispersion_curvature(
     1/(4 E_C) in the transmon regime and cancel: a curvature below 1e-9 of
     8 E_C^2 max(|S_0|, |S_1|) raises ConvergenceError.
     """
-    _warn_outside_transmon(params, "dispersion")
-
-    def curvature(h: TridiagonalHamiltonian, spectrum, radii, pair):
-        if h.dim < 2:
-            raise ValueError("dispersion curvature needs at least two charge states")
-        s0, s1 = (_response(h, spectrum, radii, pair, level) for level in (0, 1))
-        if s0 is None or s1 is None:
-            return None
-        return 8.0 * params.e_c**2 * (s0 - s1), 8.0 * params.e_c**2 * max(abs(s0), abs(s1))
-
-    (value, terms), = _solve_windowed(params.with_ng(0.0), policy, [(0, (0, 1), curvature)])
     reference = -math.sqrt(2.0 * params.e_c * params.e_j) / (2.0 * params.n_half**2)
-    return CurvatureResult(value=_resolved("dispersion", params, value, terms),
-                           reference=reference)
+    return _curvature("dispersion", params, policy, (0, (0, 1), _dispersion), reference)
 
 
 def susceptibility_curvature(
@@ -265,22 +273,8 @@ def susceptibility_curvature(
     E4 is the difference of two terms; a curvature below 1e-9 of the larger,
     in the same units, raises ConvergenceError.
     """
-    _warn_outside_transmon(params, "susceptibility")
-
-    def curvature(h: TridiagonalHamiltonian, spectrum, radii, pair):
-        edge = radii and edge_bound(h, spectrum, radii, pair(0).vector, 0)
-        if radii and not edge:
-            return None
-        first, second, x2, (s0, v, a, x1, _) = fourth_order_terms(h, pair(0))
-        terms = max(abs(first), abs(second))
-        if radii and fourth_order_bound(edge, a, v, x1, s0, x2)[0] > _TARGET * terms:
-            return None
-        return -192.0 * params.e_c**3 * (first - second), 192.0 * params.e_c**3 * terms
-
-    (value, terms), = _solve_windowed(params.with_ng(0.0), policy, [(0, (0,), curvature)])
     reference = -3.0 * params.e_j / (2.0 * params.e_c * params.n_half**4)
-    return CurvatureResult(value=_resolved("susceptibility", params, value, terms),
-                           reference=reference)
+    return _curvature("susceptibility", params, policy, (0, (0,), _fourth_order), reference)
 
 
 class SweepTable:
@@ -338,8 +332,6 @@ def band_sweep(
         raise ValueError("grid must be nonempty")
     if levels < 1:
         raise ValueError("levels must be at least 1")
-    if levels > params.dim:
-        raise ValueError(f"levels {levels} exceeds basis size {params.dim}")
 
     names = [f"E{j}" for j in range(levels)]
     columns = [_eigenvalues(levels)]
@@ -354,15 +346,13 @@ def band_sweep(
 
     for i, ng in enumerate(grid):
         try:
-            # Half-width levels - 1 holds ``levels`` states even at the basis edge.
-            values, *others = _solve_windowed(params.with_ng(ng), policy, columns,
-                                              min_half_width=levels - 1)
+            values, *others = _solve_windowed(params.with_ng(ng), policy, columns)
         except WindowConvergenceError:
             flags[i] = 0.0
             continue
         if subtract_ground:
             values = [value - values[0] for value in values]
-        for name, value in zip(names, [*values, *others]):
+        for name, value in zip(names, chain(values, *others)):
             table[name][i] = value
     table["converged"] = flags
 

@@ -90,7 +90,7 @@ def bogoliubov(params: CircuitParams) -> BogoliubovCoeffs:
     return BogoliubovCoeffs(
         u_plus=(params.e_j + n * eps) / denom,
         u_minus=(params.e_j - n * eps) / denom,
-        u_0=params.n_g * math.sqrt(2.0 * params.e_c**2 * params.e_j / eps**3),
+        u_0=params.n_g * params.e_c * math.sqrt(2.0 * params.e_j / eps**3),
         epsilon=eps,
     )
 

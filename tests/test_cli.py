@@ -297,10 +297,21 @@ def test_overflowing_coefficients_name_the_flag(argv, flag, capsys):
         "--half-width 4",
         "transmon-shift --ej-ghz 1e153 --ec-ghz 0.2 --pairs 100 --ng 1",
         "bands --pairs 4 --ejec 1e153 --from 0 --to 1 --steps 3",
+        # u_0 = n_g E_C sqrt(2 E_J / eps^3) forms no E_C^2.
+        "analytic --ej 1e-300 --ec 1e300 --pairs 10",
     ],
 )
 def test_coefficients_below_overflow_are_solved(argv):
     assert main(argv.split()) == 0
+
+
+def test_underflowed_curvature_is_refused_without_artifact(tmp_path):
+    """Every coupling below the float range: the curvature's cancelling terms underflow
+    to 0, so it has no resolved digit, and neither 0 nor NaN is written."""
+    argv = ("curvature --kind susceptibility --pairs 6 --values 3.80567423030383e-174"
+            " --window fixed --half-width 3 --format json --output").split()
+    assert main([*argv, str(tmp_path / "curvature.json")]) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 # The operator's diagonal is E_C (k - (N + n_g))^2: once N + n_g rounds by a
@@ -605,7 +616,6 @@ def test_scientific_notation_counts():
         ("transmon-shift --ej-ghz 10 --ec-ghz inf --pairs 100 --ng 1", "--ec-ghz"),
         ("validity --ng inf", "--ng"),
         ("curvature --kind dispersion --pairs 60 --values 10,inf", "--values"),
-        ("analytic --ej 1e-300 --ec 1e300 --pairs 10", "--ej/--ec/--ng"),  # e_c**2 overflows
     ],
 )
 def test_non_finite_inputs_name_the_flag(argv, flag, capsys):

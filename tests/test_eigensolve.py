@@ -60,8 +60,8 @@ def lapack_starts(monkeypatch, start):
     dstebz = lapack.dstebz
 
     def shifted(*args):
-        m, w, info = dstebz(*args)
-        return m, array("d", map(start, w)), info
+        m, w, split, info = dstebz(*args)
+        return m, array("d", map(start, w)), split, info
 
     monkeypatch.setattr(lapack, "dstebz", shifted)
 
@@ -336,6 +336,22 @@ class TestGroundState:
             pair = eigenpair(h)
         assert pair.vector is not None
 
+    def test_split_operator_vector_lies_on_its_block(self):
+        # At E_J = 3.8e-174 every squared coupling underflows, so dstebz splits the
+        # 7-state window into one-state blocks.  Inverse iteration on the ground
+        # value's block returns the n = 0 state; on the whole operator as one
+        # block it returns n = +1, with residual 1.0, which is refused.
+        h = build(params(6, 3.80567423030383e-174), 3)
+        pair = eigenpair(h)
+        assert list(pair.vector) == [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+        assert pair.residual < 1e-173
+        _, z = scipy.linalg.eigh_tridiagonal(h.diag, h.off, select="i", select_range=(0, 0),
+                                             lapack_driver="stebz")
+        assert np.abs(z[:, 0]).tolist() == list(pair.vector)
+        one_block = eigensolve.Spectrum(lowest_eigenvalues(h, 2).pairs, h.dim)
+        with pytest.raises(ConvergenceError, match="residual"):
+            eigenpair(h, 0, one_block)
+
     @pytest.mark.parametrize("level", [1, 2])
     def test_excited_vector_matches_dense_oracle(self, level):
         h = build(params(60, 10.0, ng=0.3))
@@ -455,9 +471,14 @@ class TestLapackLoader:
                     h.diag, h.off, eigvals_only=True, select="i", select_range=(0, k - 1),
                     lapack_driver="stebz", tol=2.0 * np.finfo(float).tiny,
                 )
-                m, w, info = eigensolve._lapack().dstebz(h.diag, h.off, k,
-                                                         2.0 * np.finfo(float).tiny)
+                m, w, split, info = eigensolve._lapack().dstebz(h.diag, h.off, k,
+                                                                2.0 * np.finfo(float).tiny)
                 assert (m, info) == (k, 0) and list(w) == expected.tolist()
+                *_, iblock, isplit, _ = scipy.linalg.lapack.dstebz(
+                    h.diag, h.off, 3, 0.0, 0.0, 1, k, 2.0 * np.finfo(float).tiny, "E")
+                nsplit = len(split[1])
+                assert list(split[0]) == iblock[:k].tolist() and split[1][-1] == dim
+                assert list(split[1]) == isplit[:nsplit].tolist()
             values, vectors = scipy.linalg.eigh_tridiagonal(h.diag, h.off)
             spec = dense_all(h)
             assert (spec.values == values).all()
@@ -465,16 +486,21 @@ class TestLapackLoader:
                 v = vectors[:, j]
                 assert (pair.vector == v).all() or (pair.vector == -v).all()
             diag, off = np.asarray(h.diag), np.asarray(h.off)
-            # Vectors: scipy's dstein wrapper at the shift eigenpair takes, sign-normalized.
+            # Vectors: scipy's dstein wrapper at the shift eigenpair takes, on the block
+            # of scipy's dstebz split that holds the value, sign-normalized.
             for level in sorted({0, min(1, dim - 1)}):
                 pairs = lowest_eigenvalues(h, min(level + 2, dim)).pairs
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", NearDegenerateWarning)
                     mine = eigenpair(h, level)
                 shift = pairs[level].value - pairs[level].residual
+                iblock, isplit = np.ones(dim, np.int32), np.full(dim, dim, np.int32)
+                if dim > 1:
+                    *_, iblock, isplit, _ = scipy.linalg.lapack.dstebz(
+                        diag, off, 3, 0.0, 0.0, 1, len(pairs), 2.0 * np.finfo(float).tiny, "E")
                 z, info = scipy.linalg.lapack.dstein(
-                    diag, off if dim > 1 else np.zeros(1), [shift], np.ones(dim, np.int32),
-                    np.full(dim, dim, np.int32))
+                    diag, off if dim > 1 else np.zeros(1), [shift],
+                    np.full(dim, iblock[level], np.int32), isplit)
                 v = z[:, 0] if z[np.argmax(np.abs(z[:, 0])), 0] > 0 else -z[:, 0]
                 assert info == 0 and np.asarray(mine.vector).tobytes() == v.tobytes()
             # The response: the same solve through scipy's dgtsv wrapper and np.dot.

@@ -142,6 +142,50 @@ def test_a_column_reading_fewer_levels_certifies_its_prefix(monkeypatch):
     assert table.column_values["n_expect"] == [alone]
 
 
+_SHARED = {**_QUANTITIES, "bands+imbalance+chi": lambda policy: band_sweep(
+    _SWEEP, [0.3], levels=2, policy=policy, include_imbalance=True, include_susceptibility=True)}
+
+
+@pytest.mark.parametrize("policy", [WindowPolicy.fixed(20), WindowPolicy.adaptive(), FULL],
+                         ids=["fixed", "adaptive", "full"])
+@pytest.mark.parametrize("quantity", list(_SHARED))
+def test_each_level_is_bounded_once_per_checked_window(quantity, policy, monkeypatch):
+    """The walk takes a level's edge bound once per window for all its columns, and
+    none on a window it does not check: a fixed one or one holding the whole basis."""
+    windows, _ = _count_per_window(monkeypatch)
+    bounded = collections.Counter()
+    real = observables.edge_bound
+
+    def counting(h, spectrum, radii, vector, level=0):
+        bounded[next(i for i, w in enumerate(windows) if w is h), level] += 1
+        return real(h, spectrum, radii, vector, level)
+
+    monkeypatch.setattr(observables, "edge_bound", counting)
+    _SHARED[quantity](policy)
+    assert set(bounded.values()) <= {1}
+    assert all(policy.mode != "fixed" and not windows[i].is_full_window for i, _ in bounded)
+    # The dispersion's three levels are certified only on the whole basis of 2N = 60.
+    assert bool(bounded) == (policy.mode != "fixed" and quantity != "dispersion")
+
+
+def test_a_non_finite_result_or_bound_ends_the_walk(monkeypatch):
+    """NaN or inf in a column's result or gates refuses the point on any window: a
+    sweep flags it, and a curvature or a single value raises."""
+    real = observables.charge_response
+    monkeypatch.setattr(observables, "charge_response",
+                        lambda *args: (math.nan, *real(*args)[1:]))
+    table = band_sweep(params(10, 0.2), [0.0, 0.5], levels=1, policy=WindowPolicy.fixed(3),
+                       include_susceptibility=True)
+    assert table.column_values["converged"] == [0.0, 0.0]
+    assert all(map(math.isnan, table.column_values["chi"]))
+    with pytest.raises(WindowConvergenceError, match="non-finite"):
+        dispersion_curvature(params(60, 50.0), FULL)
+    monkeypatch.setattr(observables, "charge_response", real)
+    monkeypatch.setattr(observables, "imbalance_bound", lambda *args: math.inf)
+    with pytest.raises(WindowConvergenceError, match="non-finite"):
+        expected_imbalance(_SWEEP.with_ng(0.3), WindowPolicy.adaptive(w_max=32))
+
+
 class TestExpectedImbalance:
     def test_zero_at_symmetric_point(self):
         for pairs, ejec in [(10, 0.2), (11, 1.0), (60, 30.0)]:
@@ -342,6 +386,10 @@ class TestBandSweep:
         # A fixed window clipped at the basis edge: 2 states at n_g = 4.5.
         with pytest.raises(ValueError, match="levels 3 exceeds the 2 charge states"):
             band_sweep(params(10, 1.0), [4.5], levels=3, policy=WindowPolicy.fixed(1))
+        # More levels than the whole basis holds, under every walking policy.
+        for policy in (FULL, WindowPolicy.adaptive()):
+            with pytest.raises(ValueError, match="levels 4 exceeds the 3 charge states"):
+                band_sweep(params(2, 1.0), [0.0], levels=4, policy=policy)
 
     def test_adaptive_window_starts_wide_enough_for_levels(self):
         # The default first window (half-width 16) holds 33 states; 50 levels
@@ -396,6 +444,9 @@ class TestDispersionCurvature:
         with pytest.warns(RegimeWarning):
             result = dispersion_curvature(params(1, 1.0), FULL)
         assert result.value == pytest.approx(two_level_gap_curvature(1.0, 1.0, 0.0), rel=1e-12)
+        # A one-state window has no level 1.
+        with pytest.raises(ValueError, match="level 1 is outside the 1 charge states"):
+            dispersion_curvature(params(60, 50.0), WindowPolicy.fixed(0))
 
     def test_transmon_ratio_approaches_one(self):
         deviations = []

@@ -12,15 +12,17 @@ alone.  Where the whole basis is too large (2N = 5e8), a window of half-width
 
 import math
 import warnings
+from array import array
 
 import mpmath
 import numpy as np
 import pytest
 
 from finitejj import eigensolve
-from finitejj.eigensolve import (EdgeBound, charge_response, edge_bound, eigenpair,
-                                 fourth_order_bound, fourth_order_terms, imbalance_bound,
-                                 lowest_eigenvalues, response_bound, window_certificate)
+from finitejj.eigensolve import (EdgeBound, _norm, _times, charge_response, edge_bound,
+                                 eigenpair, fourth_order_bound, fourth_order_terms,
+                                 imbalance_bound, lowest_eigenvalues, response_bound,
+                                 window_certificate)
 from finitejj.errors import WindowConvergenceError
 from finitejj.hamiltonian import TridiagonalHamiltonian, build
 from finitejj.model import CircuitParams
@@ -242,6 +244,33 @@ def test_window_responses_leave_residuals_within_their_bounds(pairs, ejec, level
         hx = ref.matvec(x)
         residual = [c - (y - ref.value * z) for c, y, z in zip(source, hx, x)]
         assert mpmath.sqrt(_dot(residual, residual)) <= bound
+
+
+def _grown(x, corner):
+    """``x`` with its amplitude at ``corner`` grown by 2^-36 ||x||."""
+    y = array("d", x)
+    y[corner] += math.copysign(2.0**-36 * _norm(x), x[corner])
+    return y
+
+
+@pytest.mark.parametrize("pairs, ng", [(1000, 0.3), (500_000_000, 0.0)])
+@pytest.mark.parametrize("corner", [0, -1])
+def test_bounds_grow_with_each_corner_amplitude_they_cover(pairs, ng, corner, monkeypatch):
+    """Past each window end, b_edge times a response vector's edge amplitude enters the
+    residual: x in ``response_bound``, x1 and x2 in ``fourth_order_bound``.  Growing that
+    amplitude, and no norm the bounds read, must grow the bound."""
+    h, edge = first_proven(CircuitParams.from_pairs(pairs, e_j=50.0, e_c=1.0, n_g=ng), 0)
+    _, _, x2, (s0, v, a, x1, _) = fourth_order_terms(h, eigenpair(h, 0))
+    y1, y2 = _grown(x1, corner), _grown(x2, corner)
+    norms = [(_norm(x), _norm(_times(a, x))) for x in (x1, x2)]
+    assert [(_norm(y), _norm(_times(a, y))) for y in (y1, y2)] == norms
+    assert response_bound(edge, a, v, y1)[0] > response_bound(edge, a, v, x1)[0]
+    bound = fourth_order_bound(edge, a, v, x1, s0, x2)[0]
+    assert fourth_order_bound(edge, a, v, x1, s0, y2)[0] > bound
+    # x1 enters through response_bound too: held fixed, x1's own outside term must grow.
+    held = response_bound(edge, a, v, x1)
+    monkeypatch.setattr(eigensolve, "response_bound", lambda *args: held)
+    assert fourth_order_bound(edge, a, v, y1, s0, x2)[0] > bound
 
 
 def test_imbalance_bound_covers_every_vector_within_the_angle():
