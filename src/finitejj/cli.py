@@ -244,11 +244,12 @@ def _write_artifact(args, default_name, meta: dict, header, rows, body: dict) ->
     CSV: a '# meta {json}' line, the ``header`` row, then ``rows``, whose text
     cells are written as they are, numbers at 17 significant digits and None
     as an empty cell; CRLF after every line.  JSON: the object
-    {"meta": meta, **body}.  JSON keys are sorted in both.
+    {"meta": meta, **body}, which may hold no NaN or infinity (RFC 8259), so
+    one that reaches it raises.  JSON keys are sorted in both.
     """
     path = Path(args.output if args.output is not None else f"{default_name}.{args.format}")
     if args.format == "json":
-        text = json.dumps({"meta": meta, **body}, sort_keys=True)
+        text = json.dumps({"meta": meta, **body}, sort_keys=True, allow_nan=False)
     else:
         def cell(value):
             if value is None:
@@ -266,9 +267,12 @@ def _write_artifact(args, default_name, meta: dict, header, rows, body: dict) ->
 
 
 def _write_table(table: SweepTable, args, default_name) -> Path:
-    """A sweep as one CSV row per grid point, or a {meta, grid, columns} JSON object."""
+    """A sweep as one CSV row per point, or {meta, grid, columns} JSON: a flagged NaN is null."""
     header = [table.meta.get("grid_label", "n_g"), *table.column_values]
-    body = {"grid": table.grid_values, "columns": table.column_values}
+    flags = table.column_values.get("converged") or [1.0] * len(table.grid_values)
+    columns = {name: [None if not flag and math.isnan(v) else v for v, flag in zip(col, flags)]
+               for name, col in table.column_values.items()}
+    body = {"grid": table.grid_values, "columns": columns}
     return _write_artifact(args, default_name, table.meta, header,
                            zip(table.grid_values, *table.column_values.values()), body)
 

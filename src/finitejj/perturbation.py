@@ -12,10 +12,10 @@ maximally tunneling state, an affine Bogoliubov rotation with level spacing
 eps = sqrt(2 E_C E_J + E_J^2/N^2), and first-order corrections that collapse
 to sqrt(2 E_C E_J) [1 - (n_g/2N)^2] and d<n>/dn_g = 1 - 3 E_J n_g^2/(4 E_C N^4)
 for 1 << E_J/E_C << N^2.  ``transmon_first_order_numeric`` evaluates the
-corrections without the final limit: it writes the perturbation in the
-quasiparticle quadratures and takes its vacuum elements from the
-normal-ordering engine, so the gap between the exact first-order numbers and
-the asymptotic formulas stays measurable at any island size.
+corrections without the final limit, as two closed-form polynomials in the
+quasiparticle quadratures' coefficients, so the gap between the exact
+first-order numbers and the asymptotic formulas stays measurable at any
+island size.
 """
 
 from __future__ import annotations
@@ -138,56 +138,30 @@ class FirstOrderResult(Record):
 
 
 def transmon_first_order_numeric(params: CircuitParams) -> FirstOrderResult:
-    """Evaluate the first-order frequency and imbalance through the wick engine.
+    """Evaluate the first-order frequency and imbalance in closed form.
 
     The perturbation E_C sqrt(N) (p' dSz + dSz p') (quadratic-order spin
-    remainder dropped) is built in the quasiparticle mode b, whose quadratures
-    map the bare ones exactly:
-
-        x = x_b / s,    p = s p_b + 2 n_g E_C E_J / (eps^2 sqrt(N)),
-
-    with s = u_+ + u_- = sqrt(E_J / (N eps)) formed directly.  Then a = (x +
-    i p) / sqrt(2), dSz = -a^dag p a / sqrt(16 N) is the first-order remainder
-    of the spin z component, and the shifted momentum p' = p - n_g / sqrt(N)
-    is s p_b - (n_g / sqrt(N)) (E_J / N)^2 / eps^2 in closed form.  No
-    coefficient of size u_+/- ~ sqrt(N) has to cancel.  The ground-state
-    correction only reaches excitation numbers up to four, since the
-    perturbation has degree four, so that sum is exact.
+    remainder dropped), with dSz = -a^dag p a / sqrt(16 N) and a = (x + i p) /
+    sqrt(2), is written in the quasiparticle mode b, whose quadratures map the
+    bare ones exactly: x = x_b / s, p = s p_b + P and p' = p - n_g / sqrt(N) =
+    s p_b + Q, with s^2 = E_J / (N eps) and P, Q as below.  It has degree four,
+    so its vacuum elements, and the ground state's sum over up to four
+    excitations, are exact polynomials in P, Q, s^2 and (for the imbalance)
+    E_C sqrt(N) / eps.  No coefficient of size u_+/- ~ sqrt(N) has to cancel.
     """
-    from . import wick
-    from .wick import OperatorPoly
-
     _warn_transmon_regime(params)
     n, n_g, e_c, e_j = params.n_half, params.n_g, params.e_c, params.e_j
     eps = bogoliubov(params).epsilon
-    s = math.sqrt(e_j / (n * eps))
-    root_half = 1.0 / math.sqrt(2.0)
+    root_n = math.sqrt(n)
+    s2 = e_j / (n * eps)
+    p = 2.0 * n_g * e_c * e_j / (eps**2 * root_n)
+    q = -(n_g / root_n) * (e_j / n) ** 2 / eps**2
+    s4 = s2 * s2
 
-    b = OperatorPoly.lowering()
-    b_dag = OperatorPoly.raising()
-    x = (root_half / s) * (b + b_dag)
-    s_p_b = (1j * root_half * s) * (b_dag - b)
-    p = s_p_b + 2.0 * n_g * e_c * e_j / (eps**2 * math.sqrt(n))
-    p_shift = s_p_b - (n_g / math.sqrt(n)) * (e_j / n) ** 2 / eps**2
-    a = root_half * (x + 1j * p)
-    a_dag = root_half * (x - 1j * p)
-    d_sz = (-1.0 / math.sqrt(16.0 * n)) * (a_dag * p * a)
-    delta_h = (e_c * math.sqrt(n)) * (p_shift * d_sz + d_sz * p_shift)
-    momentum_term = math.sqrt(n) * p
-
-    freq = (
-        eps
-        + wick.vacuum_expectation(b * delta_h * b_dag).real
-        - wick.vacuum_expectation(delta_h).real
-    )
-    imbalance = wick.vacuum_expectation(momentum_term).real
-    imbalance += wick.vacuum_expectation(d_sz).real
-
-    factorial = 1.0
-    for k in range(1, 5):
-        factorial *= k
-        amp = wick.vacuum_expectation((b**k) * delta_h)  # <0| b^k dH |0>
-        bra = wick.vacuum_expectation(momentum_term * (b_dag**k))  # <0| sqrt(N) p (b^dag)^k |0>
-        imbalance += 2.0 * (bra * amp / (-factorial * k * eps)).real
-
+    freq = eps - 0.25 * e_c * (3.0 * p * (p + q) * s2 + p * q / s2 + 3.0 * s4 - 2.0 * s2 + 1.0)
+    imbalance = e_c * root_n / eps * (
+        0.75 * p * p * q * s2 + 0.25 * p**3 * s2
+        + p * (1.125 * s4 - 0.5 * s2 + 0.125) + q * (0.375 * s4 - 0.5 * s2 + 0.125))
+    imbalance += p * root_n - p**3 / (8.0 * root_n)
+    imbalance -= p * (0.1875 * s2 - 0.25 + 0.0625 / s2) / root_n
     return FirstOrderResult(frequency=freq, imbalance=imbalance)

@@ -7,7 +7,8 @@ word once from left to right, commuting every raising symbol past the
 lowering symbols before it (b^n b^dag = b^dag b^n + n b^(n-1)), so every word
 ends with all raising symbols first; the identity (empty word) coefficient of
 the normal form is then the vacuum expectation value.  Frame changes are the
-caller's: ``perturbation`` writes its operators in the quasiparticle mode.
+caller's; the first-order transmon corrections that ``perturbation`` evaluates
+in closed form were reduced from operators written in the quasiparticle mode.
 
 The independent oracle acts with the ladder operators on Fock states instead
 of counting commutators: ``fock_oracle`` walks each word from |0> in a Fock

@@ -16,17 +16,25 @@ from finitejj.observables import SweepTable
 from finitejj.wick import LOWER, RAISE, OperatorPoly
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"the artifact holds {name}, which RFC 8259 forbids")
+
+
+def load_json(path):
+    """A JSON artifact, parsed strictly: NaN, Infinity and -Infinity are refused."""
+    return json.loads(Path(path).read_text(), parse_constant=_refuse_constant)
+
+
 def read_table(path, fmt: str = "csv") -> SweepTable:
     """A sweep artifact, read from ``path``, as the table that wrote it.
 
     CSV: one '# meta {json}' line, a header row, then one row per grid point.
     JSON: the {"meta", "grid", "columns"} object that ``cli._write_table`` writes.
     """
-    text = Path(path).read_text()
     if fmt == "json":
-        payload = json.loads(text)
+        payload = load_json(path)
         return SweepTable(grid=payload["grid"], columns=payload["columns"], meta=payload["meta"])
-    meta_line, header, *rows = text.splitlines()
+    meta_line, header, *rows = Path(path).read_text().splitlines()
     assert meta_line.startswith("# meta ")
     names = header.split(",")
     data = [[float(cell) for cell in row.split(",")] for row in rows if row]

@@ -1,17 +1,19 @@
 """Oracles that only the tests use: spin matrices, the charge-qubit two-level
 reduction, the dense truncated-Fock matrix of a ladder polynomial, the
-first-order transmon corrections from truncated-Fock matrices, a
-self-stabilising truncated-Fock vacuum element, and high-precision lowest
-eigenvalues of a tridiagonal operator.
+first-order transmon corrections from truncated-Fock matrices and from the
+normal-ordering engine, a self-stabilising truncated-Fock vacuum element, and
+high-precision lowest eigenvalues of a tridiagonal operator.
 
 Each checks a library path from outside it: the spin ladder generates the
 operator's couplings, the 2x2 block reproduces ``perturbation.cpb_gap``, the
 dense Fock matrix checks ``wick.vacuum_expectation``'s normal forms and
 ``wick.fock_oracle``'s ladder walk by matrix products, Fock matrices in
-doubles or at 50 digits check ``perturbation.transmon_first_order_numeric``
-through the bare-mode operators it never forms, the Fock truncation is doubled
-until the vacuum element of a ladder polynomial settles, and Sturm counts at
-50 digits certify the eigenvalues of an operator's coefficients.
+doubles or at 50 digits check ``perturbation.transmon_first_order_numeric``'s
+closed forms through the bare-mode operators they never form, the engine's
+quasiparticle-mode construction checks the same closed forms through the
+operator algebra they reduce, the Fock truncation is doubled until the vacuum
+element of a ladder polynomial settles, and Sturm counts at 50 digits certify
+the eigenvalues of an operator's coefficients.
 """
 
 import math
@@ -23,7 +25,8 @@ import numpy as np
 from finitejj.errors import CapacityError, ConvergenceError
 from finitejj.hamiltonian import DENSE_LIMIT
 from finitejj.model import CircuitParams
-from finitejj.wick import LOWER, RAISE, OperatorPoly, fock_oracle
+from finitejj.perturbation import bogoliubov
+from finitejj.wick import LOWER, RAISE, OperatorPoly, fock_oracle, vacuum_expectation
 
 _LATTICE_TOL = 1e-9
 _DEGENERACY_TOL = 1e-9
@@ -163,6 +166,58 @@ def _first_order_from_matrices(p: CircuitParams, lower, eye, real, sqrt, dagger)
     imbalance = (n_op[0, 0] + d_sz[0, 0]).real
     for k in range(1, 5):  # <0|n|k> <k|dH|0> / (E_0 - E_k), twice
         imbalance += 2 * (n_op[0, k] * d_h[k, 0] / (-k * eps)).real
+    return freq, imbalance
+
+
+def first_order_from_engine(p: CircuitParams):
+    """The first-order transmon corrections built from the normal-ordering engine.
+
+    The perturbation E_C sqrt(N) (p' dSz + dSz p') (quadratic-order spin
+    remainder dropped) is built in the quasiparticle mode b, whose quadratures
+    map the bare ones exactly:
+
+        x = x_b / s,    p = s p_b + 2 n_g E_C E_J / (eps^2 sqrt(N)),
+
+    with s = u_+ + u_- = sqrt(E_J / (N eps)) formed directly.  Then a = (x +
+    i p) / sqrt(2), dSz = -a^dag p a / sqrt(16 N) is the first-order remainder
+    of the spin z component, and the shifted momentum p' = p - n_g / sqrt(N)
+    is s p_b - (n_g / sqrt(N)) (E_J / N)^2 / eps^2 in closed form.  The
+    ground-state correction only reaches excitation numbers up to four, since
+    the perturbation has degree four, so that sum is exact.  Returns
+    (frequency, imbalance), to check ``perturbation.transmon_first_order_numeric``'s
+    closed forms against the operator algebra they were derived from.
+    """
+    n, n_g, e_c, e_j = p.n_half, p.n_g, p.e_c, p.e_j
+    eps = bogoliubov(p).epsilon
+    s = math.sqrt(e_j / (n * eps))
+    root_half = 1.0 / math.sqrt(2.0)
+
+    b = OperatorPoly.lowering()
+    b_dag = OperatorPoly.raising()
+    x = (root_half / s) * (b + b_dag)
+    s_p_b = (1j * root_half * s) * (b_dag - b)
+    momentum = s_p_b + 2.0 * n_g * e_c * e_j / (eps**2 * math.sqrt(n))
+    p_shift = s_p_b - (n_g / math.sqrt(n)) * (e_j / n) ** 2 / eps**2
+    a = root_half * (x + 1j * momentum)
+    a_dag = root_half * (x - 1j * momentum)
+    d_sz = (-1.0 / math.sqrt(16.0 * n)) * (a_dag * momentum * a)
+    delta_h = (e_c * math.sqrt(n)) * (p_shift * d_sz + d_sz * p_shift)
+    momentum_term = math.sqrt(n) * momentum
+
+    freq = (
+        eps
+        + vacuum_expectation(b * delta_h * b_dag).real
+        - vacuum_expectation(delta_h).real
+    )
+    imbalance = vacuum_expectation(momentum_term).real
+    imbalance += vacuum_expectation(d_sz).real
+
+    factorial = 1.0
+    for k in range(1, 5):
+        factorial *= k
+        amp = vacuum_expectation((b**k) * delta_h)  # <0| b^k dH |0>
+        bra = vacuum_expectation(momentum_term * (b_dag**k))  # <0| sqrt(N) p (b^dag)^k |0>
+        imbalance += 2.0 * (bra * amp / (-factorial * k * eps)).real
     return freq, imbalance
 
 

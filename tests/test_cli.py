@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import read_table
+from conftest import load_json, read_table
 from finitejj import observables, wick
 from finitejj.cli import (
     MAX_WICK_DEGREE,
@@ -95,11 +95,36 @@ def test_artifact_bytes_are_pinned(fmt, tmp_path):
     path = _write_table(table, argparse.Namespace(format=fmt, output=None), "table")
     assert path == Path(f"table.{fmt}")
     assert (tmp_path / path).read_bytes() == GOLDEN_TABLE[fmt]
+    if fmt == "json":
+        load_json(tmp_path / path)
 
     results = {"gap": 0.1, "missing": None, "count": 3.0, "huge": 1.5e300}
     args = argparse.Namespace(format=fmt, output=str(tmp_path / f"scalars.{fmt}"))
     path = _write_scalars(results, {"seed": 7, "degree": 6, "name": "x"}, args, "scalars", {})
     assert path.read_bytes() == GOLDEN_SCALARS[fmt]
+    if fmt == "json":
+        load_json(path)
+
+
+def test_unconverged_rows_are_null_in_json(tmp_path, capsys):
+    """A window capped below the 2N = 5e8 island's needs: each flagged row's NaN cells are
+    null in JSON (RFC 8259 has no NaN) and stay 'nan' in CSV."""
+    argv = "bands --pairs 5e8 --ejec 50 --from 0 --to 1 --steps 2 --w-initial 4 --w-max 4".split()
+    assert main(argv + ["--format", "json"]) == 2
+    columns = load_json(tmp_path / "bands.json")["columns"]
+    assert columns == {"E0": [None, None], "E1": [None, None], "E2": [None, None],
+                       "converged": [0.0, 0.0]}
+    assert main(argv) == 2
+    assert all(math.isnan(v) for v in read_table(tmp_path / "bands.csv").column_values["E0"])
+    assert "2 unconverged points" in capsys.readouterr().out
+
+
+def test_nan_in_a_converged_row_is_refused_in_json(tmp_path):
+    table = observables.SweepTable(grid=[0.0], columns={"E0": [math.nan], "converged": [1.0]},
+                                   meta={})
+    with pytest.raises(ValueError, match="JSON compliant"):
+        _write_table(table, argparse.Namespace(format="json", output=None), "table")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_transmon_shift_summary(tmp_path, capsys):
@@ -109,7 +134,7 @@ def test_transmon_shift_summary(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "-8.00" in out
-    payload = json.loads((tmp_path / "transmon_shift.json").read_text())
+    payload = load_json(tmp_path / "transmon_shift.json")
     assert payload["results"]["shift_numeric_khz"] == pytest.approx(-8.0, rel=0.02)
     assert payload["results"]["shift_analytic_khz"] == pytest.approx(-8.0, rel=1e-6)
     assert payload["meta"]["pairs_total"] == 500000000
@@ -118,7 +143,7 @@ def test_transmon_shift_summary(tmp_path, capsys):
 def test_validity_aluminum(tmp_path, capsys):
     code = main("validity --material aluminum --pairs 5e8 --ng 1e6 --format json".split())
     assert code == 0
-    payload = json.loads((tmp_path / "validity.json").read_text())
+    payload = load_json(tmp_path / "validity.json")
     assert payload["results"]["n_min"] == pytest.approx(1.0e4, rel=0.05)
     assert payload["results"]["island_volume_um3"] == pytest.approx(0.005, rel=0.10)
     assert payload["results"]["gate_voltage_v"] == pytest.approx(1000.0, rel=1e-9)
@@ -135,7 +160,7 @@ def test_validity_from_materials_file(tmp_path):
         ["validity", "--materials-file", str(preset), "--material", "custom", "--format", "json"]
     )
     assert code == 0
-    payload = json.loads((tmp_path / "validity.json").read_text())
+    payload = load_json(tmp_path / "validity.json")
     assert payload["results"]["n_min"] == pytest.approx(1.0e4, rel=0.05)
 
 
@@ -186,7 +211,7 @@ def test_validity_unknown_material_is_parameter_error(capsys):
 def test_analytic_values(tmp_path):
     code = main("analytic --ej 0.01 --ec 1.0 --pairs 10 --ng 0.5 --format json".split())
     assert code == 0
-    payload = json.loads((tmp_path / "analytic.json").read_text())
+    payload = load_json(tmp_path / "analytic.json")
     results = payload["results"]
     assert results["cpb_gap"] == pytest.approx(0.001 * np.sqrt(120.0))
     assert results["cpb_susceptibility"] == pytest.approx(1000.0 / np.sqrt(120.0))
@@ -199,7 +224,7 @@ def test_analytic_values(tmp_path):
 def test_analytic_off_degeneracy_reports_null(tmp_path):
     code = main("analytic --ej 0.01 --ec 1.0 --pairs 10 --ng 0.3 --format json".split())
     assert code == 0
-    payload = json.loads((tmp_path / "analytic.json").read_text())
+    payload = load_json(tmp_path / "analytic.json")
     assert payload["results"]["cpb_gap"] is None
 
 
@@ -356,7 +381,7 @@ def test_resolved_large_offsets_are_solved(tmp_path):
 def test_wick_verify(tmp_path, capsys):
     code = main("wick-verify --count 40 --degree 5 --format json".split())
     assert code == 0
-    payload = json.loads((tmp_path / "wick_verify.json").read_text())
+    payload = load_json(tmp_path / "wick_verify.json")
     assert payload["results"]["max_abs_deviation"] < 1e-9
     assert "ok" in capsys.readouterr().out
 
@@ -418,6 +443,7 @@ def test_byte_identical_reruns(tmp_path):
     assert main(argv_json + ["--output", "a.json"]) == 0
     assert main(argv_json + ["--output", "b.json"]) == 0
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    load_json(tmp_path / "a.json")
 
 
 def test_parameter_error_names_flag(capsys, monkeypatch):
@@ -489,8 +515,8 @@ def test_full_window_eigenvalues_beyond_the_operator_limit(tmp_path):
     assert main(f"{shift} --window full --output full.json".split()) == 0
     assert time.perf_counter() - start < 1.0
     assert main(f"{shift} --output adaptive.json".split()) == 0
-    full = json.loads((tmp_path / "full.json").read_text())["results"]
-    adaptive = json.loads((tmp_path / "adaptive.json").read_text())["results"]
+    full = load_json(tmp_path / "full.json")["results"]
+    adaptive = load_json(tmp_path / "adaptive.json")["results"]
     for key, ng in (("frequency_at_zero_ghz", 0.0), ("frequency_at_ng_ghz", 1e6)):
         # Both are within the certificate radii of the full-basis gap.
         params = CircuitParams.from_pairs(500_000_000, e_j=10.0, e_c=0.2, n_g=ng)
@@ -570,7 +596,7 @@ def test_subnormal_energies_are_solved_or_name_the_flag(tmp_path, capsys):
     # window is the whole basis, -(E_J / N) s_x, whose levels are E_J / N apart.
     argv = "transmon-shift --ej-ghz 1 --ec-ghz 1e-320 --pairs 10 --ng 0.5 --format json"
     assert main(argv.split()) == 0
-    results = json.loads((tmp_path / "transmon_shift.json").read_text())["results"]
+    results = load_json(tmp_path / "transmon_shift.json")["results"]
     assert results["frequency_at_zero_ghz"] == pytest.approx(0.2, rel=1e-12)
     # The Bogoliubov denominator sqrt(4 N eps E_J) underflows at E_J = 1e-320.
     assert main("analytic --ej 1e-320 --ec 1 --pairs 1 --ng 0.5".split()) == 1
@@ -811,12 +837,8 @@ def test_hostile_numbers_never_raise(command, data):
     # "--flag=value" keeps argparse from reading a negative value as an option.
     code = main(argv + [f"{flag}={value}", "--format", fmt, "--output", str(output)])
     assert code in (0, 1, 2)
-    if code == 0 and fmt == "json":
-        json.loads(output.read_text(), parse_constant=_no_constant)  # RFC 8259: no Infinity/NaN
-
-
-def _no_constant(name):
-    raise AssertionError(f"the artifact holds {name}")
+    if fmt == "json" and output.exists():
+        load_json(output)
 
 
 @pytest.mark.parametrize("argv, flag", [

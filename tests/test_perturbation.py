@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import mathieu_a, mathieu_b
 
 from conftest import two_level_gap, two_level_susceptibility
 from finitejj.eigensolve import dense_all
 from finitejj.errors import RegimeWarning
 from finitejj.hamiltonian import build
 from finitejj.model import CircuitParams
-from finitejj.observables import WindowPolicy, charge_susceptibility
+from finitejj.observables import WindowPolicy, charge_susceptibility, qubit_frequency
 from finitejj.perturbation import (
     bogoliubov,
     cpb_gap,
@@ -22,7 +23,7 @@ from finitejj.perturbation import (
     transmon_frequency,
     transmon_susceptibility,
 )
-from oracles import cpb_effective, first_order_fock_reference
+from oracles import cpb_effective, first_order_fock_reference, first_order_from_engine
 
 
 def params(pairs, e_j, ng=0.0, e_c=1.0):
@@ -204,6 +205,8 @@ class TestTransmonSusceptibility:
 
 
 class TestFirstOrderNumeric:
+    LADDER = [60, 400, 10**4, 10**6, 10**8, 5 * 10**8]
+
     @pytest.mark.parametrize(
         "pairs,e_j,ng", [(400, 10.0, 40.0), (60, 50.0, 4.0), (100, 20.0, 0.0), (41, 30.0, -2.5)]
     )
@@ -213,6 +216,10 @@ class TestFirstOrderNumeric:
         freq_ref, imb_ref = first_order_fock_reference(p)
         assert result.frequency == pytest.approx(freq_ref, rel=1e-10)
         assert result.imbalance == pytest.approx(imb_ref, rel=1e-10, abs=1e-10)
+        eps = np.finfo(float).eps
+        freq_ref, imb_ref = first_order_fock_reference(p, dim=14, dps=50)
+        assert abs(result.frequency - freq_ref) <= eps * abs(freq_ref)
+        assert abs(result.imbalance - imb_ref) <= 2 * eps * max(1.0, abs(ng))
 
     def test_frequency_converges_to_asymptotic_form(self):
         deviations = []
@@ -236,17 +243,29 @@ class TestFirstOrderNumeric:
             derivative = (up - down) / (2.0 * step)
             assert derivative == pytest.approx(quiet(transmon_susceptibility, p), rel=0.01)
 
-    @pytest.mark.parametrize("pairs", [60, 400, 10**4, 10**6, 10**8, 5 * 10**8])
+    @pytest.mark.parametrize("pairs", LADDER)
     def test_large_island_ladder_matches_fifty_digits(self, pairs):
-        # The quadratures carry no sqrt(N)-sized coefficient, so the error
-        # stays at a few ulps up to the README's 2N = 5e8 island.
+        # The closed forms carry no sqrt(N)-sized coefficient, so the error
+        # stays within an ulp or two up to the README's 2N = 5e8 island.
         eps = np.finfo(float).eps
         for ng in (0.0, 0.25, pairs / 500):
             p = params(pairs, 10.0, ng=ng, e_c=0.2)
             result = quiet(transmon_first_order_numeric, p)
             freq_ref, imb_ref = first_order_fock_reference(p, dim=14, dps=50)
-            assert abs(result.frequency - freq_ref) <= 64 * eps * abs(freq_ref)
-            assert abs(result.imbalance - imb_ref) <= 4 * eps * max(1.0, abs(ng))
+            assert abs(result.frequency - freq_ref) <= eps * abs(freq_ref)
+            assert abs(result.imbalance - imb_ref) <= 2 * eps * max(1.0, abs(ng))
+
+    @pytest.mark.parametrize("pairs", LADDER)
+    def test_large_island_ladder_matches_the_engine(self, pairs):
+        # The normal-ordering engine rounds each vacuum element on its own,
+        # so it sits up to about 23 eps from the closed-form frequency.
+        eps = np.finfo(float).eps
+        for ng in (0.0, 0.25, pairs / 500):
+            p = params(pairs, 10.0, ng=ng, e_c=0.2)
+            result = quiet(transmon_first_order_numeric, p)
+            freq_engine, imb_engine = first_order_from_engine(p)
+            assert abs(result.frequency - freq_engine) <= 32 * eps * abs(freq_engine)
+            assert abs(result.imbalance - imb_engine) <= 4 * eps * max(1.0, abs(ng))
 
     def test_device_scale_first_order_shift(self):
         p = params(500_000_000, 10.0, e_c=0.2)
@@ -256,3 +275,27 @@ class TestFirstOrderNumeric:
                      - first_order_fock_reference(p, dim=14, dps=50)[0])
         assert abs(shift - reference) <= 1e-8 * abs(reference)
         assert shift * 1e6 == pytest.approx(-8.0, rel=1e-6)  # kHz
+
+    def test_frequency_residual_is_the_infinite_island_next_order(self):
+        """First order misses the exact frequency by about -0.035 E_C/E_J at any size.
+
+        At n_g = 0 the coefficient (exact / first order - 1) E_J/E_C does not
+        move between 2N = 1e5 and 1e8, while the exact frequency meets the
+        Mathieu limit (b_2(q) - a_0(q))/4, q = 2E_J/E_C, at rate 1/(2N): the
+        residual is the infinite-island transmon's next order (Koch et al.,
+        PRA 76, 042319, 2007), and the finite-island part is 1/N.
+        """
+        for ratio in (20.0, 50.0, 100.0, 200.0):
+            mathieu = (mathieu_b(2, 2.0 * ratio) - mathieu_a(0, 2.0 * ratio)) / 4.0
+            residuals, rates = [], []
+            for pairs in (10**5, 10**8):
+                p = params(pairs, ratio)
+                exact = qubit_frequency(p)
+                first = quiet(transmon_first_order_numeric, p).frequency
+                residuals.append((exact / first - 1.0) * ratio)
+                rates.append((exact / mathieu - 1.0) * pairs)
+            print(f"E_J/E_C = {ratio:g}: residual coefficient {residuals[0]:.5f} / "
+                  f"{residuals[1]:.5f}, 1/(2N) rate {rates[0]:.4f} / {rates[1]:.4f}")
+            assert residuals[0] == pytest.approx(residuals[1], abs=1e-4)
+            assert -0.04 < residuals[1] < -0.03
+            assert all(0.4 <= rate <= 0.6 for rate in rates)
