@@ -89,39 +89,31 @@ def _positive_count(text: str) -> int:
     return value
 
 
-def _pairs(text: str) -> int:
-    """Total bosons 2N of a charge basis: a positive integer up to 2**53."""
-    value = _positive_count(text)
-    if value > MAX_PAIRS_TOTAL:
-        raise argparse.ArgumentTypeError(
-            f"expected at most 2**53 = {MAX_PAIRS_TOTAL}, where charge offsets stop being"
-            f" exact in doubles, got {text!r}"
-        )
-    return value
+def _bounded_count(name: str, limit: int, bound: str):
+    """A positive integer type up to ``limit``, refused past it as "expected at most ``bound``".
+
+    ``name`` becomes the type's ``__name__``, which argparse's "invalid <name> value" reads.
+    """
+    def count(text: str) -> int:
+        value = _positive_count(text)
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"expected at most {bound}, got {text!r}")
+        return value
+
+    count.__name__ = name
+    return count
 
 
-def _steps(text: str) -> int:
-    """Grid points of a sweep: a positive integer up to the operator's array limit."""
-    value = _positive_count(text)
-    if value > ARRAY_LIMIT:
-        raise argparse.ArgumentTypeError(f"expected at most 2**26 = {ARRAY_LIMIT}, the array"
-                                         f" limit, got {text!r}")
-    return value
-
+# Total bosons 2N of a charge basis, and grid points of a sweep.
+_pairs = _bounded_count("_pairs", MAX_PAIRS_TOTAL, f"2**53 = {MAX_PAIRS_TOTAL}, where charge"
+                        " offsets stop being exact in doubles")
+_steps = _bounded_count("_steps", ARRAY_LIMIT, f"2**26 = {ARRAY_LIMIT}, the array limit")
 
 # The Fock walk's and the engine's vacuum counts peak at (degree / 2)! for
 # b^(degree / 2) b^dag^(degree / 2), which fits a float up to degree 340.
 MAX_WICK_DEGREE = 250
-
-
-def _wick_degree(text: str) -> int:
-    value = _positive_count(text)
-    if value > MAX_WICK_DEGREE:
-        raise argparse.ArgumentTypeError(
-            f"expected at most {MAX_WICK_DEGREE}, where the vacuum counts stay inside the"
-            f" float range, got {text!r}"
-        )
-    return value
+_wick_degree = _bounded_count("_wick_degree", MAX_WICK_DEGREE, f"{MAX_WICK_DEGREE}, where the"
+                              " vacuum counts stay inside the float range")
 
 
 def _finite_float(text: str) -> float:

@@ -13,4 +13,3 @@ MILLI_EV = 1e-3 * EV
 
 NM = 1e-9  # m
 PER_CM3 = 1e6  # m^-3 per cm^-3
-CUBIC_MICRON = 1e-18  # m^3

@@ -13,9 +13,9 @@ level's reduced resolvent by LAPACK tridiagonal solves (``dgtsv``): once for
 its static charge response, twice for the ground state's fourth-order
 energy.
 
-A pivot count is one O(dim) pass over the operator's two buffers.  A dense
-full-spectrum routine (LAPACK ``dstevd``) provides the reference oracle at
-small dimensions.
+A pivot count is one O(dim) pass over the operator's two buffers.  The
+dense full spectrum, the reference oracle at small dimensions, is scipy's
+``eigh_tridiagonal`` (LAPACK ``dstevd``).
 
 ``window_certificate`` proves a charge window's lowest values to be the full
 operator's with two more counts per value at the window's dim.
@@ -25,7 +25,7 @@ Every LAPACK routine, and the ``ddot`` behind each dot product and norm, is
 called through ``ctypes`` from the library that scipy's compiled wrappers
 ``scipy.linalg._flapack`` link, which ``_lapack`` opens at the first solve:
 the same code as scipy's wrappers run, so the same bits as ``np.dot`` and
-``np.linalg.norm``.  No scipy module is imported.
+``np.linalg.norm``.  No scipy module is imported, except by ``dense_all``.
 """
 
 from __future__ import annotations
@@ -109,15 +109,15 @@ class _Lapack:
     """The routines the solver calls, bound through ctypes from the shared library ``lib``.
 
     Each is the library's ``scipy_<name>_`` symbol (scipy's bundled OpenBLAS),
-    else ``<name>_``, typed once as pointers followed by gfortran's hidden
-    CHARACTER lengths.  The methods take flat double buffers, return what
-    scipy's f2py wrappers of the same routines return, and bind every buffer
-    to a name for the whole call: an address alone does not keep it alive.
+    else ``<name>_``, typed once as pointers and gfortran's hidden CHARACTER
+    lengths.  The methods take flat double buffers, return what scipy's f2py
+    wrappers of the same routines return, and bind every buffer to a name for
+    the whole call: an address alone does not keep it alive.  The dense
+    reference ``dense_all`` calls scipy's own ``dstevd`` wrapper instead.
     """
 
     # Pointer arguments and hidden CHARACTER lengths of each routine.
-    SIGNATURES = {"dstebz": (18, 2), "dstein": (13, 0), "dgtsv": (8, 0), "dstevd": (11, 1),
-                  "ddot": (5, 0)}
+    SIGNATURES = {"dstebz": (18, 2), "dstein": (13, 0), "dgtsv": (8, 0), "ddot": (5, 0)}
 
     def __init__(self, lib):
         for name, (pointers, chars) in self.SIGNATURES.items():
@@ -152,15 +152,6 @@ class _Lapack:
         n, info = _int(len(d)), c_int()
         self._dgtsv(n, _ONE, _ptr(dl), _ptr(d), _ptr(du), _ptr(x), n, byref(info))
         return x, info.value
-
-    def dstevd(self, d, e):
-        """(w, z, info): every eigenvalue of (d, e), ascending, and vector j at z[j n:(j + 1) n]."""
-        n, info, lwork, liwork = len(d), c_int(), 1 + 4 * len(d) + len(d) ** 2, 3 + 5 * len(d)
-        w, e, z, work, iwork = (array("d", d), array("d", e), _zeros(n * n), _zeros(lwork),
-                                _zeros(liwork, "i"))
-        self._dstevd(b"V", _int(n), _ptr(w), _ptr(e), _ptr(z), _int(n), _ptr(work),
-                     _int(lwork), _ptr(iwork), _int(liwork), byref(info), 1)
-        return w, z, info.value
 
     def ddot(self, x, y) -> float:
         return self._ddot(_int(len(x)), _ptr(x), _ONE, _ptr(y), _ONE)
@@ -613,21 +604,18 @@ def dense_all(h: TridiagonalHamiltonian) -> Spectrum:
     """Full spectrum with eigenvectors via the dense LAPACK tridiagonal path.
 
     Reference oracle for small dimensions; ``DENSE_LIMIT`` keeps runtimes
-    around a second.  Vectors are sign-normalized and residuals taken as by
-    ``eigenpair``, in the same order of roundings, on numpy rows (numpy loads here).
+    around a second.  Eigenpairs are scipy's ``eigh_tridiagonal`` (``stevd``); vectors are
+    sign-normalized and residuals taken as by ``eigenpair``, in the same order
+    of roundings, on numpy rows (numpy and ``scipy.linalg`` load here).
     """
     import numpy as np
+    from scipy.linalg import eigh_tridiagonal
 
     if h.dim > DENSE_LIMIT:
         raise CapacityError(f"dim {h.dim} exceeds dense limit {DENSE_LIMIT}")
-    if h.dim == 1:
-        values, z = h.diag, array("d", [1.0])
-    else:
-        values, z, info = _lapack().dstevd(h.diag, h.off)
-        if info != 0:
-            raise ConvergenceError(f"dstevd eigensolve did not converge (info {info})")
+    values, z = eigh_tridiagonal(h.diag, h.off, lapack_driver="stevd")
     diag, off, pairs = np.asarray(h.diag), np.asarray(h.off), []
-    for value, v in zip(values, np.frombuffer(z).reshape(h.dim, h.dim)):
+    for value, v in zip(values.tolist(), z.T):
         v = -v if v[np.abs(v).argmax()] < 0 else v
         hv = diag * v  # h.matvec's order: diag v, + off v_next, + off_prev v_prev
         hv[:-1] += off * v[1:]

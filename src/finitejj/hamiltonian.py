@@ -41,11 +41,11 @@ class TridiagonalHamiltonian:
     __slots__ = ("params", "k_lo", "dim", "diag", "off", "_bounds")
 
     def __init__(self, params: CircuitParams, k_lo: int = 0, k_hi: int | None = None):
+        two_n = params.pairs_total
         if k_hi is None:
-            k_hi = params.pairs_total
+            k_hi = two_n
         if not (float(k_lo).is_integer() and float(k_hi).is_integer()):
             raise ValueError(f"window offsets [{k_lo}, {k_hi}] must be integers")
-        two_n = round(2.0 * params.n_half)  # = params.pairs_total
         if not 0 <= k_lo <= k_hi <= two_n:
             raise ValueError(f"window offsets [{k_lo}, {k_hi}] outside the basis [0, {two_n}]")
         k_lo, k_hi = int(k_lo), int(k_hi)

@@ -19,8 +19,6 @@ from . import constants
 # Default gate capacitance: 2e per millivolt.
 DEFAULT_GATE_CAPACITANCE = 2.0 * constants.ELEMENTARY_CHARGE / 1e-3  # F
 
-_HALF_INT_TOL = 1e-9
-
 # Largest 2N for which every integer charge offset k = n + N is exact in doubles.
 MAX_PAIRS_TOTAL = 2**53
 # Largest dimension of an operator: its two coefficient arrays.
@@ -116,8 +114,8 @@ class CircuitParams(Record):
         if not self.e_c > 0:
             raise ValueError(f"e_c must be positive, got {self.e_c}")
         doubled = 2.0 * self.n_half
-        if doubled < 1 or abs(doubled - round(doubled)) > _HALF_INT_TOL:
-            raise ValueError(f"2*n_half must be a positive integer, got {doubled}")
+        if not (doubled >= 1 and doubled.is_integer()):
+            raise ValueError(f"n_half must be a positive half-integer, got {self.n_half!r}")
         if doubled > MAX_PAIRS_TOTAL:
             raise ValueError(f"2*n_half must be at most 2**53, got {doubled:g}")
         part = coefficient_overflow(self.e_j, self.e_c, self.n_half, self.n_g)
@@ -130,7 +128,7 @@ class CircuitParams(Record):
 
     @property
     def pairs_total(self) -> int:
-        return int(round(2.0 * self.n_half))
+        return int(2.0 * self.n_half)
 
     @property
     def dim(self) -> int:

@@ -57,33 +57,15 @@ class OperatorPoly:
         return cls({(): coeff})
 
     @classmethod
-    def lowering(cls, coeff: complex = 1.0) -> "OperatorPoly":
-        return cls({(LOWER,): coeff})
-
-    @classmethod
-    def raising(cls, coeff: complex = 1.0) -> "OperatorPoly":
-        return cls({(RAISE,): coeff})
-
-    @classmethod
     def from_word(cls, word: Word, coeff: complex = 1.0) -> "OperatorPoly":
         for sym in word:
             if sym not in (RAISE, LOWER):
                 raise ValueError(f"unknown ladder symbol {sym!r}")
         return cls({tuple(word): coeff})
 
-    def coefficient(self, word: Word) -> complex:
-        return self._terms.get(tuple(word), 0j)
-
     def terms(self) -> list[tuple[Word, complex]]:
         """Terms in canonical order (by length, then symbol sequence)."""
         return sorted(self._terms.items(), key=lambda item: (len(item[0]), item[0]))
-
-    @property
-    def n_terms(self) -> int:
-        return len(self._terms)
-
-    def degree(self) -> int:
-        return max((len(w) for w in self._terms), default=0)
 
     def __add__(self, other):
         other = _as_poly(other)

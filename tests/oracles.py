@@ -192,8 +192,8 @@ def first_order_from_engine(p: CircuitParams):
     s = math.sqrt(e_j / (n * eps))
     root_half = 1.0 / math.sqrt(2.0)
 
-    b = OperatorPoly.lowering()
-    b_dag = OperatorPoly.raising()
+    b = OperatorPoly.from_word((LOWER,))
+    b_dag = OperatorPoly.from_word((RAISE,))
     x = (root_half / s) * (b + b_dag)
     s_p_b = (1j * root_half * s) * (b_dag - b)
     momentum = s_p_b + 2.0 * n_g * e_c * e_j / (eps**2 * math.sqrt(n))

@@ -662,6 +662,35 @@ def test_pairs_beyond_exactness_limit_is_parameter_error(capsys):
     assert "2**53" in err
 
 
+# Each bounded count flag: its type's name, the argv around its value, its limit, the
+# value past it (for --pairs the first double above 2**53, since 2**53 + 1 reads as
+# 2**53) and the refusal's reason.  The trailing flag is refused, so an accepted count
+# starts no computation.
+_BOUNDED = {
+    "--pairs": ("_pairs", ["analytic", "--pairs"], ["--ej", "0"], 2**53, 2**53 + 2,
+                f"2**53 = {2**53}, where charge offsets stop being exact in doubles"),
+    "--steps": ("_steps", ["bands", "--steps"], ["--ejec", "0"], 2**26, 2**26 + 1,
+                f"2**26 = {2**26}, the array limit"),
+    "--degree": ("_wick_degree", ["wick-verify", "--degree"], ["--rtol", "0"], 250, 251,
+                 "250, where the vacuum counts stay inside the float range"),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(_BOUNDED))
+@pytest.mark.parametrize("case", ["zero", "limit", "past", "fraction", "word"])
+def test_bounded_counts_refuse_with_the_same_words(flag, case, capsys):
+    name, head, tail, limit, past, reason = _BOUNDED[flag]
+    value, expected = {
+        "zero": ("0", f"argument {flag}: expected a positive integer, got '0'"),
+        "limit": (str(limit), f"argument {tail[0]}: expected a positive finite number, got '0'"),
+        "past": (str(past), f"argument {flag}: expected at most {reason}, got '{past}'"),
+        "fraction": ("1.5", f"argument {flag}: expected a non-negative integer, got '1.5'"),
+        "word": ("abc", f"argument {flag}: invalid {name} value: 'abc'"),
+    }[case]
+    assert main([*head, value, *tail]) == 1
+    assert capsys.readouterr().err == f"error: {expected}\n"
+
+
 def test_levels_beyond_fixed_window_names_both_flags(capsys):
     code = main(
         "bands --pairs 10 --ejec 1 --from 0 --to 1 --steps 3 --window fixed --half-width 0 "

@@ -77,6 +77,13 @@ class TestCircuitParams:
         with pytest.raises(ValueError):
             CircuitParams(e_j=1.0, e_c=1.0, n_g=0.0, n_half=0.75)
 
+    @pytest.mark.parametrize("n_half", [5 + 1e-10, math.nextafter(5.0, 6.0), 0.0, 0.25])
+    def test_n_half_must_be_exactly_a_positive_half_integer(self, n_half):
+        # 5 + 1e-10 once passed as 2N = 10 and built an operator whose n = 0 diagonal
+        # read 1.0e-20 and whose couplings used 2N = 10.0000000002.
+        with pytest.raises(ValueError, match="n_half must be a positive half-integer"):
+            CircuitParams(e_j=1.0, e_c=1.0, n_g=0.0, n_half=n_half)
+
     @pytest.mark.parametrize("field", ["e_j", "e_c", "n_g", "n_half"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_inputs_rejected(self, field, value):
@@ -127,7 +134,7 @@ class TestCooperPairDensity:
     def test_island_volume_at_device_scale(self):
         # 2.5e8 pairs per island in aluminum occupy about 0.005 um^3.
         report = validity_min_pairs(ALUMINUM, n_half=2.5e8)
-        assert report.island_volume / constants.CUBIC_MICRON == pytest.approx(0.005, rel=0.10)
+        assert report.island_volume / 1e-18 == pytest.approx(0.005, rel=0.10)
 
 
 class TestValidityBound:
