@@ -9,8 +9,7 @@ a CSV/JSON artifact.
 below resolves on first access through the module ``__getattr__``, which
 imports its home module, so a name costs only the layers it lives in: the closed
 forms and the normal-ordering engine load only when a name from them is read,
-and numpy only when a result is asked for as a numpy array
-(``Spectrum.values``, ``SweepTable.grid`` and ``SweepTable.columns``).
+and numpy only for ``SweepTable.grid``, ``SweepTable.columns`` and ``dense_all``.
 """
 
 import importlib

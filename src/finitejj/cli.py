@@ -75,9 +75,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _count(text: str) -> int:
-    """Integer flag accepting scientific notation (counts can be ~1e8)."""
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0 and value == int(value)):
+    """Integer flag: an integer literal read exactly, else a whole float such as 5e8."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = float(text)
+    if not (value >= 0 and value % 1 == 0):  # inf % 1 is nan
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(value)
 

@@ -77,13 +77,6 @@ class Spectrum(Record):
     def __init__(self, pairs: list[EigenPair], dim: int, split: tuple | None = None):
         self._fill(pairs, dim, split)
 
-    @property
-    def values(self):
-        """The values as a numpy array (numpy loads here, at the first access)."""
-        import numpy as np
-
-        return np.array([p.value for p in self.pairs])
-
 
 def _zeros(n: int, code: str = "d") -> array:
     return array(code, [0]) * n
@@ -206,17 +199,12 @@ def _pivmin(off_max: float) -> float:
     return _SAFMIN * max(1.0, off_max * off_max)
 
 
-def eigenvalue_count_below(
-    h: TridiagonalHamiltonian, x: float, pivmin: float | None = None
-) -> int:
+def eigenvalue_count_below(h: TridiagonalHamiltonian, x: float) -> int:
     """Number of eigenvalues strictly below ``x`` (Sturm pivot count).
 
-    ``pivmin`` is the pivot floor, computed from the operator's coefficient
-    bounds when None; a caller counting at many shifts of one operator
-    passes it once.
+    Every count takes one pivot floor, from the operator's largest coupling.
     """
-    if pivmin is None:
-        pivmin = _pivmin(h.coefficient_bounds()[2])
+    pivmin = _pivmin(h.coefficient_bounds()[2])
     return _count_below(h.diagonal_block(0, h.dim), h.offdiagonal_block(0, h.dim - 1), x, pivmin)
 
 
@@ -245,20 +233,21 @@ def _double(key: int) -> float:
     return _F64.unpack(_U64.pack(key if key >= 0 else _SIGN - key))[0]
 
 
-def _bracket(h: TridiagonalHamiltonian, j: int, start: float, lo0: float, hi0: float,
-             pivmin: float) -> EigenPair:
+def _bracket(h: TridiagonalHamiltonian, j: int, start: float) -> EigenPair:
     """Eigenvalue j as the lower x of the adjacent doubles x < x+ with count(x) <= j < count(x+).
 
     The count is monotone in its shift (Kahan 1966; Demmel, Dhillon & Ren
     1995), so that pair is unique.  The search counts at ``start`` and then
     1, 2, 4, ... places from it in the integer order of doubles, clipped to
-    the Gershgorin interval [lo0, hi0] (past it, to -inf or inf), until the
+    the operator's Gershgorin interval (past it, to -inf or inf), until the
     count crosses j, then bisects that order.  The residual is x+ - x.
     """
-    lo, hi, step, end_lo, end_hi = -_INF, _INF, 1, _key(lo0), _key(hi0)
+    dmin, dmax, off_max = h.coefficient_bounds()
+    lo, hi, step = -_INF, _INF, 1
+    end_lo, end_hi = _key(dmin - 2.0 * off_max), _key(dmax + 2.0 * off_max)
     x = first = min(max(_key(start), end_lo), end_hi)
     while hi - lo > 1:
-        if eigenvalue_count_below(h, _double(x), pivmin) > j:
+        if eigenvalue_count_below(h, _double(x)) > j:
             hi = x
         else:
             lo = x
@@ -288,9 +277,7 @@ def lowest_eigenvalues(h: TridiagonalHamiltonian, k: int) -> Spectrum:
     m, w, split, info = _lapack().dstebz(h.diag, h.off, k, 2.0 * _SAFMIN)
     if info != 0:
         raise ConvergenceError(f"dstebz bisection did not converge (info {info})")
-    dmin, dmax, off_max = h.coefficient_bounds()
-    lo0, hi0, pivmin = dmin - 2.0 * off_max, dmax + 2.0 * off_max, _pivmin(off_max)
-    return Spectrum([_bracket(h, j, v, lo0, hi0, pivmin) for j, v in enumerate(w)], h.dim, split)
+    return Spectrum([_bracket(h, j, v) for j, v in enumerate(w)], h.dim, split)
 
 
 def _outside_rooms(h: TridiagonalHamiltonian, x: float, b_max: float):
@@ -323,12 +310,14 @@ def window_certificate(h: TridiagonalHamiltonian, spectrum: Spectrum) -> list[fl
     b_edge^2 / (a_out - x - b_max); the lowered window's count bounds the full
     count from above, and count(v_j - rho_j) <= j bounds eigenvalue j from
     below.  rho_j covers the counts' backward error (Kahan 1966; Demmel,
-    Dhillon & Ren 1995), so r_j = 2 rho_j.  None when the window is too small.
+    Dhillon & Ren 1995) at the one pivot floor, from the window's largest
+    coupling, that both take, so r_j = 2 rho_j.  None when the window is too small.
     """
     values = [p.value for p in spectrum.pairs]
     b_max = coupling_bound(h.params.e_j, h.params.n_half) * _SLACK
+    _, dmax, off_max = h.coefficient_bounds()
     # The diagonal is nonnegative: its largest entry plus 2 b_max bounds the norm.
-    norm = h.coefficient_bounds()[1] + 2.0 * b_max
+    norm = dmax + 2.0 * b_max
     rho = [4.0 * _EPS * (norm + abs(v)) for v in values]
     x = max(v - r for v, r in zip(values, rho))
     sides = _outside_rooms(h, x, b_max)
@@ -337,10 +326,10 @@ def window_certificate(h: TridiagonalHamiltonian, spectrum: Spectrum) -> list[fl
     lowered = array("d", h.diag.tobytes())
     for corner, b_edge, kappa, _ in sides:
         lowered[corner] -= b_edge * b_edge / kappa * _SLACK
-    pivmin = _pivmin(b_max)
+    pivmin = _pivmin(off_max)
     for j, (v, r) in enumerate(zip(values, rho)):
         if (_count_below(lowered, h.off, v - r, pivmin) > j
-                or eigenvalue_count_below(h, v + r, pivmin) < j + 1):
+                or eigenvalue_count_below(h, v + r) < j + 1):
             return None
     return [2.0 * r for r in rho]
 
@@ -538,49 +527,41 @@ def eigenpair(h: TridiagonalHamiltonian, level: int = 0,
     return EigenPair(value=value, vector=vector, residual=residual)
 
 
-def _reduced_resolvent(h: TridiagonalHamiltonian, level: int, pair: EigenPair | None = None):
-    """(psi, a, solve) of level m (``pair``, if given): its vector, a = n - <n>, and phi -> R phi.
+def charge_response(h: TridiagonalHamiltonian, level: int = 0, pair: EigenPair | None = None):
+    """(S_m, psi, a, x, solve): the static charge response of level m and its vectors.
 
-    R is (H - E_m)^-1 on the complement of psi (Sternheimer, Phys. Rev. 96,
-    951, 1954), for phi orthogonal to psi.  The solve drops the row and
-    column j where |psi| peaks; what is left is nonsingular (its determinant
-    is a product of eigenvalue differences times psi_j^2) and solves to R phi
-    plus a multiple of psi, which is projected out.  Charges count from the
-    window's first state, which keeps a free of cancellation at large n_g.
-    A one-state window has no other states, so there R is 0.
+    S_m = sum_{k != m} |<k|n|m>|^2 / (E_k - E_m) = <a psi, x> with x = R a psi,
+    for psi the level's vector (``pair``, its eigenpair if the caller has it)
+    and a = n - <n>.  ``solve`` is phi -> R phi, with R = (H - E_m)^-1 on the
+    complement of psi (Sternheimer, Phys. Rev. 96, 951, 1954), for phi
+    orthogonal to psi.  It drops the row and column j where |psi| peaks; what
+    is left is nonsingular (its determinant is a product of eigenvalue
+    differences times psi_j^2) and solves to R phi plus a multiple of psi,
+    which is projected out.  Charges count from the window's first state,
+    which keeps a free of cancellation at large n_g.  A one-state window has
+    no other states, so there R is 0.
     """
     pair = pair or eigenpair(h, level)
     v = pair.vector
     a = _centred(v)
     if h.dim == 1:
-        return v, a, lambda phi: _zeros(len(phi))
-    dgtsv = _lapack().dgtsv
-    diag, off = h.to_arrays()
-    diag = array("d", map(pair.value.__rsub__, diag))
-    j = _peak(v)
-    diag[j] = 1.0
-    for i in range(max(j - 1, 0), min(j + 1, h.dim - 1)):
-        off[i] = 0.0
+        def solve(phi: array) -> array:
+            return _zeros(len(phi))
+    else:
+        dgtsv, j = _lapack().dgtsv, _peak(v)
+        diag, off = array("d", map(pair.value.__rsub__, h.diag)), array("d", h.off.tobytes())
+        diag[j] = 1.0
+        for i in range(max(j - 1, 0), min(j + 1, h.dim - 1)):
+            off[i] = 0.0
 
-    def solve(phi: array) -> array:
-        x, info = dgtsv(off, diag, off, phi)
-        if info != 0:
-            raise ConvergenceError(f"dgtsv tridiagonal solve failed (info {info})")
-        x[j] = 0.0  # row j returned phi_j; the other rows were solved as if x_j = 0
-        c = _dot(v, x)
-        return array("d", [y - c * u for y, u in zip(x, v)])
+        def solve(phi: array) -> array:
+            x, info = dgtsv(off, diag, off, phi)
+            if info != 0:
+                raise ConvergenceError(f"dgtsv tridiagonal solve failed (info {info})")
+            x[j] = 0.0  # row j returned phi_j; the other rows were solved as if x_j = 0
+            c = _dot(v, x)
+            return array("d", [y - c * u for y, u in zip(x, v)])
 
-    return v, a, solve
-
-
-def charge_response(h: TridiagonalHamiltonian, level: int = 0, pair: EigenPair | None = None):
-    """(S_m, psi, a, x, solve): the static charge response of a level and its vectors.
-
-    S_m = sum_{k != m} |<k|n|m>|^2 / (E_k - E_m) = <a psi, x> with
-    x = R a psi, one tridiagonal solve; ``pair`` is the level's eigenpair if
-    the caller has it, and the rest is ``_reduced_resolvent``'s.
-    """
-    v, a, solve = _reduced_resolvent(h, level, pair)
     phi = _times(a, v)
     x = solve(phi)
     return _dot(phi, x), v, a, x, solve

@@ -130,11 +130,6 @@ class CircuitParams(Record):
     def pairs_total(self) -> int:
         return int(2.0 * self.n_half)
 
-    @property
-    def dim(self) -> int:
-        """Number of charge states, 2N + 1."""
-        return self.pairs_total + 1
-
     def with_ng(self, n_g: float) -> "CircuitParams":
         return CircuitParams(self.e_j, self.e_c, n_g, self.n_half)
 

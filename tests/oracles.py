@@ -237,6 +237,11 @@ def fock_oracle_stable(
     )
 
 
+def values_of(spectrum) -> np.ndarray:
+    """A spectrum's values as a numpy array."""
+    return np.array([p.value for p in spectrum.pairs])
+
+
 def mp_levels(diag, off, levels: int, dps: int = 50) -> list:
     """The lowest ``levels`` eigenvalues of the tridiagonal (diag, off), as mpmath numbers.
 

@@ -35,7 +35,7 @@ from finitejj.perturbation import (
     transmon_frequency,
     transmon_susceptibility,
 )
-from oracles import spin_matrices
+from oracles import spin_matrices, values_of
 
 FULL = WindowPolicy.full()
 
@@ -100,7 +100,7 @@ def test_criterion_3_cpb_formulas():
     for ng in np.arange(-4.5, 5.0, 1.0):
         p = params(10, 0.01, ng=float(ng))
         spectrum = lowest_eigenvalues(build(p), 2)
-        numeric_gap = spectrum.values[1] - spectrum.values[0]
+        numeric_gap = values_of(spectrum)[1] - values_of(spectrum)[0]
         worst_gap = max(worst_gap, abs(numeric_gap - cpb_gap(p)) / cpb_gap(p))
         numeric_chi = charge_susceptibility(p, FULL)
         worst_chi = max(
@@ -184,9 +184,9 @@ def test_criterion_6_oracle_equivalence():
         oracle = dense_all(h)
         k = min(4, h.dim)
         mine = lowest_eigenvalues(h, k)
-        scale = max(1.0, float(np.max(np.abs(oracle.values))))
+        scale = max(1.0, float(np.max(np.abs(values_of(oracle)))))
         worst_value = max(
-            worst_value, float(np.max(np.abs(mine.values - oracle.values[:k]))) / scale
+            worst_value, float(np.max(np.abs(values_of(mine) - values_of(oracle)[:k]))) / scale
         )
         vector = eigenpair(h).vector
         worst_overlap = min(
@@ -210,8 +210,8 @@ def test_criterion_7_invariant_suite():
     for pairs, ejec, ng in [(10, 0.2, 0.3), (10, 5.0, 0.37), (60, 50.0, 1.7), (11, 1.0, -0.83)]:
         p = params(pairs, ejec, ng=ng)
         step = 1e-5 * max(1.0, abs(ng))
-        e_plus = dense_all(build(p.with_ng(ng + step))).values[0]
-        e_minus = dense_all(build(p.with_ng(ng - step))).values[0]
+        e_plus = values_of(dense_all(build(p.with_ng(ng + step))))[0]
+        e_minus = values_of(dense_all(build(p.with_ng(ng - step))))[0]
         slope = (e_plus - e_minus) / (2.0 * step)
         hf = -2.0 * (expected_imbalance(p, FULL) - ng)
         worst_hf = max(worst_hf, abs(slope - hf))
@@ -222,8 +222,8 @@ def test_criterion_7_invariant_suite():
     worst_odd = 0.0
     for pairs, ejec, ng in [(10, 0.2, 0.7), (11, 1.0, 1.3), (60, 20.0, 0.4)]:
         p = params(pairs, ejec)
-        plus = dense_all(build(p.with_ng(ng))).values
-        minus = dense_all(build(p.with_ng(-ng))).values
+        plus = values_of(dense_all(build(p.with_ng(ng))))
+        minus = values_of(dense_all(build(p.with_ng(-ng))))
         scale = float(np.max(np.abs(plus)))
         worst_even = max(worst_even, float(np.max(np.abs(plus - minus))) / scale)
         n_plus = expected_imbalance(p.with_ng(ng), FULL)
@@ -277,7 +277,7 @@ def test_criterion_7_invariant_suite():
 
 def test_criterion_8_large_offset_asymptote():
     h = build(params(10, 1.0, ng=50.0))
-    values = lowest_eigenvalues(h, 4).values
+    values = values_of(lowest_eigenvalues(h, 4))
     spacings = np.diff(values)
     target = 2.0 * 1.0 * 50.0
     worst = float(np.max(np.abs(spacings / target - 1.0)))

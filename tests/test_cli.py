@@ -662,10 +662,9 @@ def test_pairs_beyond_exactness_limit_is_parameter_error(capsys):
     assert "2**53" in err
 
 
-# Each bounded count flag: its type's name, the argv around its value, its limit, the
-# value past it (for --pairs the first double above 2**53, since 2**53 + 1 reads as
-# 2**53) and the refusal's reason.  The trailing flag is refused, so an accepted count
-# starts no computation.
+# Each bounded count flag: its type's name, the argv around its value, its limit, a
+# value past it and the refusal's reason.  The trailing flag is refused, so an accepted
+# count starts no computation.
 _BOUNDED = {
     "--pairs": ("_pairs", ["analytic", "--pairs"], ["--ej", "0"], 2**53, 2**53 + 2,
                 f"2**53 = {2**53}, where charge offsets stop being exact in doubles"),
@@ -689,6 +688,18 @@ def test_bounded_counts_refuse_with_the_same_words(flag, case, capsys):
     }[case]
     assert main([*head, value, *tail]) == 1
     assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+def test_counts_read_integer_literals_exactly(capsys, tmp_path):
+    # 2**53 + 1 is not a double: read through float it would be 2**53, the limit.
+    past = 2**53 + 1
+    reason = _BOUNDED["--pairs"][-1]
+    assert main(["analytic", "--pairs", str(past), "--ej", "1", "--ec", "1"]) == 1
+    assert capsys.readouterr().err == (f"error: argument --pairs: expected at most {reason},"
+                                       f" got '{past}'\n")
+    assert main(["wick-verify", "--count", "2", "--degree", "2", "--seed", str(past),
+                 "--format", "json"]) == 0
+    assert load_json(tmp_path / "wick_verify.json")["meta"]["seed"] == past
 
 
 def test_levels_beyond_fixed_window_names_both_flags(capsys):

@@ -64,7 +64,6 @@ class TestCircuitParams:
     def test_half_integer_boson_number(self):
         p = CircuitParams(e_j=1.0, e_c=1.0, n_g=0.0, n_half=0.5)
         assert p.pairs_total == 1
-        assert p.dim == 2
 
     def test_saturation_offset_allowed(self):
         CircuitParams(e_j=1.0, e_c=1.0, n_g=1e7, n_half=5.0)

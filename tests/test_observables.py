@@ -32,7 +32,7 @@ from finitejj.observables import (
     qubit_frequency,
     susceptibility_curvature,
 )
-from oracles import mp_levels
+from oracles import mp_levels, values_of
 
 FULL = WindowPolicy.full()
 
@@ -64,7 +64,7 @@ class TestQubitFrequency:
 
     def test_adaptive_matches_dense_full_window(self):
         p = params(400, 50.0)
-        dense = dense_all(build(p)).values
+        dense = values_of(dense_all(build(p)))
         reference = dense[1] - dense[0]
         adaptive = qubit_frequency(p, WindowPolicy.adaptive())
         assert adaptive == pytest.approx(reference, rel=1e-9)
@@ -301,7 +301,7 @@ class TestHellmannFeynman:
         h = 1e-5 * max(1.0, abs(ng))
 
         def e0(x):
-            return dense_all(build(p.with_ng(x))).values[0]
+            return values_of(dense_all(build(p.with_ng(x))))[0]
 
         slope_fd = (e0(ng + h) - e0(ng - h)) / (2.0 * h)
         slope_hf = -2.0 * 1.0 * (expected_imbalance(p, FULL) - ng)

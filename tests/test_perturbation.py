@@ -23,7 +23,8 @@ from finitejj.perturbation import (
     transmon_frequency,
     transmon_susceptibility,
 )
-from oracles import cpb_effective, first_order_fock_reference, first_order_from_engine
+from oracles import (cpb_effective, first_order_fock_reference, first_order_from_engine,
+                     values_of)
 
 
 def params(pairs, e_j, ng=0.0, e_c=1.0):
@@ -79,7 +80,7 @@ class TestCpbGap:
     def test_matches_dense_spectrum(self):
         for ng in (0.5, -2.5, 4.5):
             p = params(10, 0.01, ng=ng)
-            values = dense_all(build(p)).values
+            values = values_of(dense_all(build(p)))
             assert cpb_gap(p) == pytest.approx(values[1] - values[0], rel=0.01)
 
     def test_requires_degeneracy_point(self):

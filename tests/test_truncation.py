@@ -318,7 +318,7 @@ def test_no_proof_without_room_or_without_a_gap_beyond_the_radii():
         warnings.simplefilter("ignore")
         spectrum = lowest_eigenvalues(h, 2)
         radii = window_certificate(h, spectrum)
-        assert radii is not None and spectrum.values[1] - spectrum.values[0] > 0.0
+        assert radii is not None and spectrum.pairs[1].value - spectrum.pairs[0].value > 0.0
         with pytest.raises(WindowConvergenceError, match="radii"):
             edge_bound(h, spectrum, radii, eigenpair(h, 0, spectrum).vector)
 
