@@ -17,8 +17,8 @@ A pivot count is one O(dim) pass over the operator's two buffers.  The
 dense full spectrum, the reference oracle at small dimensions, is scipy's
 ``eigh_tridiagonal`` (LAPACK ``dstevd``).
 
-``window_certificate`` proves a charge window's lowest values to be the full
-operator's with two more counts per value at the window's dim.
+``window_certificate`` proves a charge window's lowest values, each at its
+own shift, to be the full operator's with two more counts per value at its dim.
 
 Vectors are flat double buffers (``array('d')``), and no numpy is needed.
 Every LAPACK routine, and the ``ddot`` behind each dot product and norm, is
@@ -281,14 +281,14 @@ def lowest_eigenvalues(h: TridiagonalHamiltonian, k: int) -> Spectrum:
 
 
 def _outside_rooms(h: TridiagonalHamiltonian, x: float, b_max: float):
-    """(corner, b_edge, kappa, dist) past each window end, or None without the room.
+    """(corner, b_edge, kappa, s, dist) past each window end, or None without the room.
 
     Past a coupled end a_out - x > 2 b_max must hold.  Then n_g does not lie
     beyond that end (the window's values would exceed a_out - 2 b_max), the
-    diagonal grows away from the window, and every outside pivot of the full
-    operator minus x stays above kappa = a_out - x - b_max.  ``dist`` is the
-    first outside charge's distance from n_g.  A basis end (b_edge = 0) needs
-    nothing.
+    diagonal grows away from the window, every outside pivot of the full
+    operator minus x stays above kappa = a_out - x - b_max, and the corner is
+    lowered by at most s = _SLACK b_edge^2 / kappa.  ``dist`` is the first outside
+    charge's distance from n_g.  A basis end (b_edge = 0) needs nothing.
     """
     center = h.params.n_half + h.params.n_g
     sides = []
@@ -296,42 +296,43 @@ def _outside_rooms(h: TridiagonalHamiltonian, x: float, b_max: float):
         room = (a_out - x) / _SLACK
         if b_edge and room <= 2.0 * b_max:
             return None
-        sides.append((corner, float(b_edge), max(room - b_max, b_max), abs(end - center)))
+        kappa = max(room - b_max, b_max)
+        sides.append((corner, b_edge, kappa, b_edge * b_edge / kappa * _SLACK, abs(end - center)))
     return sides
 
 
-def window_certificate(h: TridiagonalHamiltonian, spectrum: Spectrum) -> list[float] | None:
-    """Radii r_j within which the window's values v_j are the full operator's lowest, or None.
+def window_certificate(h: TridiagonalHamiltonian, spectrum: Spectrum) -> list[float]:
+    """Radii r_j within which the window's values v_j are the full operator's lowest,
+    level by level up to the first level it cannot prove ([] if it proves none).
 
     The full count below x is at least the window's (Cauchy interlacing), so
     count(v_j + rho_j) >= j + 1 bounds eigenvalue j from above.  Where the
-    parabola dominates outside the window (``_outside_rooms``), the Schur
-    complement onto the window lowers each corner by at most
-    b_edge^2 / (a_out - x - b_max); the lowered window's count bounds the full
-    count from above, and count(v_j - rho_j) <= j bounds eigenvalue j from
-    below.  rho_j covers the counts' backward error (Kahan 1966; Demmel,
-    Dhillon & Ren 1995) at the one pivot floor, from the window's largest
-    coupling, that both take, so r_j = 2 rho_j.  None when the window is too small.
+    parabola dominates outside the window at x_j = v_j - rho_j
+    (``_outside_rooms``), the Schur complement onto the window lowers each
+    corner by at most b_edge^2 / (a_out - x_j - b_max); the lowered window's
+    count bounds the full count from above, so its count(x_j) <= j bounds
+    eigenvalue j from below.  rho_j covers the counts' backward error (Kahan
+    1966; Demmel, Dhillon & Ren 1995) at the one pivot floor, from the
+    window's largest coupling, that both take, so r_j = 2 rho_j.
     """
-    values = [p.value for p in spectrum.pairs]
     b_max = coupling_bound(h.params.e_j, h.params.n_half) * _SLACK
     _, dmax, off_max = h.coefficient_bounds()
     # The diagonal is nonnegative: its largest entry plus 2 b_max bounds the norm.
     norm = dmax + 2.0 * b_max
-    rho = [4.0 * _EPS * (norm + abs(v)) for v in values]
-    x = max(v - r for v, r in zip(values, rho))
-    sides = _outside_rooms(h, x, b_max)
-    if sides is None:
-        return None
-    lowered = array("d", h.diag.tobytes())
-    for corner, b_edge, kappa, _ in sides:
-        lowered[corner] -= b_edge * b_edge / kappa * _SLACK
-    pivmin = _pivmin(off_max)
-    for j, (v, r) in enumerate(zip(values, rho)):
-        if (_count_below(lowered, h.off, v - r, pivmin) > j
-                or eigenvalue_count_below(h, v + r) < j + 1):
-            return None
-    return [2.0 * r for r in rho]
+    pivmin, radii = _pivmin(off_max), []
+    for j, pair in enumerate(spectrum.pairs):
+        rho = 4.0 * _EPS * (norm + abs(pair.value))
+        sides = _outside_rooms(h, pair.value - rho, b_max)
+        if sides is None:
+            break
+        lowered = array("d", h.diag.tobytes())
+        for corner, _, _, s, _ in sides:
+            lowered[corner] -= s
+        if (_count_below(lowered, h.off, pair.value - rho, pivmin) > j
+                or eigenvalue_count_below(h, pair.value + rho) < j + 1):
+            break
+        radii.append(2.0 * rho)
+    return radii
 
 
 def _moment(q: float, power: int) -> float:
@@ -371,13 +372,14 @@ def edge_bound(h: TridiagonalHamiltonian, spectrum: Spectrum, radii: list[float]
                vector: array, level: int = 0) -> EdgeBound | None:
     """The truncation lemma for level j of a window whose levels 0..j+1 are certified.
 
-    ``radii`` come from ``window_certificate(h, spectrum)``.  With
-    E_j <= v_j + r_j, the Schur complement onto the window lowers each corner
-    by some sigma in [0, s], s = b_edge^2 / (a_out - E_j - b_max): the window
-    part of psi is the level-j vector of T - diag(sigma), whose levels j -+ 1
-    stay beyond v_{j-1} + r_{j-1} and v_{j+1} - r_{j+1}.  So (Davis & Kahan
-    1970) sin theta <= ||(s_lo phi_0, s_hi phi_end)|| / gap, and along the way
-    from T to T - diag(sigma) the value moves by at most
+    ``radii`` are ``window_certificate(h, spectrum)``'s, the proven prefix;
+    None unless it reaches level j + 1.  With E_j <= v_j + r_j, the Schur
+    complement onto the window lowers each corner by some sigma in [0, s],
+    s = b_edge^2 / (a_out - E_j - b_max): the window part of psi is the
+    level-j vector of T - diag(sigma), whose levels j -+ 1 stay beyond
+    v_{j-1} + r_{j-1} and v_{j+1} - r_{j+1}.  So (Davis & Kahan 1970)
+    sin theta <= ||(s_lo phi_0, s_hi phi_end)|| / gap, and along the way from
+    T to T - diag(sigma) the value moves by at most
     sum s (|phi_corner| + sqrt(2) sin theta)^2.  Outside, psi starts at most at
     |b_edge psi_edge| / (a_out - E_j - b_max) and shrinks by at least
     q = b_max / (a_out - E_j - b_max) per charge.  None without the room.
@@ -385,7 +387,7 @@ def edge_bound(h: TridiagonalHamiltonian, spectrum: Spectrum, radii: list[float]
     window, no window proves the vector: WindowConvergenceError.
     """
     values, j = [p.value for p in spectrum.pairs], level
-    if j + 1 >= len(values):
+    if j + 1 >= len(radii):
         return None
     up = values[j] + radii[j]
     gap = values[j + 1] - radii[j + 1] - up
@@ -399,10 +401,9 @@ def edge_bound(h: TridiagonalHamiltonian, spectrum: Spectrum, radii: list[float]
     rooms = _outside_rooms(h, up, b_max)
     if rooms is None:
         return None
-    lowering = [b * b / kappa * _SLACK for _, b, kappa, _ in rooms]
-    sin_theta = math.hypot(*(s * vector[room[0]] for room, s in zip(rooms, lowering))) / gap
+    sin_theta = math.hypot(*(s * vector[corner] for corner, _, _, s, _ in rooms)) / gap
     shift, sides = 0.0, []
-    for (corner, b, kappa, dist), s in zip(rooms, lowering):
+    for corner, b, kappa, s, dist in rooms:
         edge = abs(vector[corner]) + math.sqrt(2.0) * sin_theta
         shift += s * edge * edge
         if b:

@@ -31,8 +31,8 @@ import warnings
 from itertools import chain
 
 from .errors import ConvergenceError, RegimeWarning, WindowConvergenceError
-from .eigensolve import (Spectrum, _centred, _dot, _norm, _times, charge_response, edge_bound,
-                         eigenpair, fourth_order_bound, fourth_order_terms, imbalance_bound,
+from .eigensolve import (_centred, _dot, _norm, _times, charge_response, edge_bound, eigenpair,
+                         fourth_order_bound, fourth_order_terms, imbalance_bound,
                          lowest_eigenvalues, response_bound, window_certificate)
 from .hamiltonian import TridiagonalHamiltonian, build
 from .model import DEFAULT_W_MAX, CircuitParams, Record
@@ -105,8 +105,8 @@ def _solve_windowed(params, policy, columns):
     A column ``(levels, vectors, value)`` reads the lowest ``levels`` values
     and the eigenpair of each level in ``vectors``, proven with levels 0..level+1.
     Each window is solved for the most levels an open column reads and
-    certified once; where that fails, a column reading fewer certifies its
-    prefix.  Each level's ``edge_bound`` is taken once per certified window.
+    certified once, and a column is proven where the certified prefix holds
+    its levels.  Each level's ``edge_bound`` is taken once per certified window.
     ``value(h, spectrum, pair, edges)`` returns (result, gates): floats, and
     (bound, scale) per bound taken from ``edges`` (empty unchecked).  A
     certified window accepts the result once each bound <= _TARGET scale.
@@ -120,19 +120,17 @@ def _solve_windowed(params, policy, columns):
         h = build(params, w)
         reads = {i: max([levels, *(min(level + 2, h.dim) for level in vectors)])
                  for i, (levels, vectors, _) in enumerate(columns) if results[i] is None}
-        spectrum = lowest_eigenvalues(h, k := max(reads.values()))
+        spectrum = lowest_eigenvalues(h, max(reads.values()))
         checked = not (fixed or h.is_full_window)
-        certify = functools.cache(
-            lambda n: window_certificate(h, Spectrum(spectrum.pairs[:n], h.dim)))
+        radii = window_certificate(h, spectrum) if checked else []
         pair = functools.cache(lambda level: eigenpair(h, level, spectrum))
-        # A level's radius, so its edge bound, is the same in every prefix's certificate.
         edge = functools.cache(
             lambda level: edge_bound(h, spectrum, radii, pair(level).vector, level))
         for i, n in reads.items():
             _, vectors, value = columns[i]
-            radii = checked and (certify(k) or certify(n))
-            edges = {level: edge(level) for level in vectors} if radii else {}
-            if checked and not (radii and all(edges.values())):
+            proven = len(radii) >= n
+            edges = {level: edge(level) for level in vectors} if proven else {}
+            if checked and not (proven and all(edges.values())):
                 continue
             result, gates = value(h, spectrum, pair, edges)
             if not all(map(math.isfinite, [*result, *chain.from_iterable(gates)])):

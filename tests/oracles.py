@@ -12,19 +12,24 @@ doubles or at 50 digits check ``perturbation.transmon_first_order_numeric``'s
 closed forms through the bare-mode operators they never form, the engine's
 quasiparticle-mode construction checks the same closed forms through the
 operator algebra they reduce, the Fock truncation is doubled until the vacuum
-element of a ladder polynomial settles, and Sturm counts at 50 digits certify
-the eigenvalues of an operator's coefficients.
+element of a ladder polynomial settles, Sturm counts at 50 digits certify
+the eigenvalues of an operator's coefficients, and the all-or-nothing window
+certificate, which lowers every level at one shift, checks the prefix that
+``eigensolve.window_certificate`` proves level by level.
 """
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 
+from finitejj.eigensolve import (_EPS, _SLACK, Spectrum, _count_below, _pivmin,
+                                 eigenvalue_count_below)
 from finitejj.errors import CapacityError, ConvergenceError
-from finitejj.hamiltonian import DENSE_LIMIT
-from finitejj.model import CircuitParams
+from finitejj.hamiltonian import DENSE_LIMIT, TridiagonalHamiltonian
+from finitejj.model import CircuitParams, coupling_bound
 from finitejj.perturbation import bogoliubov
 from finitejj.wick import LOWER, RAISE, OperatorPoly, fock_oracle, vacuum_expectation
 
@@ -311,3 +316,57 @@ def mp_levels(diag, off, levels: int, dps: int = 50) -> list:
 def ulps(value: float, exact) -> float:
     """|value - exact| in units of the spacing of doubles at ``value``."""
     return float(abs(mpmath.mpf(value) - exact) / mpmath.mpf(math.ulp(value)))
+
+
+def _outside_rooms(h: TridiagonalHamiltonian, x: float, b_max: float):
+    """(corner, b_edge, kappa, dist) past each window end, or None without the room.
+
+    Past a coupled end a_out - x > 2 b_max must hold.  Then n_g does not lie
+    beyond that end (the window's values would exceed a_out - 2 b_max), the
+    diagonal grows away from the window, and every outside pivot of the full
+    operator minus x stays above kappa = a_out - x - b_max.  ``dist`` is the
+    first outside charge's distance from n_g.  A basis end (b_edge = 0) needs
+    nothing.
+    """
+    center = h.params.n_half + h.params.n_g
+    sides = []
+    for corner, a_out, b_edge, end in zip((0, -1), *h.outside(), (h.k_lo - 1, h.k_lo + h.dim)):
+        room = (a_out - x) / _SLACK
+        if b_edge and room <= 2.0 * b_max:
+            return None
+        sides.append((corner, float(b_edge), max(room - b_max, b_max), abs(end - center)))
+    return sides
+
+
+def one_shift_certificate(h: TridiagonalHamiltonian, spectrum: Spectrum) -> list[float] | None:
+    """Radii r_j within which the window's values v_j are the full operator's lowest, or None.
+
+    The full count below x is at least the window's (Cauchy interlacing), so
+    count(v_j + rho_j) >= j + 1 bounds eigenvalue j from above.  Where the
+    parabola dominates outside the window (``_outside_rooms``), the Schur
+    complement onto the window lowers each corner by at most
+    b_edge^2 / (a_out - x - b_max); the lowered window's count bounds the full
+    count from above, and count(v_j - rho_j) <= j bounds eigenvalue j from
+    below.  rho_j covers the counts' backward error (Kahan 1966; Demmel,
+    Dhillon & Ren 1995) at the one pivot floor, from the window's largest
+    coupling, that both take, so r_j = 2 rho_j.  None when the window is too small.
+    """
+    values = [p.value for p in spectrum.pairs]
+    b_max = coupling_bound(h.params.e_j, h.params.n_half) * _SLACK
+    _, dmax, off_max = h.coefficient_bounds()
+    # The diagonal is nonnegative: its largest entry plus 2 b_max bounds the norm.
+    norm = dmax + 2.0 * b_max
+    rho = [4.0 * _EPS * (norm + abs(v)) for v in values]
+    x = max(v - r for v, r in zip(values, rho))
+    sides = _outside_rooms(h, x, b_max)
+    if sides is None:
+        return None
+    lowered = array("d", h.diag.tobytes())
+    for corner, b_edge, kappa, _ in sides:
+        lowered[corner] -= b_edge * b_edge / kappa * _SLACK
+    pivmin = _pivmin(off_max)
+    for j, (v, r) in enumerate(zip(values, rho)):
+        if (_count_below(lowered, h.off, v - r, pivmin) > j
+                or eigenvalue_count_below(h, v + r) < j + 1):
+            return None
+    return [2.0 * r for r in rho]

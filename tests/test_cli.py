@@ -539,7 +539,7 @@ def test_full_window_without_a_certificate_names_the_flag(capsys, monkeypatch):
     from finitejj import hamiltonian
 
     monkeypatch.setattr(hamiltonian, "ARRAY_LIMIT", 1024)
-    monkeypatch.setattr(observables, "window_certificate", lambda h, spectrum: None)
+    monkeypatch.setattr(observables, "window_certificate", lambda h, spectrum: [])
     assert main("bands --pairs 5000 --ejec 50 --from 0 --to 1 --steps 2 --window full".split()) == 1
     assert "--window full" in capsys.readouterr().err
 
@@ -561,7 +561,7 @@ def test_nonconvergence_exit_code(capsys, monkeypatch):
     assert "1 unconverged points" in capsys.readouterr().out
 
     # Half-width 16 is certified at 2N = 5e8, so the certificate is made to refuse it.
-    monkeypatch.setattr(observables, "window_certificate", lambda h, spectrum: None)
+    monkeypatch.setattr(observables, "window_certificate", lambda h, spectrum: [])
     code = main(
         "transmon-shift --ej-ghz 10 --ec-ghz 0.2 --pairs 5e8 --ng 1e6 "
         "--w-initial 16 --w-max 16".split()

@@ -3,6 +3,7 @@
 import ctypes
 import importlib.machinery
 import importlib.util
+import itertools
 import math
 import os
 import subprocess
@@ -29,7 +30,7 @@ from finitejj.eigensolve import (
 )
 from finitejj.hamiltonian import TridiagonalHamiltonian, build
 from finitejj.model import CircuitParams
-from oracles import mp_levels, ulps, values_of
+from oracles import mp_levels, one_shift_certificate, ulps, values_of
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -659,7 +660,7 @@ def _first_certified(p, levels):
         h = build(p, w)
         spectrum = lowest_eigenvalues(h, levels)
         radii = eigensolve.window_certificate(h, spectrum)
-        if radii is not None:
+        if len(radii) == levels:
             return h, spectrum, radii
         w *= 2
 
@@ -714,7 +715,7 @@ class TestWindowCertificate:
     def test_refuses_a_window_too_small_to_hold_the_levels(self, half_width):
         p = params(1000, 1.0, ng=-0.37)
         h = build(p, half_width)
-        assert eigensolve.window_certificate(h, lowest_eigenvalues(h, 3)) is None
+        assert eigensolve.window_certificate(h, lowest_eigenvalues(h, 3)) == []
 
     def test_refuses_a_window_where_the_parabola_does_not_dominate(self):
         # E_C (n - n_g)^2 at the first charge outside half-width 2 is below
@@ -724,16 +725,36 @@ class TestWindowCertificate:
         spectrum = lowest_eigenvalues(h, 2)
         outside, _ = h.outside()
         assert np.all(outside - values_of(spectrum)[-1] < 400.0)
-        assert eigensolve.window_certificate(h, spectrum) is None
+        assert eigensolve.window_certificate(h, spectrum) == []
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_refuses_values_off_by_more_than_their_radii(self, sign):
-        # Too high fails the lowered count below v - r, too low the window count above v + r.
+        # Too high fails the lowered count below v - r, too low the window count above v + r;
+        # the certificate stops at the moved level.
         h, spectrum, radii = _first_certified(params(20000, 50.0, ng=0.3), 2)
         for j in range(2):
             pairs = list(spectrum.pairs)
             pairs[j] = eigensolve.EigenPair(pairs[j].value + sign * 4.0 * radii[j], None, 0.0)
-            assert eigensolve.window_certificate(h, eigensolve.Spectrum(pairs, h.dim)) is None
+            assert len(eigensolve.window_certificate(h, eigensolve.Spectrum(pairs, h.dim))) == j
+
+    def test_proves_the_longest_prefix_that_one_shift_proves(self):
+        # The all-or-nothing certificate lowers every level at the one shift of its last
+        # level.  On 2100 windows (E_J/E_C 0.2-400, 2N 60-5e8, four offsets, half-widths
+        # 2-32, k = 1-3) the level-by-level prefix is its longest proven n, radii bit-equal.
+        lengths = set()
+        for ejec, pairs, ng, half_width in itertools.product(
+                (0.2, 1.0, 5.0, 20.0, 50.0, 100.0, 400.0), (60, 1000, 20000, 10**6, 5 * 10**8),
+                (0.0, 0.3, -0.37, 0.5), (2, 4, 8, 16, 32)):
+            h = build(params(pairs, ejec, ng=ng), half_width)
+            solved = lowest_eigenvalues(h, 3).pairs
+            oracle = [one_shift_certificate(h, eigensolve.Spectrum(solved[:n], h.dim))
+                      for n in (1, 2, 3)]
+            for k in (1, 2, 3):
+                n = max([n for n in range(1, k + 1) if oracle[n - 1] is not None], default=0)
+                radii = eigensolve.window_certificate(h, eigensolve.Spectrum(solved[:k], h.dim))
+                assert radii == (oracle[n - 1] if n else []), (ejec, pairs, ng, half_width, k)
+                lengths.add(len(radii))
+        assert lengths == {0, 1, 2, 3}
 
     def test_radius_covers_the_counts_rounding_at_a_zero_eigenvalue(self):
         # E_J tuned so that E_0 = -2.8e-17: a radius of 4 eps |v| would be

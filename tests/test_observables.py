@@ -71,7 +71,7 @@ class TestQubitFrequency:
 
     def test_window_cap_raises(self, monkeypatch):
         # Half-width 16 is certified at 2N = 5e8, so the certificate is made to refuse it.
-        monkeypatch.setattr(observables, "window_certificate", lambda h, spectrum: None)
+        monkeypatch.setattr(observables, "window_certificate", lambda h, spectrum: [])
         p = params(500_000_000, 50.0)
         with pytest.raises(WindowConvergenceError):
             qubit_frequency(p, WindowPolicy(mode="adaptive", w_initial=16, w_max=16))
@@ -124,14 +124,14 @@ def test_each_window_is_solved_and_certified_once(quantity, policy, monkeypatch)
 
 
 def test_a_column_reading_fewer_levels_certifies_its_prefix(monkeypatch):
-    """Where the certificate of every level a window solves fails, <n> still closes at
-    the window that proves the two levels it reads, as it does alone."""
+    """Where the certificate proves only the two levels <n> reads of the three a window
+    solves, <n> still closes at the window that proves them, as it does alone, and
+    each window is certified once."""
     real = observables.window_certificate
     monkeypatch.setattr(observables, "window_certificate",
-                        lambda h, spectrum: None if len(spectrum.pairs) > 2 and h.dim < 129
-                        else real(h, spectrum))
+                        lambda h, spectrum: real(h, spectrum)[:2 if h.dim < 129 else None])
     alone = expected_imbalance(_SWEEP.with_ng(0.3))
-    windows, _ = _count_per_window(monkeypatch)
+    windows, calls = _count_per_window(monkeypatch)
     bounded = []
     real_bound = observables.imbalance_bound
     monkeypatch.setattr(observables, "imbalance_bound",
@@ -140,6 +140,7 @@ def test_a_column_reading_fewer_levels_certifies_its_prefix(monkeypatch):
     assert [h.dim for h in windows] == [33, 65, 129]
     assert bounded == [33, 65]
     assert table.column_values["n_expect"] == [alone]
+    assert [calls["window_certificate", i, None] for i in range(len(windows))] == [1, 1, 1]
 
 
 _SHARED = {**_QUANTITIES, "bands+imbalance+chi": lambda policy: band_sweep(
@@ -354,7 +355,7 @@ class TestBandSweep:
         assert np.all(table.columns["E0"] == 0.0)
 
     def test_failed_points_flagged_not_dropped(self, monkeypatch):
-        monkeypatch.setattr(observables, "window_certificate", lambda h, spectrum: None)
+        monkeypatch.setattr(observables, "window_certificate", lambda h, spectrum: [])
         policy = WindowPolicy(mode="adaptive", w_initial=16, w_max=16)
         table = band_sweep(params(500_000_000, 50.0), np.array([0.0, 1.0]), levels=2, policy=policy)
         assert table.grid.size == 2
