@@ -17,13 +17,13 @@ A pivot count is one O(dim) pass over the operator's two buffers.  The
 dense full spectrum, the reference oracle at small dimensions, is scipy's
 ``eigh_tridiagonal`` (LAPACK ``dstevd``).
 
-``window_certificate`` proves a charge window's lowest values, each at its
-own shift, to be the full operator's with two more counts per value at its dim.
+``certified_lowest`` proves a charge window's bracketed values, each at its
+own shift, to be the full operator's with one more count per value at its dim.
 
 Vectors are flat double buffers (``array('d')``), and no numpy is needed.
-Every LAPACK routine, and the ``ddot`` behind each dot product and norm, is
-called through ``ctypes`` from the library that scipy's compiled wrappers
-``scipy.linalg._flapack`` link, which ``_lapack`` opens at the first solve:
+Every LAPACK routine, and the BLAS ``ddot`` (dot products, norms), ``dscal``
+and ``daxpy`` (y - c x), is called through ``ctypes`` from the library that
+``scipy.linalg._flapack`` links, opened by ``_lapack`` at the first solve:
 the same code as scipy's wrappers run, so the same bits as ``np.dot`` and
 ``np.linalg.norm``.  No scipy module is imported, except by ``dense_all``.
 """
@@ -95,7 +95,7 @@ def _int(n: int):
     return byref(c_int(n))
 
 
-_ONE, _ZERO = _int(1), byref(c_double(0.0))
+_ONE, _ZERO, _MINUS_ONE = _int(1), byref(c_double(0.0)), byref(c_double(-1.0))
 
 
 class _Lapack:
@@ -104,13 +104,14 @@ class _Lapack:
     Each is the library's ``scipy_<name>_`` symbol (scipy's bundled OpenBLAS),
     else ``<name>_``, typed once as pointers and gfortran's hidden CHARACTER
     lengths.  The methods take flat double buffers, return what scipy's f2py
-    wrappers of the same routines return, and bind every buffer to a name for
-    the whole call: an address alone does not keep it alive.  The dense
-    reference ``dense_all`` calls scipy's own ``dstevd`` wrapper instead.
+    wrappers return (``minus``: dscal, then daxpy), and bind every buffer to a
+    name for the whole call: an address alone does not keep it alive.  The
+    dense reference ``dense_all`` calls scipy's own ``dstevd`` wrapper instead.
     """
 
     # Pointer arguments and hidden CHARACTER lengths of each routine.
-    SIGNATURES = {"dstebz": (18, 2), "dstein": (13, 0), "dgtsv": (8, 0), "ddot": (5, 0)}
+    SIGNATURES = {"dstebz": (18, 2), "dstein": (13, 0), "dgtsv": (8, 0), "ddot": (5, 0),
+                  "daxpy": (6, 0), "dscal": (4, 0)}
 
     def __init__(self, lib):
         for name, (pointers, chars) in self.SIGNATURES.items():
@@ -148,6 +149,14 @@ class _Lapack:
 
     def ddot(self, x, y) -> float:
         return self._ddot(_int(len(x)), _ptr(x), _ONE, _ptr(y), _ONE)
+
+    def minus(self, y, c: float, x=None) -> array:
+        """y - c x into y (x: ones), each entry rounded as y - c * x: daxpy's -1 times c x."""
+        n, cx = _int(len(y)), array("d", [c]) * len(y) if x is None else array("d", x)
+        if x is not None:
+            self._dscal(n, byref(c_double(c)), _ptr(cx), _ONE)
+        self._daxpy(n, _MINUS_ONE, _ptr(cx), _ONE, _ptr(y), _ONE)
+        return y
 
 
 @functools.cache
@@ -191,8 +200,8 @@ def _peak(v) -> int:
 
 def _centred(v) -> array:
     """a = n - <n>_v over the window's local charges n = 0, 1, ... for the unit vector v."""
-    mean = _dot(array("d", range(len(v))), _times(v, v))
-    return array("d", map(mean.__rsub__, range(len(v))))
+    charges = array("d", range(len(v)))
+    return _lapack().minus(charges, _dot(charges, _times(v, v)))
 
 
 def _pivmin(off_max: float) -> float:
@@ -200,10 +209,7 @@ def _pivmin(off_max: float) -> float:
 
 
 def eigenvalue_count_below(h: TridiagonalHamiltonian, x: float) -> int:
-    """Number of eigenvalues strictly below ``x`` (Sturm pivot count).
-
-    Every count takes one pivot floor, from the operator's largest coupling.
-    """
+    """Number of eigenvalues strictly below ``x`` (Sturm count, largest coupling's pivmin)."""
     pivmin = _pivmin(h.coefficient_bounds()[2])
     return _count_below(h.diagonal_block(0, h.dim), h.offdiagonal_block(0, h.dim - 1), x, pivmin)
 
@@ -288,7 +294,8 @@ def _outside_rooms(h: TridiagonalHamiltonian, x: float, b_max: float):
     diagonal grows away from the window, every outside pivot of the full
     operator minus x stays above kappa = a_out - x - b_max, and the corner is
     lowered by at most s = _SLACK b_edge^2 / kappa.  ``dist`` is the first outside
-    charge's distance from n_g.  A basis end (b_edge = 0) needs nothing.
+    charge's distance from n_g.  A basis end (b_edge = 0) needs nothing.  The
+    Schur bound needs outside pivots >= kappa > 0, which no lowered count shows.
     """
     center = h.params.n_half + h.params.n_g
     sides = []
@@ -301,20 +308,20 @@ def _outside_rooms(h: TridiagonalHamiltonian, x: float, b_max: float):
     return sides
 
 
-def window_certificate(h: TridiagonalHamiltonian, spectrum: Spectrum) -> list[float]:
-    """Radii r_j within which the window's values v_j are the full operator's lowest,
-    level by level up to the first level it cannot prove ([] if it proves none).
+def certified_lowest(h: TridiagonalHamiltonian, k: int) -> tuple[Spectrum, list[float]]:
+    """(``lowest_eigenvalues(h, k)``, radii r_j within which its values v_j are the full
+    operator's lowest, level by level up to the first level it cannot prove).
 
-    The full count below x is at least the window's (Cauchy interlacing), so
-    count(v_j + rho_j) >= j + 1 bounds eigenvalue j from above.  Where the
-    parabola dominates outside the window at x_j = v_j - rho_j
-    (``_outside_rooms``), the Schur complement onto the window lowers each
-    corner by at most b_edge^2 / (a_out - x_j - b_max); the lowered window's
-    count bounds the full count from above, so its count(x_j) <= j bounds
-    eigenvalue j from below.  rho_j covers the counts' backward error (Kahan
-    1966; Demmel, Dhillon & Ren 1995) at the one pivot floor, from the
-    window's largest coupling, that both take, so r_j = 2 rho_j.
+    The full count is at least the window's (Cauchy interlacing), so the
+    bracket's count(x+) >= j + 1, x+ = v_j + residual <= v_j + rho_j, bounds
+    eigenvalue j from above.  Where the parabola dominates outside the window
+    at x_j = v_j - rho_j (``_outside_rooms``), the Schur complement onto the
+    window lowers each corner by at most b_edge^2 / (a_out - x_j - b_max); that
+    lowered window's count(x_j) <= j, one count per level, bounds it from below.
+    rho_j covers the counts' backward error (Kahan 1966; Demmel, Dhillon & Ren
+    1995) at the one pivot floor both take, so r_j = 2 rho_j.
     """
+    spectrum = lowest_eigenvalues(h, k)
     b_max = coupling_bound(h.params.e_j, h.params.n_half) * _SLACK
     _, dmax, off_max = h.coefficient_bounds()
     # The diagonal is nonnegative: its largest entry plus 2 b_max bounds the norm.
@@ -323,16 +330,15 @@ def window_certificate(h: TridiagonalHamiltonian, spectrum: Spectrum) -> list[fl
     for j, pair in enumerate(spectrum.pairs):
         rho = 4.0 * _EPS * (norm + abs(pair.value))
         sides = _outside_rooms(h, pair.value - rho, b_max)
-        if sides is None:
+        if sides is None or not pair.residual <= rho:
             break
         lowered = array("d", h.diag.tobytes())
         for corner, _, _, s, _ in sides:
             lowered[corner] -= s
-        if (_count_below(lowered, h.off, pair.value - rho, pivmin) > j
-                or eigenvalue_count_below(h, pair.value + rho) < j + 1):
+        if _count_below(lowered, h.off, pair.value - rho, pivmin) > j:
             break
         radii.append(2.0 * rho)
-    return radii
+    return spectrum, radii
 
 
 def _moment(q: float, power: int) -> float:
@@ -372,7 +378,7 @@ def edge_bound(h: TridiagonalHamiltonian, spectrum: Spectrum, radii: list[float]
                vector: array, level: int = 0) -> EdgeBound | None:
     """The truncation lemma for level j of a window whose levels 0..j+1 are certified.
 
-    ``radii`` are ``window_certificate(h, spectrum)``'s, the proven prefix;
+    ``spectrum, radii`` are ``certified_lowest``'s, radii the proven prefix;
     None unless it reaches level j + 1.  With E_j <= v_j + r_j, the Schur
     complement onto the window lowers each corner by some sigma in [0, s],
     s = b_edge^2 / (a_out - E_j - b_max): the window part of psi is the
@@ -540,28 +546,22 @@ def charge_response(h: TridiagonalHamiltonian, level: int = 0, pair: EigenPair |
     differences times psi_j^2) and solves to R phi plus a multiple of psi,
     which is projected out.  Charges count from the window's first state,
     which keeps a free of cancellation at large n_g.  A one-state window has
-    no other states, so there R is 0.
+    no other states: its one row is j, so there R is 0.
     """
     pair = pair or eigenpair(h, level)
-    v = pair.vector
-    a = _centred(v)
-    if h.dim == 1:
-        def solve(phi: array) -> array:
-            return _zeros(len(phi))
-    else:
-        dgtsv, j = _lapack().dgtsv, _peak(v)
-        diag, off = array("d", map(pair.value.__rsub__, h.diag)), array("d", h.off.tobytes())
-        diag[j] = 1.0
-        for i in range(max(j - 1, 0), min(j + 1, h.dim - 1)):
-            off[i] = 0.0
+    v, lapack = pair.vector, _lapack()
+    a, j = _centred(v), _peak(v)
+    diag, off = lapack.minus(array("d", h.diag.tobytes()), pair.value), array("d", h.off.tobytes())
+    diag[j] = 1.0
+    for i in range(max(j - 1, 0), min(j + 1, h.dim - 1)):
+        off[i] = 0.0
 
-        def solve(phi: array) -> array:
-            x, info = dgtsv(off, diag, off, phi)
-            if info != 0:
-                raise ConvergenceError(f"dgtsv tridiagonal solve failed (info {info})")
-            x[j] = 0.0  # row j returned phi_j; the other rows were solved as if x_j = 0
-            c = _dot(v, x)
-            return array("d", [y - c * u for y, u in zip(x, v)])
+    def solve(phi: array) -> array:
+        x, info = lapack.dgtsv(off, diag, off, phi)
+        if info != 0:
+            raise ConvergenceError(f"dgtsv tridiagonal solve failed (info {info})")
+        x[j] = 0.0  # row j returned phi_j; the other rows were solved as if x_j = 0
+        return lapack.minus(x, _dot(v, x), v)
 
     phi = _times(a, v)
     x = solve(phi)

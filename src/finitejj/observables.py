@@ -11,13 +11,13 @@ from the ground state's fourth-order energy
 Large islands are handled through charge windows: the low-energy states are
 exponentially localized around the offset charge, so a window of a few dozen
 charge states around round(n_g) holds the whole basis's answers.  Adaptive
-and full mode double the half-width, solving and certifying each window once
-for every quantity still open.  The walk alone judges a window: it stops each
-quantity at the first window that proves it, eigenvalues once
-``eigensolve.window_certificate`` closes, <n>, chi and the curvatures once
-the truncation bounds built on ``eigensolve.edge_bound`` are below
-``_TARGET`` of their own rounding scale, and refuses a non-finite value or
-bound.  A window that holds the whole basis is exact.
+and full mode double the half-width, solving and certifying each window with
+one ``eigensolve.certified_lowest`` call for every quantity still open.  The
+walk alone judges a window: it stops each quantity at the first window that
+proves it, eigenvalues once the certified prefix holds them, <n>, chi and
+the curvatures once the truncation bounds built on ``eigensolve.edge_bound``
+are below ``_TARGET`` of their own rounding scale, and refuses a non-finite
+value or bound.  A window that holds the whole basis is exact.
 
 Results are values and ``SweepTable`` containers; this module writes no
 files (the CLI is the only artifact writer).
@@ -31,9 +31,9 @@ import warnings
 from itertools import chain
 
 from .errors import ConvergenceError, RegimeWarning, WindowConvergenceError
-from .eigensolve import (_centred, _dot, _norm, _times, charge_response, edge_bound, eigenpair,
-                         fourth_order_bound, fourth_order_terms, imbalance_bound,
-                         lowest_eigenvalues, response_bound, window_certificate)
+from .eigensolve import (_centred, _dot, _norm, _times, certified_lowest, charge_response,
+                         edge_bound, eigenpair, fourth_order_bound, fourth_order_terms,
+                         imbalance_bound, lowest_eigenvalues, response_bound)
 from .hamiltonian import TridiagonalHamiltonian, build
 from .model import DEFAULT_W_MAX, CircuitParams, Record
 
@@ -104,9 +104,10 @@ def _solve_windowed(params, policy, columns):
 
     A column ``(levels, vectors, value)`` reads the lowest ``levels`` values
     and the eigenpair of each level in ``vectors``, proven with levels 0..level+1.
-    Each window is solved for the most levels an open column reads and
-    certified once, and a column is proven where the certified prefix holds
-    its levels.  Each level's ``edge_bound`` is taken once per certified window.
+    Each window makes one call for the most levels an open column reads,
+    ``certified_lowest`` if checked, else ``lowest_eigenvalues`` (no radii),
+    and a column is proven where the certified prefix holds its levels.
+    Each level's ``edge_bound`` is taken once per certified window.
     ``value(h, spectrum, pair, edges)`` returns (result, gates): floats, and
     (bound, scale) per bound taken from ``edges`` (empty unchecked).  A
     certified window accepts the result once each bound <= _TARGET scale.
@@ -120,9 +121,8 @@ def _solve_windowed(params, policy, columns):
         h = build(params, w)
         reads = {i: max([levels, *(min(level + 2, h.dim) for level in vectors)])
                  for i, (levels, vectors, _) in enumerate(columns) if results[i] is None}
-        spectrum = lowest_eigenvalues(h, max(reads.values()))
-        checked = not (fixed or h.is_full_window)
-        radii = window_certificate(h, spectrum) if checked else []
+        k, checked = max(reads.values()), not (fixed or h.is_full_window)
+        spectrum, radii = certified_lowest(h, k) if checked else (lowest_eigenvalues(h, k), [])
         pair = functools.cache(lambda level: eigenpair(h, level, spectrum))
         edge = functools.cache(
             lambda level: edge_bound(h, spectrum, radii, pair(level).vector, level))

@@ -14,8 +14,9 @@ quasiparticle-mode construction checks the same closed forms through the
 operator algebra they reduce, the Fock truncation is doubled until the vacuum
 element of a ladder polynomial settles, Sturm counts at 50 digits certify
 the eigenvalues of an operator's coefficients, and the all-or-nothing window
-certificate, which lowers every level at one shift, checks the prefix that
-``eigensolve.window_certificate`` proves level by level.
+certificate, which lowers every level at one shift and counts the window again
+above each value, checks the prefix that ``eigensolve.certified_lowest``
+proves level by level from its brackets and one lowered count per level.
 """
 
 import math
@@ -342,7 +343,8 @@ def one_shift_certificate(h: TridiagonalHamiltonian, spectrum: Spectrum) -> list
     """Radii r_j within which the window's values v_j are the full operator's lowest, or None.
 
     The full count below x is at least the window's (Cauchy interlacing), so
-    count(v_j + rho_j) >= j + 1 bounds eigenvalue j from above.  Where the
+    count(v_j + rho_j) >= j + 1, counted here, bounds eigenvalue j from above
+    (``certified_lowest`` reads it off its bracket instead).  Where the
     parabola dominates outside the window (``_outside_rooms``), the Schur
     complement onto the window lowers each corner by at most
     b_edge^2 / (a_out - x - b_max); the lowered window's count bounds the full

@@ -521,7 +521,7 @@ def test_full_window_eigenvalues_beyond_the_operator_limit(tmp_path):
         # Both are within the certificate radii of the full-basis gap.
         params = CircuitParams.from_pairs(500_000_000, e_j=10.0, e_c=0.2, n_g=ng)
         h = build(params, 16)
-        radii = eigensolve.window_certificate(h, eigensolve.lowest_eigenvalues(h, 2))
+        _, radii = eigensolve.certified_lowest(h, 2)
         assert abs(full[key] - adaptive[key]) <= 2.0 * sum(radii), key
     assert main("bands --pairs 5e8 --ejec 50 --from 0 --to 1 --steps 3 --window full".split()) == 0
     for name in ("imbalance", "susceptibility"):
@@ -539,7 +539,8 @@ def test_full_window_without_a_certificate_names_the_flag(capsys, monkeypatch):
     from finitejj import hamiltonian
 
     monkeypatch.setattr(hamiltonian, "ARRAY_LIMIT", 1024)
-    monkeypatch.setattr(observables, "window_certificate", lambda h, spectrum: [])
+    monkeypatch.setattr(observables, "certified_lowest",
+                        lambda h, k: (observables.lowest_eigenvalues(h, k), []))
     assert main("bands --pairs 5000 --ejec 50 --from 0 --to 1 --steps 2 --window full".split()) == 1
     assert "--window full" in capsys.readouterr().err
 
@@ -561,7 +562,8 @@ def test_nonconvergence_exit_code(capsys, monkeypatch):
     assert "1 unconverged points" in capsys.readouterr().out
 
     # Half-width 16 is certified at 2N = 5e8, so the certificate is made to refuse it.
-    monkeypatch.setattr(observables, "window_certificate", lambda h, spectrum: [])
+    monkeypatch.setattr(observables, "certified_lowest",
+                        lambda h, k: (observables.lowest_eigenvalues(h, k), []))
     code = main(
         "transmon-shift --ej-ghz 10 --ec-ghz 0.2 --pairs 5e8 --ng 1e6 "
         "--w-initial 16 --w-max 16".split()

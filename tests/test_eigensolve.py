@@ -1,5 +1,6 @@
 """Certified eigenvalues against dense and mpmath oracles, plus the solver invariants."""
 
+import collections
 import ctypes
 import importlib.machinery
 import importlib.util
@@ -29,7 +30,7 @@ from finitejj.eigensolve import (
     lowest_eigenvalues,
 )
 from finitejj.hamiltonian import TridiagonalHamiltonian, build
-from finitejj.model import CircuitParams
+from finitejj.model import CircuitParams, coupling_bound
 from oracles import mp_levels, one_shift_certificate, ulps, values_of
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -526,11 +527,14 @@ class TestLapackLoader:
                 expected = np.zeros(1)
             assert np.asarray(x).tobytes() == expected.tobytes()
             assert s == np.dot(phi, expected)
-            # Every dot product and norm, as numpy sums them.
+            # Every dot product and norm, as numpy sums them, and y - c x as numpy rounds it.
             for _ in range(4):
                 x, y = rng.standard_normal((2, dim)) * 10.0 ** rng.uniform(-3, 3, 2)[:, None]
                 assert eigensolve._dot(array("d", x), array("d", y)) == np.dot(x, y)
                 assert eigensolve._norm(array("d", x)) == np.linalg.norm(x)
+                c, minus = rng.standard_normal(), eigensolve._lapack().minus
+                assert minus(array("d", y), c, array("d", x)).tobytes() == (y - c * x).tobytes()
+                assert minus(array("d", y), c).tobytes() == (y - c).tobytes()
 
     @pytest.mark.parametrize("scipy_first", [False, True])
     def test_binding_works_in_either_import_order_and_registers_no_module(self, scipy_first):
@@ -658,8 +662,7 @@ def _first_certified(p, levels):
     w = initial_half_width(p)
     while True:
         h = build(p, w)
-        spectrum = lowest_eigenvalues(h, levels)
-        radii = eigensolve.window_certificate(h, spectrum)
+        spectrum, radii = eigensolve.certified_lowest(h, levels)
         if len(radii) == levels:
             return h, spectrum, radii
         w *= 2
@@ -715,27 +718,83 @@ class TestWindowCertificate:
     def test_refuses_a_window_too_small_to_hold_the_levels(self, half_width):
         p = params(1000, 1.0, ng=-0.37)
         h = build(p, half_width)
-        assert eigensolve.window_certificate(h, lowest_eigenvalues(h, 3)) == []
+        assert eigensolve.certified_lowest(h, 3)[1] == []
 
     def test_refuses_a_window_where_the_parabola_does_not_dominate(self):
         # E_C (n - n_g)^2 at the first charge outside half-width 2 is below
         # E_0 + 2 b_max, with b_max about E_J / 2 = 200.
         p = params(2_000_000, 400.0, ng=0.3)
         h = build(p, 2)
-        spectrum = lowest_eigenvalues(h, 2)
+        spectrum, radii = eigensolve.certified_lowest(h, 2)
         outside, _ = h.outside()
         assert np.all(outside - values_of(spectrum)[-1] < 400.0)
-        assert eigensolve.window_certificate(h, spectrum) == []
+        assert radii == []
 
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_refuses_values_off_by_more_than_their_radii(self, sign):
-        # Too high fails the lowered count below v - r, too low the window count above v + r;
-        # the certificate stops at the moved level.
+    def test_refuses_values_off_by_more_than_their_radii(self, monkeypatch):
+        # A value too high fails the lowered count below v - r, and the certificate stops
+        # at the moved level.  (A value too low cannot come from a bracket, whose count
+        # at x+ <= v + r exceeds j; the whole-basis counts of
+        # test_full_mode_returns_the_whole_basis_answer refuse a wrong bracket.)
         h, spectrum, radii = _first_certified(params(20000, 50.0, ng=0.3), 2)
         for j in range(2):
             pairs = list(spectrum.pairs)
-            pairs[j] = eigensolve.EigenPair(pairs[j].value + sign * 4.0 * radii[j], None, 0.0)
-            assert len(eigensolve.window_certificate(h, eigensolve.Spectrum(pairs, h.dim))) == j
+            pairs[j] = eigensolve.EigenPair(pairs[j].value + 4.0 * radii[j], None, 0.0)
+            monkeypatch.setattr(eigensolve, "lowest_eigenvalues",
+                                lambda h, k: eigensolve.Spectrum(pairs[:k], h.dim))
+            assert len(eigensolve.certified_lowest(h, 2)[1]) == j
+
+    def test_proves_nothing_without_the_room(self):
+        # One charge at a basis end with n_g half a charge inside it: the first charge
+        # outside has the same diagonal E_C/4 and couples by E_J/sqrt(2N) = 1e-14, so the
+        # whole basis's ground state lies 11 radii below the window's value.  The corner
+        # lowering 2 E_J/2N is below rho, so the lowered count passes; only the room
+        # (a_out - x, not above 2 b_max) refuses.
+        two_n = 10_000
+        for ng in (0.5 - two_n / 2, two_n / 2 - 0.5):
+            p = CircuitParams.from_pairs(two_n, e_j=1e-12, e_c=1.0, n_g=ng)
+            h = build(p, 0)
+            spectrum, radii = eigensolve.certified_lowest(h, 1)
+            assert h.dim == 1 and radii == []
+            value = spectrum.pairs[0].value
+            assert eigenvalue_count_below(build(p), value - 1e-14) == 1
+
+    def test_makes_one_count_per_tried_level(self, monkeypatch):
+        # Past the brackets, each tried level makes its lowered count at x_j = v_j - rho_j
+        # only, and a level the room refuses makes none: the levels proven, plus one where
+        # a lowered count stops the prefix.
+        from oracles import _outside_rooms
+
+        shifts, window_counts, bracketed = [], [], []
+        real_count, real_window = eigensolve._count_below, eigenvalue_count_below
+
+        def bracketing(h, k):
+            spectrum = lowest_eigenvalues(h, k)
+            bracketed.append(len(shifts))
+            return spectrum
+
+        monkeypatch.setattr(eigensolve, "_count_below",
+                            lambda *args: shifts.append(args[2]) or real_count(*args))
+        monkeypatch.setattr(eigensolve, "eigenvalue_count_below",
+                            lambda h, x: window_counts.append(x) or real_window(h, x))
+        monkeypatch.setattr(eigensolve, "lowest_eigenvalues", bracketing)
+        stops = collections.Counter()
+        for ejec, pairs, ng, half_width in itertools.product(
+                (1.0, 50.0, 400.0), (1000, 5 * 10**8), (0.3, 0.5), (2, 4, 16)):
+            h = build(params(pairs, ejec, ng=ng), half_width)
+            del shifts[:], window_counts[:], bracketed[:]
+            spectrum, radii = eigensolve.certified_lowest(h, 3)
+            (brackets,) = bracketed
+            assert len(window_counts) == brackets > 0
+            b_max = coupling_bound(h.params.e_j, h.params.n_half) * eigensolve._SLACK
+            norm = h.coefficient_bounds()[1] + 2.0 * b_max
+            xs = [p.value - 4.0 * eigensolve._EPS * (norm + abs(p.value)) for p in spectrum.pairs]
+            tried = len(radii)
+            if tried < 3:
+                roomy = _outside_rooms(h, xs[tried], b_max) is not None
+                stops[roomy] += 1
+                tried += roomy
+            assert shifts[brackets:] == xs[:tried]
+        assert stops[True] and stops[False]
 
     def test_proves_the_longest_prefix_that_one_shift_proves(self):
         # The all-or-nothing certificate lowers every level at the one shift of its last
@@ -751,7 +810,7 @@ class TestWindowCertificate:
                       for n in (1, 2, 3)]
             for k in (1, 2, 3):
                 n = max([n for n in range(1, k + 1) if oracle[n - 1] is not None], default=0)
-                radii = eigensolve.window_certificate(h, eigensolve.Spectrum(solved[:k], h.dim))
+                radii = eigensolve.certified_lowest(h, k)[1]
                 assert radii == (oracle[n - 1] if n else []), (ejec, pairs, ng, half_width, k)
                 lengths.add(len(radii))
         assert lengths == {0, 1, 2, 3}
@@ -761,9 +820,8 @@ class TestWindowCertificate:
         # 1e-32, far below the counts' backward error of eps times the norm.
         p = CircuitParams.from_pairs(1000, e_j=0.45356997823038725, e_c=1.0, n_g=0.5)
         h = build(p, 16)
-        spectrum = lowest_eigenvalues(h, 2)
+        spectrum, radii = eigensolve.certified_lowest(h, 2)
         assert abs(values_of(spectrum)[0]) < 1e-16
-        radii = eigensolve.window_certificate(h, spectrum)
         assert radii[0] >= 8.0 * np.finfo(float).eps * max(h.diag)
 
     def test_full_mode_returns_the_whole_basis_answer(self):
@@ -811,9 +869,8 @@ class TestWindowCertificate:
         assert built == [9, 17]
         values = [table.columns[f"E{j}"][0] for j in range(3)]
         h = build(p, 8)
-        spectrum = lowest_eigenvalues(h, 3)
+        spectrum, radii = eigensolve.certified_lowest(h, 3)
         assert values == values_of(spectrum).tolist()
-        radii = eigensolve.window_certificate(h, spectrum)
         exact = values_of(lowest_eigenvalues(build(p), 3))
         assert np.all(np.abs(exact - values) <= radii)
 

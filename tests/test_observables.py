@@ -41,6 +41,11 @@ def params(pairs, ejec, ng=0.0, ec=1.0):
     return CircuitParams.from_pairs(pairs, e_j=ejec * ec, e_c=ec, n_g=ng)
 
 
+def _uncertified(h, k):
+    """A certificate that proves no level: the window's values with no radii."""
+    return observables.lowest_eigenvalues(h, k), []
+
+
 class TestWindowPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -71,7 +76,7 @@ class TestQubitFrequency:
 
     def test_window_cap_raises(self, monkeypatch):
         # Half-width 16 is certified at 2N = 5e8, so the certificate is made to refuse it.
-        monkeypatch.setattr(observables, "window_certificate", lambda h, spectrum: [])
+        monkeypatch.setattr(observables, "certified_lowest", _uncertified)
         p = params(500_000_000, 50.0)
         with pytest.raises(WindowConvergenceError):
             qubit_frequency(p, WindowPolicy(mode="adaptive", w_initial=16, w_max=16))
@@ -83,7 +88,7 @@ def _count_per_window(monkeypatch):
     real_build = observables.build
     monkeypatch.setattr(observables, "build",
                         lambda *args: windows.append(real_build(*args)) or windows[-1])
-    for name in ("lowest_eigenvalues", "window_certificate", "eigenpair"):
+    for name in ("lowest_eigenvalues", "certified_lowest", "eigenpair"):
         def counting(h, *args, _name=name, _real=getattr(observables, name)):
             level = args[0] if _name == "eigenpair" else None
             calls[_name, next(i for i, w in enumerate(windows) if w is h), level] += 1
@@ -117,9 +122,9 @@ def test_each_window_is_solved_and_certified_once(quantity, policy, monkeypatch)
     walked = len(windows) > len({w.params.n_g for w in windows})
     assert walked == (policy.mode != "fixed")
     for i, h in enumerate(windows):
-        assert calls["lowest_eigenvalues", i, None] == 1
-        certificates = calls["window_certificate", i, None]
-        assert certificates == (0 if policy.mode == "fixed" or h.is_full_window else 1)
+        checked = not (policy.mode == "fixed" or h.is_full_window)
+        assert calls["certified_lowest", i, None] == checked
+        assert calls["lowest_eigenvalues", i, None] == (not checked)
     assert max(n for (name, *_), n in calls.items() if name == "eigenpair") == 1
 
 
@@ -127,9 +132,13 @@ def test_a_column_reading_fewer_levels_certifies_its_prefix(monkeypatch):
     """Where the certificate proves only the two levels <n> reads of the three a window
     solves, <n> still closes at the window that proves them, as it does alone, and
     each window is certified once."""
-    real = observables.window_certificate
-    monkeypatch.setattr(observables, "window_certificate",
-                        lambda h, spectrum: real(h, spectrum)[:2 if h.dim < 129 else None])
+    real = observables.certified_lowest
+
+    def two_levels_below_129(h, k):
+        spectrum, radii = real(h, k)
+        return spectrum, radii[:2 if h.dim < 129 else None]
+
+    monkeypatch.setattr(observables, "certified_lowest", two_levels_below_129)
     alone = expected_imbalance(_SWEEP.with_ng(0.3))
     windows, calls = _count_per_window(monkeypatch)
     bounded = []
@@ -140,7 +149,7 @@ def test_a_column_reading_fewer_levels_certifies_its_prefix(monkeypatch):
     assert [h.dim for h in windows] == [33, 65, 129]
     assert bounded == [33, 65]
     assert table.column_values["n_expect"] == [alone]
-    assert [calls["window_certificate", i, None] for i in range(len(windows))] == [1, 1, 1]
+    assert [calls["certified_lowest", i, None] for i in range(len(windows))] == [1, 1, 1]
 
 
 _SHARED = {**_QUANTITIES, "bands+imbalance+chi": lambda policy: band_sweep(
@@ -355,7 +364,7 @@ class TestBandSweep:
         assert np.all(table.columns["E0"] == 0.0)
 
     def test_failed_points_flagged_not_dropped(self, monkeypatch):
-        monkeypatch.setattr(observables, "window_certificate", lambda h, spectrum: [])
+        monkeypatch.setattr(observables, "certified_lowest", _uncertified)
         policy = WindowPolicy(mode="adaptive", w_initial=16, w_max=16)
         table = band_sweep(params(500_000_000, 50.0), np.array([0.0, 1.0]), levels=2, policy=policy)
         assert table.grid.size == 2

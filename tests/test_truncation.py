@@ -19,10 +19,9 @@ import numpy as np
 import pytest
 
 from finitejj import eigensolve
-from finitejj.eigensolve import (EdgeBound, _norm, _times, charge_response, edge_bound,
-                                 eigenpair, fourth_order_bound, fourth_order_terms,
-                                 imbalance_bound, lowest_eigenvalues, response_bound,
-                                 window_certificate)
+from finitejj.eigensolve import (EdgeBound, _norm, _times, certified_lowest, charge_response,
+                                 edge_bound, eigenpair, fourth_order_bound, fourth_order_terms,
+                                 imbalance_bound, lowest_eigenvalues, response_bound)
 from finitejj.errors import WindowConvergenceError
 from finitejj.hamiltonian import TridiagonalHamiltonian, build
 from finitejj.model import CircuitParams
@@ -133,8 +132,7 @@ def first_proven(p: CircuitParams, level: int):
         h = build(p, w)
         if h.is_full_window:
             return None
-        spectrum = lowest_eigenvalues(h, level + 2)
-        radii = window_certificate(h, spectrum)
+        spectrum, radii = certified_lowest(h, level + 2)
         edge = radii and edge_bound(h, spectrum, radii, eigenpair(h, level, spectrum).vector,
                                     level)
         if edge:
@@ -316,8 +314,7 @@ def test_no_proof_without_room_or_without_a_gap_beyond_the_radii():
     h = build(p, 16)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        spectrum = lowest_eigenvalues(h, 2)
-        radii = window_certificate(h, spectrum)
+        spectrum, radii = certified_lowest(h, 2)
         assert len(radii) == 2 and spectrum.pairs[1].value - spectrum.pairs[0].value > 0.0
         with pytest.raises(WindowConvergenceError, match="radii"):
             edge_bound(h, spectrum, radii, eigenpair(h, 0, spectrum).vector)
@@ -329,4 +326,4 @@ def test_window_not_holding_the_offset_charge_proves_nothing():
     # the room check refuses it.
     p = CircuitParams.from_pairs(1000, e_j=50.0, e_c=1.0)
     h = TridiagonalHamiltonian(p, 0, 20)
-    assert eigensolve.window_certificate(h, lowest_eigenvalues(h, 2)) == []
+    assert eigensolve.certified_lowest(h, 2)[1] == []
