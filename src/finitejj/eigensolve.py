@@ -21,9 +21,9 @@ dense full spectrum, the reference oracle at small dimensions, is scipy's
 own shift, to be the full operator's with one more count per value at its dim.
 
 Vectors are flat double buffers (``array('d')``), and no numpy is needed.
-Every LAPACK routine, and the BLAS ``ddot`` (dot products, norms), ``dscal``
-and ``daxpy`` (y - c x), is called through ``ctypes`` from the library that
-``scipy.linalg._flapack`` links, opened by ``_lapack`` at the first solve:
+Every LAPACK routine, and the ``ddot`` behind each dot product and norm, is
+called through ``ctypes`` from the library that scipy's compiled wrappers
+``scipy.linalg._flapack`` link, which ``_lapack`` opens at the first solve:
 the same code as scipy's wrappers run, so the same bits as ``np.dot`` and
 ``np.linalg.norm``.  No scipy module is imported, except by ``dense_all``.
 """
@@ -95,7 +95,7 @@ def _int(n: int):
     return byref(c_int(n))
 
 
-_ONE, _ZERO, _MINUS_ONE = _int(1), byref(c_double(0.0)), byref(c_double(-1.0))
+_ONE, _ZERO = _int(1), byref(c_double(0.0))
 
 
 class _Lapack:
@@ -104,14 +104,13 @@ class _Lapack:
     Each is the library's ``scipy_<name>_`` symbol (scipy's bundled OpenBLAS),
     else ``<name>_``, typed once as pointers and gfortran's hidden CHARACTER
     lengths.  The methods take flat double buffers, return what scipy's f2py
-    wrappers return (``minus``: dscal, then daxpy), and bind every buffer to a
-    name for the whole call: an address alone does not keep it alive.  The
-    dense reference ``dense_all`` calls scipy's own ``dstevd`` wrapper instead.
+    wrappers of the same routines return, and bind every buffer to a name for
+    the whole call: an address alone does not keep it alive.  The dense
+    reference ``dense_all`` calls scipy's own ``dstevd`` wrapper instead.
     """
 
     # Pointer arguments and hidden CHARACTER lengths of each routine.
-    SIGNATURES = {"dstebz": (18, 2), "dstein": (13, 0), "dgtsv": (8, 0), "ddot": (5, 0),
-                  "daxpy": (6, 0), "dscal": (4, 0)}
+    SIGNATURES = {"dstebz": (18, 2), "dstein": (13, 0), "dgtsv": (8, 0), "ddot": (5, 0)}
 
     def __init__(self, lib):
         for name, (pointers, chars) in self.SIGNATURES.items():
@@ -149,14 +148,6 @@ class _Lapack:
 
     def ddot(self, x, y) -> float:
         return self._ddot(_int(len(x)), _ptr(x), _ONE, _ptr(y), _ONE)
-
-    def minus(self, y, c: float, x=None) -> array:
-        """y - c x into y (x: ones), each entry rounded as y - c * x: daxpy's -1 times c x."""
-        n, cx = _int(len(y)), array("d", [c]) * len(y) if x is None else array("d", x)
-        if x is not None:
-            self._dscal(n, byref(c_double(c)), _ptr(cx), _ONE)
-        self._daxpy(n, _MINUS_ONE, _ptr(cx), _ONE, _ptr(y), _ONE)
-        return y
 
 
 @functools.cache
@@ -200,8 +191,8 @@ def _peak(v) -> int:
 
 def _centred(v) -> array:
     """a = n - <n>_v over the window's local charges n = 0, 1, ... for the unit vector v."""
-    charges = array("d", range(len(v)))
-    return _lapack().minus(charges, _dot(charges, _times(v, v)))
+    mean = _dot(array("d", range(len(v))), _times(v, v))
+    return array("d", map(mean.__rsub__, range(len(v))))
 
 
 def _pivmin(off_max: float) -> float:
@@ -549,19 +540,20 @@ def charge_response(h: TridiagonalHamiltonian, level: int = 0, pair: EigenPair |
     no other states: its one row is j, so there R is 0.
     """
     pair = pair or eigenpair(h, level)
-    v, lapack = pair.vector, _lapack()
+    v, dgtsv = pair.vector, _lapack().dgtsv
     a, j = _centred(v), _peak(v)
-    diag, off = lapack.minus(array("d", h.diag.tobytes()), pair.value), array("d", h.off.tobytes())
+    diag, off = array("d", map(pair.value.__rsub__, h.diag)), array("d", h.off.tobytes())
     diag[j] = 1.0
     for i in range(max(j - 1, 0), min(j + 1, h.dim - 1)):
         off[i] = 0.0
 
     def solve(phi: array) -> array:
-        x, info = lapack.dgtsv(off, diag, off, phi)
+        x, info = dgtsv(off, diag, off, phi)
         if info != 0:
             raise ConvergenceError(f"dgtsv tridiagonal solve failed (info {info})")
         x[j] = 0.0  # row j returned phi_j; the other rows were solved as if x_j = 0
-        return lapack.minus(x, _dot(v, x), v)
+        c = _dot(v, x)
+        return array("d", [y - c * u for y, u in zip(x, v)])
 
     phi = _times(a, v)
     x = solve(phi)
