@@ -278,23 +278,25 @@ def lowest_eigenvalues(h: TridiagonalHamiltonian, k: int) -> Spectrum:
 
 
 def _outside_rooms(h: TridiagonalHamiltonian, x: float, b_max: float):
-    """(corner, b_edge, kappa, s, dist) past each window end, or None without the room.
+    """(corner, b_edge, kappa, s, dist) past each coupled window end, or None without the room.
 
     Past a coupled end a_out - x > 2 b_max must hold.  Then n_g does not lie
     beyond that end (the window's values would exceed a_out - 2 b_max), the
     diagonal grows away from the window, every outside pivot of the full
     operator minus x stays above kappa = a_out - x - b_max, and the corner is
     lowered by at most s = _SLACK b_edge^2 / kappa.  ``dist`` is the first outside
-    charge's distance from n_g.  A basis end (b_edge = 0) needs nothing.  The
+    charge's distance from n_g.  A basis end (b_edge = 0) has no side.  The
     Schur bound needs outside pivots >= kappa > 0, which no lowered count shows.
     """
     center = h.params.n_half + h.params.n_g
     sides = []
     for corner, a_out, b_edge, end in zip((0, -1), *h.outside(), (h.k_lo - 1, h.k_lo + h.dim)):
+        if not b_edge:
+            continue
         room = (a_out - x) / _SLACK
-        if b_edge and room <= 2.0 * b_max:
+        if room <= 2.0 * b_max:
             return None
-        kappa = max(room - b_max, b_max)
+        kappa = room - b_max
         sides.append((corner, b_edge, kappa, b_edge * b_edge / kappa * _SLACK, abs(end - center)))
     return sides
 
@@ -366,26 +368,25 @@ class EdgeBound(Record):
 
 
 def edge_bound(h: TridiagonalHamiltonian, spectrum: Spectrum, radii: list[float],
-               vector: array, level: int = 0) -> EdgeBound | None:
+               vector: array, level: int = 0) -> EdgeBound:
     """The truncation lemma for level j of a window whose levels 0..j+1 are certified.
 
-    ``spectrum, radii`` are ``certified_lowest``'s, radii the proven prefix;
-    None unless it reaches level j + 1.  With E_j <= v_j + r_j, the Schur
-    complement onto the window lowers each corner by some sigma in [0, s],
-    s = b_edge^2 / (a_out - E_j - b_max): the window part of psi is the
-    level-j vector of T - diag(sigma), whose levels j -+ 1 stay beyond
-    v_{j-1} + r_{j-1} and v_{j+1} - r_{j+1}.  So (Davis & Kahan 1970)
-    sin theta <= ||(s_lo phi_0, s_hi phi_end)|| / gap, and along the way from
-    T to T - diag(sigma) the value moves by at most
+    ``spectrum, radii`` are ``certified_lowest``'s, radii reaching level j + 1.
+    With E_j <= up = v_j + r_j, the Schur complement onto the window lowers
+    each corner by some sigma in [0, s], s = b_edge^2 / (a_out - E_j - b_max):
+    the window part of psi is the level-j vector of T - diag(sigma), whose
+    levels j -+ 1 stay beyond v_{j-1} + r_{j-1} and v_{j+1} - r_{j+1}.  So
+    (Davis & Kahan 1970) sin theta <= ||(s_lo phi_0, s_hi phi_end)|| / gap,
+    and along the way from T to T - diag(sigma) the value moves by at most
     sum s (|phi_corner| + sqrt(2) sin theta)^2.  Outside, psi starts at most at
     |b_edge psi_edge| / (a_out - E_j - b_max) and shrinks by at least
-    q = b_max / (a_out - E_j - b_max) per charge.  None without the room.
-    Where the window gap is no wider than the radii, which grow with the
-    window, no window proves the vector: WindowConvergenceError.
+    q = b_max / (a_out - E_j - b_max) per charge.  Where the window gap is no
+    wider than the radii, which grow with the window, no window proves the
+    vector: WindowConvergenceError.  The gap proves the room at up, which falls
+    as x grows: up < fl(v_{j+1} - r_{j+1}) <= x_{j+1} = fl(v_{j+1} - rho_{j+1}),
+    where ``certified_lowest`` proved it with the same b_max.
     """
     values, j = [p.value for p in spectrum.pairs], level
-    if j + 1 >= len(radii):
-        return None
     up = values[j] + radii[j]
     gap = values[j + 1] - radii[j + 1] - up
     if j:
@@ -396,15 +397,12 @@ def edge_bound(h: TridiagonalHamiltonian, spectrum: Spectrum, radii: list[float]
                                      achieved=gap)
     b_max = coupling_bound(h.params.e_j, h.params.n_half) * _SLACK
     rooms = _outside_rooms(h, up, b_max)
-    if rooms is None:
-        return None
     sin_theta = math.hypot(*(s * vector[corner] for corner, _, _, s, _ in rooms)) / gap
     shift, sides = 0.0, []
     for corner, b, kappa, s, dist in rooms:
         edge = abs(vector[corner]) + math.sqrt(2.0) * sin_theta
         shift += s * edge * edge
-        if b:
-            sides.append((corner, b, abs(b) * edge / kappa, b_max / kappa, kappa, dist))
+        sides.append((corner, b, abs(b) * edge / kappa, b_max / kappa, kappa, dist))
     ng = h.params.n_half + h.params.n_g - h.k_lo
     return EdgeBound(sin_theta, gap, shift, tuple(sides), ng)
 
@@ -480,9 +478,10 @@ def eigenpair(h: TridiagonalHamiltonian, level: int = 0,
     """Eigenpair ``level``: certified value plus its inverse-iteration vector.
 
     ``spectrum`` is the window's ``lowest_eigenvalues`` through level + 1 or
-    more (by default ``min(level + 2, h.dim)`` levels).  The vector is sign-normalized so its
-    largest-magnitude component is positive; with all couplings negative the
-    ground vector then comes out componentwise positive (Perron-Frobenius).
+    more (by default ``min(level + 2, h.dim)`` levels).  The vector's first
+    largest |v_i| is made positive, so with negative couplings the ground vector
+    is all positive (Perron-Frobenius); equal peaks (odd level 1 at n_g = 0)
+    leave the sign to rounding, so align signs before comparing across windows.
     Warns when a neighbouring level lies within 40 eps ||H||, where the vector
     is ill-conditioned.  A level outside [0, dim), or a shorter spectrum, is a
     ValueError.  Inverse iteration runs on the value's block of ``spectrum.split``;
@@ -498,8 +497,8 @@ def eigenpair(h: TridiagonalHamiltonian, level: int = 0,
         raise ValueError(f"level {level} needs a spectrum of {need} values, got {len(pairs)}")
     value = pairs[level].value
     gap = min([abs(p.value - value) for p in pairs if p is not pairs[level]], default=math.inf)
-    dmin, dmax, off_max = h.coefficient_bounds()
-    norm = max(abs(dmin), abs(dmax)) + 2.0 * off_max
+    _, dmax, off_max = h.coefficient_bounds()
+    norm = dmax + 2.0 * off_max  # the diagonal is nonnegative
     if gap < 40.0 * _EPS * norm:
         warnings.warn(
             f"levels nearly degenerate (gap {gap:.3e}) at n_g = {h.params.n_g:g}; eigenvector"

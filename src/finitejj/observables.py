@@ -105,9 +105,10 @@ def _solve_windowed(params, policy, columns):
     A column ``(levels, vectors, value)`` reads the lowest ``levels`` values
     and the eigenpair of each level in ``vectors``, proven with levels 0..level+1.
     Each window makes one call for the most levels an open column reads,
-    ``certified_lowest`` if checked, else ``lowest_eigenvalues`` (no radii),
-    and a column is proven where the certified prefix holds its levels.
-    Each level's ``edge_bound`` is taken once per certified window.
+    ``certified_lowest`` if checked, else ``lowest_eigenvalues`` (no radii).
+    A checked window proves a column where the certified prefix holds its
+    levels, which for a vector (dim >= 5) reach level + 2, all ``edge_bound``
+    needs; it is taken once per level and checked window.
     ``value(h, spectrum, pair, edges)`` returns (result, gates): floats, and
     (bound, scale) per bound taken from ``edges`` (empty unchecked).  A
     certified window accepts the result once each bound <= _TARGET scale.
@@ -128,10 +129,9 @@ def _solve_windowed(params, policy, columns):
             lambda level: edge_bound(h, spectrum, radii, pair(level).vector, level))
         for i, n in reads.items():
             _, vectors, value = columns[i]
-            proven = len(radii) >= n
-            edges = {level: edge(level) for level in vectors} if proven else {}
-            if checked and not (proven and all(edges.values())):
+            if checked and len(radii) < n:
                 continue
+            edges = {level: edge(level) for level in vectors} if checked else {}
             result, gates = value(h, spectrum, pair, edges)
             if not all(map(math.isfinite, [*result, *chain.from_iterable(gates)])):
                 raise WindowConvergenceError(f"a non-finite result or bound at half-width {w},"

@@ -20,7 +20,8 @@ import scipy.linalg
 from scipy.special import mathieu_a, mathieu_b
 
 from finitejj import eigensolve
-from finitejj.errors import CapacityError, ConvergenceError, NearDegenerateWarning
+from finitejj.errors import (CapacityError, ConvergenceError, NearDegenerateWarning,
+                             WindowConvergenceError)
 from finitejj.eigensolve import (
     charge_response,
     dense_all,
@@ -710,6 +711,12 @@ def mp_window_eigenvalue(mpmath, p, half_width, j, guess):
     return (lo + hi) / 2
 
 
+# 700 windows: E_J/E_C 0.2-400, 2N 60-5e8, four offsets, half-widths 2-32.
+_CERTIFIED_GRID = list(itertools.product(
+    (0.2, 1.0, 5.0, 20.0, 50.0, 100.0, 400.0), (60, 1000, 20000, 10**6, 5 * 10**8),
+    (0.0, 0.3, -0.37, 0.5), (2, 4, 8, 16, 32)))
+
+
 class TestWindowCertificate:
     @pytest.mark.parametrize("half_width", [2, 4])
     def test_refuses_a_window_too_small_to_hold_the_levels(self, half_width):
@@ -798,9 +805,7 @@ class TestWindowCertificate:
         # level.  On 2100 windows (E_J/E_C 0.2-400, 2N 60-5e8, four offsets, half-widths
         # 2-32, k = 1-3) the level-by-level prefix is its longest proven n, radii bit-equal.
         lengths = set()
-        for ejec, pairs, ng, half_width in itertools.product(
-                (0.2, 1.0, 5.0, 20.0, 50.0, 100.0, 400.0), (60, 1000, 20000, 10**6, 5 * 10**8),
-                (0.0, 0.3, -0.37, 0.5), (2, 4, 8, 16, 32)):
+        for ejec, pairs, ng, half_width in _CERTIFIED_GRID:
             h = build(params(pairs, ejec, ng=ng), half_width)
             solved = lowest_eigenvalues(h, 3).pairs
             oracle = [one_shift_certificate(h, eigensolve.Spectrum(solved[:n], h.dim))
@@ -811,6 +816,39 @@ class TestWindowCertificate:
                 assert radii == (oracle[n - 1] if n else []), (ejec, pairs, ng, half_width, k)
                 lengths.add(len(radii))
         assert lengths == {0, 1, 2, 3}
+
+    def test_a_proven_prefix_through_level_j_plus_1_proves_the_room_at_level_j(self):
+        # Wherever the certified prefix reaches level j + 1, ``edge_bound`` for level j returns
+        # an ``EdgeBound`` or raises WindowConvergenceError, and the room holds at v_j + r_j:
+        # on the 2100-window grid, and on windows whose end lies 0-2 charges from a basis end.
+        near_ends = itertools.product((10, 60, 1000), (0.2, 5.0, 50.0, 400.0), (2, 4, 8, 16),
+                                      (0, 1, 2), (0.0, 0.3, -0.37), (-1, 1))
+        windows = [build(params(pairs, ejec, ng=ng), half_width)
+                   for ejec, pairs, ng, half_width in _CERTIFIED_GRID]
+        for pairs, ejec, half_width, off, frac, side in near_ends:
+            # Offsets k_c = half_width + off and k_c = off from the end named by ``side``.
+            for k_c in {half_width + off, off}:
+                ng = side * (pairs / 2 - k_c - frac)
+                windows.append(build(params(pairs, ejec, ng=ng), half_width))
+        at_basis_end = collections.Counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NearDegenerateWarning)
+            for h in windows:
+                if h.is_full_window:
+                    continue
+                spectrum, radii = eigensolve.certified_lowest(h, min(3, h.dim))
+                b_max = coupling_bound(h.params.e_j, h.params.n_half) * eigensolve._SLACK
+                for j in range(len(radii) - 1):
+                    up = spectrum.pairs[j].value + radii[j]
+                    vector = eigenpair(h, j, spectrum).vector
+                    try:
+                        edge = eigensolve.edge_bound(h, spectrum, radii, vector, j)
+                    except WindowConvergenceError:
+                        continue
+                    assert isinstance(edge, eigensolve.EdgeBound)
+                    assert eigensolve._outside_rooms(h, up, b_max) is not None
+                    at_basis_end[h.k_lo == 0 or h.k_lo + h.dim == h.params.pairs_total + 1] += 1
+        assert at_basis_end[True] and at_basis_end[False]
 
     def test_radius_covers_the_counts_rounding_at_a_zero_eigenvalue(self):
         # E_J tuned so that E_0 = -2.8e-17: a radius of 4 eps |v| would be

@@ -300,3 +300,33 @@ class TestFirstOrderNumeric:
             assert residuals[0] == pytest.approx(residuals[1], abs=1e-4)
             assert -0.04 < residuals[1] < -0.03
             assert all(0.4 <= rate <= 0.6 for rate in rates)
+
+    def test_frequency_residual_meets_the_large_q_mathieu_series(self):
+        """The residual coefficient (exact / first order - 1) E_J/E_C tends to -1/32.
+
+        With q = 2E_J/E_C, h = sqrt(q) and s = 2m + 1, DLMF 28.8.1 gives
+        a_m ~ b_{m+1} ~ -2q + 2sh - (s^2 + 1)/8 - (s^3 + 3s)/(2^7 h)
+        - (5s^4 + 34s^2 + 9)/(2^12 h^2), so the frequency (E_C/4)(b_2 - a_0) is
+        E_C (h - 1/4 - 1/(16h) - 21/(512h^2)) through 1/h^2.  Its first two terms
+        are the first-order frequency's infinite-island limit, and the series'
+        coefficient is -1/32 - 29/(1024 (h - 1/4)).  At 2N = 1e5 and 1e8 the
+        program's coefficient matches Mathieu's (from b_2 - a_0) to 1e-6 and the
+        series' to 2e-4, its next order, and (coefficient + 1/32)(h - 1/4) is
+        -29/1024 to 2e-3.
+        """
+        for ratio in (100.0, 1000.0):
+            h = math.sqrt(2.0 * ratio)
+            first = h - 0.25
+            mathieu = ((mathieu_b(2, h * h) - mathieu_a(0, h * h)) / 4.0 / first - 1.0) * ratio
+            series = -1.0 / 32.0 - 29.0 / (1024.0 * first)
+            for pairs in (10**5, 10**8):
+                p = params(pairs, ratio)
+                residual = (qubit_frequency(p)
+                            / quiet(transmon_first_order_numeric, p).frequency - 1.0) * ratio
+                slope = (residual + 1.0 / 32.0) * first
+                print(f"E_J/E_C = {ratio:g}, 2N = {pairs:.0e}: coefficient {residual:.5f}"
+                      f" (Mathieu {mathieu:.5f}, series {series:.5f}), (c + 1/32)(h - 1/4)"
+                      f" {slope:.5f} (series {-29.0 / 1024.0:.5f})")
+                assert residual == pytest.approx(mathieu, abs=1e-6)
+                assert residual == pytest.approx(series, abs=2e-4)
+                assert slope == pytest.approx(-29.0 / 1024.0, abs=2e-3)
