@@ -32,8 +32,8 @@ cannot be written, or a scalar result that is not finite, is a parameter
 error naming the flag behind it; so are more ``--steps`` than the operator's
 array limit, ``--values`` that do not increase, a ``--materials-file`` that
 cannot be read or whose values leave the float range, a window flag the
-chosen ``--window`` does not read, and more levels than ``--pairs`` or a
-fixed ``--half-width`` holds.
+chosen ``--window`` does not read, a ``--w-max`` below 4 or ``--w-initial``,
+and more levels than ``--pairs`` or the widest window holds (``_policy_from``).
 """
 
 from __future__ import annotations
@@ -181,34 +181,35 @@ def _add_output_flags(sub, default_name):
 _WINDOW_FLAGS = {"adaptive": ("w_initial", "w_max"), "full": (), "fixed": ("half_width",)}
 
 
-def _policy_from(args) -> WindowPolicy:
-    """The window policy of the flags; a window flag the policy does not read is refused."""
+def _policy_from(args, levels: int, source: str) -> WindowPolicy:
+    """The window policy of the flags, refusing a flag it does not read, a cap below 4 or its
+    start, and more levels (``source``) than the basis or the widest window holds."""
     from .observables import WindowPolicy
 
     for name in ("half_width", "w_initial", "w_max"):
         if getattr(args, name) is not None and name not in _WINDOW_FLAGS[args.window]:
             raise CliError(f"--{name.replace('_', '-')}: --window {args.window} does not read it")
+    limits = [(args.pairs + 1, f"--pairs {args.pairs}")]
     if args.window == "adaptive":
+        w_max = DEFAULT_W_MAX if args.w_max is None else args.w_max
         if args.w_initial is not None and args.w_initial < 4:
             raise CliError("--w-initial must be at least 4")
-        return WindowPolicy.adaptive(w_initial=args.w_initial,
-                                     w_max=DEFAULT_W_MAX if args.w_max is None else args.w_max)
-    if args.window == "full":
-        return WindowPolicy.full()
-    if args.half_width is None:
+        if not 4 <= (args.w_initial or 4) <= w_max:
+            raise CliError(f"--w-max {w_max} must be at least 4 and at least --w-initial")
+        limits.append((2 * w_max + 1, f"--w-max {w_max}"))
+        policy = WindowPolicy.adaptive(w_initial=args.w_initial, w_max=w_max)
+    elif args.window == "full":
+        policy = WindowPolicy.full()
+    elif args.half_width is None:
         raise CliError("--window fixed requires --half-width")
-    return WindowPolicy.fixed(args.half_width)
-
-
-def _check_levels(args, levels: int, source: str) -> None:
-    """Refuse more levels than the basis or a fixed window holds, naming the flags behind both."""
-    limits = [(args.pairs + 1, f"--pairs {args.pairs}")]
-    if args.window == "fixed" and args.half_width is not None:
+    else:
         limits.append((2 * args.half_width + 1, f"--half-width {args.half_width}"))
+        policy = WindowPolicy.fixed(args.half_width)
     for states, flag in limits:
         if levels > states:
             raise CliError(f"{levels} levels ({source}) exceed the {states} charge states"
                            f" of {flag}")
+    return policy
 
 
 def _check_offsets(offsets, pairs: int, flag: str) -> None:
@@ -293,7 +294,7 @@ def _cmd_sweep(args):
 
     name = args.command
     levels = getattr(args, "levels", 1)
-    _check_levels(args, levels, "--levels")
+    policy = _policy_from(args, levels, "--levels")
     params = _circuit(args, args.ejec, 1.0, max(abs(args.start), abs(args.stop)), "--from/--to")
     grid = _grid_from(args)
     if any(a >= b for a, b in zip(grid, grid[1:])):
@@ -304,7 +305,7 @@ def _cmd_sweep(args):
         params,
         grid,
         levels=levels,
-        policy=_policy_from(args),
+        policy=policy,
         include_imbalance=name == "imbalance",
         include_susceptibility=name == "susceptibility",
         subtract_ground=getattr(args, "subtract_e0", False),
@@ -322,8 +323,7 @@ def _cmd_sweep(args):
 def _cmd_curvature(args):
     from . import observables
 
-    policy = _policy_from(args)
-    _check_levels(args, 2 if args.kind == "dispersion" else 1, f"--kind {args.kind}")
+    policy = _policy_from(args, 2 if args.kind == "dispersion" else 1, f"--kind {args.kind}")
     ratios = args.values
     rows = {"curvature": [], "reference": [], "ratio": []}
     fn = getattr(observables, f"{args.kind}_curvature")
@@ -356,7 +356,7 @@ def _cmd_transmon_shift(args):
 
     params = _circuit(args, args.ej_ghz, args.ec_ghz, abs(args.ng), "--ec-ghz/--ng")
     _check_offsets([args.ng], args.pairs, "--ng")
-    policy = _policy_from(args)
+    policy = _policy_from(args, 2, "the qubit frequency")
     w0 = observables.qubit_frequency(params, policy)
     w1 = observables.qubit_frequency(params.with_ng(args.ng), policy)
     shift_ghz = w1 - w0

@@ -13,12 +13,12 @@ level's reduced resolvent by LAPACK tridiagonal solves (``dgtsv``): once for
 its static charge response, twice for the ground state's fourth-order
 energy.
 
-A pivot count is one O(dim) pass over the operator's two buffers.  The
-dense full spectrum, the reference oracle at small dimensions, is scipy's
-``eigh_tridiagonal`` (LAPACK ``dstevd``).
-
-``certified_lowest`` proves a charge window's bracketed values, each at its
-own shift, to be the full operator's with one more count per value at its dim.
+Every pivot count is one call of ``eigenvalue_count_below``, one O(dim) pass
+over the operator's two buffers.  ``certified_lowest`` proves a charge
+window's bracketed values, each at its own shift, to be the full operator's
+with one more count per value, on a copy of the diagonal whose coupled
+corners it lowers.  The dense full spectrum, the reference oracle at small
+dimensions, is scipy's ``eigh_tridiagonal`` (LAPACK ``dstevd``).
 
 Vectors are flat double buffers (``array('d')``), and no numpy is needed.
 Every LAPACK routine, and the ``ddot`` behind each dot product and norm, is
@@ -72,10 +72,10 @@ class EigenPair(Record):
 class Spectrum(Record):
     """Ascending eigenvalues E_0 <= E_1 <= ... over the window, and dstebz's split (None: one)."""
 
-    __slots__ = ("pairs", "dim", "split")
+    __slots__ = ("pairs", "split")
 
-    def __init__(self, pairs: list[EigenPair], dim: int, split: tuple | None = None):
-        self._fill(pairs, dim, split)
+    def __init__(self, pairs: list[EigenPair], split: tuple | None = None):
+        self._fill(pairs, split)
 
 
 def _zeros(n: int, code: str = "d") -> array:
@@ -195,23 +195,22 @@ def _centred(v) -> array:
     return array("d", map(mean.__rsub__, range(len(v))))
 
 
-def _pivmin(off_max: float) -> float:
-    return _SAFMIN * max(1.0, off_max * off_max)
+def eigenvalue_count_below(h: TridiagonalHamiltonian, x: float, lowered: tuple = ()) -> int:
+    """Number of eigenvalues strictly below ``x`` of h, its diagonal lowered by s at each
+    ``(corner, s)`` of ``lowered``: the negative pivots of the shifted LDL^T recurrence.
 
-
-def eigenvalue_count_below(h: TridiagonalHamiltonian, x: float) -> int:
-    """Number of eigenvalues strictly below ``x`` (Sturm count, largest coupling's pivmin)."""
-    pivmin = _pivmin(h.coefficient_bounds()[2])
-    return _count_below(h.diagonal_block(0, h.dim), h.offdiagonal_block(0, h.dim - 1), x, pivmin)
-
-
-def _count_below(diag, off, x: float, pivmin: float) -> int:
-    """Negative pivots of the LDL^T recurrence of the tridiagonal (diag, off) minus x.
-
-    A pivot within pivmin of zero is replaced by -pivmin, and so counted.
+    A pivot within pivmin = safmin max(1, off_max^2) of zero, off_max h's
+    largest coupling, is replaced by -pivmin, and so counted.
     """
+    off_max = h.coefficient_bounds()[2]
+    pivmin = _SAFMIN * max(1.0, off_max * off_max)
+    diag = h.diagonal_block(0, h.dim)
+    if lowered:
+        diag = array("d", diag.tobytes())
+        for corner, s in lowered:
+            diag[corner] -= s
     floor, count, d = -pivmin, 0, 1.0
-    for dj, oj in zip(diag, chain((0.0,), off)):
+    for dj, oj in zip(diag, chain((0.0,), h.offdiagonal_block(0, h.dim - 1))):
         d = (dj - x) - oj * oj / d
         if d <= pivmin:
             count += 1
@@ -270,11 +269,11 @@ def lowest_eigenvalues(h: TridiagonalHamiltonian, k: int) -> Spectrum:
         raise ValueError(f"levels {k} exceeds the {h.dim} charge states of the window"
                          f" at n_g = {h.params.n_g:g}")
     if h.dim == 1:
-        return Spectrum([EigenPair(value=h.diag[0], vector=None, residual=0.0)], 1)
+        return Spectrum([EigenPair(value=h.diag[0], vector=None, residual=0.0)])
     m, w, split, info = _lapack().dstebz(h.diag, h.off, k, 2.0 * _SAFMIN)
     if info != 0:
         raise ConvergenceError(f"dstebz bisection did not converge (info {info})")
-    return Spectrum([_bracket(h, j, v) for j, v in enumerate(w)], h.dim, split)
+    return Spectrum([_bracket(h, j, v) for j, v in enumerate(w)], split)
 
 
 def _outside_rooms(h: TridiagonalHamiltonian, x: float, b_max: float):
@@ -310,25 +309,22 @@ def certified_lowest(h: TridiagonalHamiltonian, k: int) -> tuple[Spectrum, list[
     eigenvalue j from above.  Where the parabola dominates outside the window
     at x_j = v_j - rho_j (``_outside_rooms``), the Schur complement onto the
     window lowers each corner by at most b_edge^2 / (a_out - x_j - b_max); that
-    lowered window's count(x_j) <= j, one count per level, bounds it from below.
-    rho_j covers the counts' backward error (Kahan 1966; Demmel, Dhillon & Ren
-    1995) at the one pivot floor both take, so r_j = 2 rho_j.
+    lowered window's count(x_j) <= j, one ``eigenvalue_count_below`` per level
+    with the corners ``lowered``, bounds it from below.  rho_j covers the
+    counts' backward error (Kahan 1966; Demmel, Dhillon & Ren 1995) at the one
+    pivot floor that function takes, so r_j = 2 rho_j.
     """
     spectrum = lowest_eigenvalues(h, k)
     b_max = coupling_bound(h.params.e_j, h.params.n_half) * _SLACK
-    _, dmax, off_max = h.coefficient_bounds()
     # The diagonal is nonnegative: its largest entry plus 2 b_max bounds the norm.
-    norm = dmax + 2.0 * b_max
-    pivmin, radii = _pivmin(off_max), []
+    norm, radii = h.coefficient_bounds()[1] + 2.0 * b_max, []
     for j, pair in enumerate(spectrum.pairs):
         rho = 4.0 * _EPS * (norm + abs(pair.value))
         sides = _outside_rooms(h, pair.value - rho, b_max)
         if sides is None or not pair.residual <= rho:
             break
-        lowered = array("d", h.diag.tobytes())
-        for corner, _, _, s, _ in sides:
-            lowered[corner] -= s
-        if _count_below(lowered, h.off, pair.value - rho, pivmin) > j:
+        lowered = tuple((corner, s) for corner, _, _, s, _ in sides)
+        if eigenvalue_count_below(h, pair.value - rho, lowered) > j:
             break
         radii.append(2.0 * rho)
     return spectrum, radii
@@ -393,8 +389,7 @@ def edge_bound(h: TridiagonalHamiltonian, spectrum: Spectrum, radii: list[float]
         gap = min(gap, values[j] - radii[j] - values[j - 1] - radii[j - 1])
     if not gap > 0.0:
         raise WindowConvergenceError(f"level {j} and a neighbour lie within their radii at"
-                                     f" n_g = {h.params.n_g:g}; no window proves its vector",
-                                     achieved=gap)
+                                     f" n_g = {h.params.n_g:g}; no window proves its vector")
     b_max = coupling_bound(h.params.e_j, h.params.n_half) * _SLACK
     rooms = _outside_rooms(h, up, b_max)
     sin_theta = math.hypot(*(s * vector[corner] for corner, _, _, s, _ in rooms)) / gap
@@ -595,4 +590,4 @@ def dense_all(h: TridiagonalHamiltonian) -> Spectrum:
         hv[1:] += off * v[:-1]
         residual = _norm(array("d", (hv - value * v).tobytes()))
         pairs.append(EigenPair(value=value, vector=array("d", v.tobytes()), residual=residual))
-    return Spectrum(pairs, h.dim)
+    return Spectrum(pairs)

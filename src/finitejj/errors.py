@@ -6,11 +6,7 @@ class CapacityError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solve stopped before reaching the requested tolerance."""
-
-    def __init__(self, message: str, achieved: float | None = None):
-        super().__init__(message)
-        self.achieved = achieved
+    """A solve that did not converge or a result that was not proven; its message says which."""
 
 
 class WindowConvergenceError(ConvergenceError):

@@ -51,8 +51,8 @@ class WindowPolicy(Record):
     ``w_initial`` (default: four charge-state standard deviations of the
     localized ground state, at least 16) and double the half-width until
     every quantity is proven on a window (see ``_solve_windowed``).  They
-    differ only in the cap: adaptive stops at ``w_max``, full at the
-    operator limit.
+    differ only in the cap: adaptive builds no window wider than ``w_max``
+    (at least 4 and ``w_initial``), full stops at the operator limit.
     """
 
     __slots__ = ("mode", "half_width", "w_initial", "w_max")
@@ -66,6 +66,8 @@ class WindowPolicy(Record):
             raise ValueError("fixed mode needs a non-negative half_width")
         if self.w_initial is not None and self.w_initial < 4:
             raise ValueError("w_initial must be at least 4")
+        if self.mode == "adaptive" and not 4 <= (self.w_initial or 4) <= self.w_max:
+            raise ValueError(f"w_max {self.w_max} must be at least 4 and at least w_initial")
 
     @classmethod
     def full(cls) -> "WindowPolicy":
@@ -100,7 +102,8 @@ def _solve_windowed(params, policy, columns):
     basis, is taken unchecked.  Other walks start at ``w_initial`` (default
     ``initial_half_width``), or at the half-width holding the most levels a
     column reads, and double W until every column closes; adaptive mode
-    raises at ``w_max``, full mode only at the operator limit.
+    starts and stops at most at ``w_max`` and raises there, full mode only at
+    the operator limit.
 
     A column ``(levels, vectors, value)`` reads the lowest ``levels`` values
     and the eigenpair of each level in ``vectors``, proven with levels 0..level+1.
@@ -114,9 +117,10 @@ def _solve_windowed(params, policy, columns):
     certified window accepts the result once each bound <= _TARGET scale.
     A non-finite result or gate raises WindowConvergenceError.
     """
-    fixed = policy.mode == "fixed"
-    w = policy.half_width if fixed else max(policy.w_initial or initial_half_width(params), *(
-        max([levels, *(level + 2 for level in vectors)]) - 1 for levels, vectors, _ in columns))
+    fixed, cap = policy.mode == "fixed", policy.w_max if policy.mode == "adaptive" else math.inf
+    w = policy.half_width if fixed else min(cap, max(
+        policy.w_initial or initial_half_width(params),
+        *(max([levels, *(level + 2 for level in vectors)]) - 1 for levels, vectors, _ in columns)))
     results = [None] * len(columns)
     while True:
         h = build(params, w)
@@ -135,15 +139,14 @@ def _solve_windowed(params, policy, columns):
             result, gates = value(h, spectrum, pair, edges)
             if not all(map(math.isfinite, [*result, *chain.from_iterable(gates)])):
                 raise WindowConvergenceError(f"a non-finite result or bound at half-width {w},"
-                                             f" n_g = {params.n_g:g}", achieved=w)
+                                             f" n_g = {params.n_g:g}")
             if not checked or all(bound <= _TARGET * scale for bound, scale in gates):
                 results[i] = result
         if all(result is not None for result in results):
             return results
-        if policy.mode == "adaptive" and w >= policy.w_max:
-            raise WindowConvergenceError(
-                f"window not converged at half-width cap {policy.w_max}", achieved=w)
-        w = 2 * w if policy.mode == "full" else min(2 * w, policy.w_max)
+        if w >= cap:
+            raise WindowConvergenceError(f"window not converged at half-width cap {cap}")
+        w = min(2 * w, cap)
 
 
 def _eigenvalues(levels: int):

@@ -20,14 +20,12 @@ proves level by level from its brackets and one lowered count per level.
 """
 
 import math
-from array import array
 from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 
-from finitejj.eigensolve import (_EPS, _SLACK, Spectrum, _count_below, _pivmin,
-                                 eigenvalue_count_below)
+from finitejj.eigensolve import _EPS, _SLACK, Spectrum, eigenvalue_count_below
 from finitejj.errors import CapacityError, ConvergenceError
 from finitejj.hamiltonian import DENSE_LIMIT, TridiagonalHamiltonian
 from finitejj.model import CircuitParams, coupling_bound
@@ -239,7 +237,7 @@ def fock_oracle_stable(
             return new
         value = new
     raise ConvergenceError(
-        f"Fock truncation still unstable at dim {dim} (last value {value})", achieved=dim
+        f"Fock truncation still unstable at dim {dim} (last value {value})"
     )
 
 
@@ -349,26 +347,23 @@ def one_shift_certificate(h: TridiagonalHamiltonian, spectrum: Spectrum) -> list
     complement onto the window lowers each corner by at most
     b_edge^2 / (a_out - x - b_max); the lowered window's count bounds the full
     count from above, and count(v_j - rho_j) <= j bounds eigenvalue j from
-    below.  rho_j covers the counts' backward error (Kahan 1966; Demmel,
-    Dhillon & Ren 1995) at the one pivot floor, from the window's largest
-    coupling, that both take, so r_j = 2 rho_j.  None when the window is too small.
+    below.  Both are ``eigenvalue_count_below``, the lower one with the
+    corners ``lowered``, so rho_j covers their backward error (Kahan 1966;
+    Demmel, Dhillon & Ren 1995) at its one pivot floor, and r_j = 2 rho_j.
+    None when the window is too small.
     """
     values = [p.value for p in spectrum.pairs]
     b_max = coupling_bound(h.params.e_j, h.params.n_half) * _SLACK
-    _, dmax, off_max = h.coefficient_bounds()
     # The diagonal is nonnegative: its largest entry plus 2 b_max bounds the norm.
-    norm = dmax + 2.0 * b_max
+    norm = h.coefficient_bounds()[1] + 2.0 * b_max
     rho = [4.0 * _EPS * (norm + abs(v)) for v in values]
     x = max(v - r for v, r in zip(values, rho))
     sides = _outside_rooms(h, x, b_max)
     if sides is None:
         return None
-    lowered = array("d", h.diag.tobytes())
-    for corner, b_edge, kappa, _ in sides:
-        lowered[corner] -= b_edge * b_edge / kappa * _SLACK
-    pivmin = _pivmin(off_max)
+    lowered = tuple((corner, b * b / kappa * _SLACK) for corner, b, kappa, _ in sides)
     for j, (v, r) in enumerate(zip(values, rho)):
-        if (_count_below(lowered, h.off, v - r, pivmin) > j
+        if (eigenvalue_count_below(h, v - r, lowered) > j
                 or eigenvalue_count_below(h, v + r) < j + 1):
             return None
     return [2.0 * r for r in rho]

@@ -456,9 +456,10 @@ def test_parameter_error_names_flag(capsys, monkeypatch):
     assert code == 1
     assert "--bogus" in capsys.readouterr().err
 
-    # Windows beyond the operator limit, a too-small start, window flags the
-    # policy does not read, and more levels than the states they need are
-    # refused before any solve.
+    # Windows beyond the operator limit, a too-small start or cap, a start past
+    # its cap, a fixed window without its half-width, window flags the policy
+    # does not read, and more levels than the states they need are refused
+    # before any solve.
     def no_solve(*args, **kwargs):
         raise AssertionError("solver called")
 
@@ -482,6 +483,15 @@ def test_parameter_error_names_flag(capsys, monkeypatch):
         ("bands --pairs 1 --ejec 1 --from 0 --to 1 --steps 3", "--levels"),
         ("curvature --kind dispersion --pairs 60 --values 50 --window fixed --half-width 0",
          "--half-width"),
+        ("transmon-shift --ej-ghz 10 --ec-ghz 0.2 --pairs 5e8 --ng 1e6 --window fixed "
+         "--half-width 0", "--half-width"),
+        ("bands --pairs 10 --ejec 0.2 --from 0 --to 1 --steps 3 --window fixed", "--half-width"),
+        ("bands --pairs 5e8 --ejec 50 --from 0 --to 1 --steps 2 --w-max 0", "--w-max"),
+        ("bands --pairs 5e8 --ejec 50 --from 0 --to 1 --steps 2 --w-max 3", "--w-max"),
+        ("bands --pairs 5e8 --ejec 50 --from 0 --to 1 --steps 2 --w-initial 32 --w-max 16",
+         "--w-max 16 must be at least 4 and at least --w-initial"),
+        ("bands --pairs 100 --ejec 1 --from 0 --to 1 --steps 3 --levels 10 --w-max 4",
+         "--w-max"),
         ("imbalance --pairs 1000 --ejec 50 --from 0 --to 1 --steps 3 --window-rtol 0.5",
          "--window-rtol"),
         # A grid past the array limit, and ratios out of order, are refused by the parser.

@@ -323,6 +323,21 @@ class TestGroundState:
         assert np.all(v[np.abs(v) > floor] > 0.0)
         assert np.min(v) > -floor
 
+    def test_first_largest_entry_is_made_positive(self):
+        # Level 1 at n_g = 0 is odd, so its two peaks tie.  At 2N = 119, E_J/E_C = 5,
+        # half-width 16, dstein (whose own sign rule acts before it scales the vector)
+        # returns entries 14 and 17 as -p and +p; eigenpair flips the vector.
+        h = build(params(119, 5.0), 16)
+        spectrum = lowest_eigenvalues(h, 3)
+        pair, (blocks, isplit) = spectrum.pairs[1], spectrum.split
+        raw, _ = eigensolve._lapack().dstein(h.diag, h.off, pair.value - pair.residual,
+                                             blocks[1], isplit)
+        assert (raw[14], raw[17]) == (-0.5398883375343464, 0.5398883375343464)
+        vector = eigenpair(h, 1, spectrum).vector
+        peak = max(map(abs, vector))
+        assert next(x for x in vector if abs(x) == peak) > 0.0
+        assert list(vector) == [-x for x in raw]
+
     def test_unit_norm_and_residual(self):
         pair = eigenpair(build(params(80, 10.0, ng=0.4)))
         assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-12)
@@ -351,7 +366,7 @@ class TestGroundState:
         _, z = scipy.linalg.eigh_tridiagonal(h.diag, h.off, select="i", select_range=(0, 0),
                                              lapack_driver="stebz")
         assert np.abs(z[:, 0]).tolist() == list(pair.vector)
-        one_block = eigensolve.Spectrum(lowest_eigenvalues(h, 2).pairs, h.dim)
+        one_block = eigensolve.Spectrum(lowest_eigenvalues(h, 2).pairs)
         with pytest.raises(ConvergenceError, match="residual"):
             eigenpair(h, 0, one_block)
 
@@ -448,7 +463,7 @@ class TestDenseAll:
         p = params(10, 1.0, ng=2.0)
         h = TridiagonalHamiltonian(p, 7, 7)  # charge 2
         spec = dense_all(h)
-        assert spec.dim == 1
+        assert len(spec.pairs) == 1
         assert values_of(spec)[0] == pytest.approx(h.diag[0])
 
 
@@ -744,7 +759,7 @@ class TestWindowCertificate:
             pairs = list(spectrum.pairs)
             pairs[j] = eigensolve.EigenPair(pairs[j].value + 4.0 * radii[j], None, 0.0)
             monkeypatch.setattr(eigensolve, "lowest_eigenvalues",
-                                lambda h, k: eigensolve.Spectrum(pairs[:k], h.dim))
+                                lambda h, k: eigensolve.Spectrum(pairs[:k]))
             assert len(eigensolve.certified_lowest(h, 2)[1]) == j
 
     def test_proves_nothing_without_the_room(self):
@@ -765,30 +780,32 @@ class TestWindowCertificate:
     def test_makes_one_count_per_tried_level(self, monkeypatch):
         # Past the brackets, each tried level makes its lowered count at x_j = v_j - rho_j
         # only, and a level the room refuses makes none: the levels proven, plus one where
-        # a lowered count stops the prefix.
+        # a lowered count stops the prefix.  Every count runs through eigenvalue_count_below;
+        # the brackets' lower no corner, the certificate's lower some.
         from oracles import _outside_rooms
 
-        shifts, window_counts, bracketed = [], [], []
-        real_count, real_window = eigensolve._count_below, eigenvalue_count_below
+        shifts, bracketed = [], []  # (x, lowered) of each count, and the brackets' number
 
         def bracketing(h, k):
             spectrum = lowest_eigenvalues(h, k)
             bracketed.append(len(shifts))
             return spectrum
 
-        monkeypatch.setattr(eigensolve, "_count_below",
-                            lambda *args: shifts.append(args[2]) or real_count(*args))
-        monkeypatch.setattr(eigensolve, "eigenvalue_count_below",
-                            lambda h, x: window_counts.append(x) or real_window(h, x))
+        def counting(h, x, lowered=()):
+            shifts.append((x, lowered))
+            return eigenvalue_count_below(h, x, lowered)
+
+        monkeypatch.setattr(eigensolve, "eigenvalue_count_below", counting)
         monkeypatch.setattr(eigensolve, "lowest_eigenvalues", bracketing)
         stops = collections.Counter()
         for ejec, pairs, ng, half_width in itertools.product(
                 (1.0, 50.0, 400.0), (1000, 5 * 10**8), (0.3, 0.5), (2, 4, 16)):
             h = build(params(pairs, ejec, ng=ng), half_width)
-            del shifts[:], window_counts[:], bracketed[:]
+            del shifts[:], bracketed[:]
             spectrum, radii = eigensolve.certified_lowest(h, 3)
             (brackets,) = bracketed
-            assert len(window_counts) == brackets > 0
+            assert brackets > 0 and not any(lowered for _, lowered in shifts[:brackets])
+            assert all(lowered for _, lowered in shifts[brackets:])
             b_max = coupling_bound(h.params.e_j, h.params.n_half) * eigensolve._SLACK
             norm = h.coefficient_bounds()[1] + 2.0 * b_max
             xs = [p.value - 4.0 * eigensolve._EPS * (norm + abs(p.value)) for p in spectrum.pairs]
@@ -797,7 +814,7 @@ class TestWindowCertificate:
                 roomy = _outside_rooms(h, xs[tried], b_max) is not None
                 stops[roomy] += 1
                 tried += roomy
-            assert shifts[brackets:] == xs[:tried]
+            assert [x for x, _ in shifts[brackets:]] == xs[:tried]
         assert stops[True] and stops[False]
 
     def test_proves_the_longest_prefix_that_one_shift_proves(self):
@@ -808,7 +825,7 @@ class TestWindowCertificate:
         for ejec, pairs, ng, half_width in _CERTIFIED_GRID:
             h = build(params(pairs, ejec, ng=ng), half_width)
             solved = lowest_eigenvalues(h, 3).pairs
-            oracle = [one_shift_certificate(h, eigensolve.Spectrum(solved[:n], h.dim))
+            oracle = [one_shift_certificate(h, eigensolve.Spectrum(solved[:n]))
                       for n in (1, 2, 3)]
             for k in (1, 2, 3):
                 n = max([n for n in range(1, k + 1) if oracle[n - 1] is not None], default=0)

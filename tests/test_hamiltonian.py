@@ -201,6 +201,8 @@ class TestSpinMatrices:
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             spin_matrices(4001.0)
+        with pytest.raises(CapacityError, match="dense limit"):
+            build(params(4002, 1.0)).to_dense()
 
     def test_hermitian(self):
         s = spin_matrices(1.5)

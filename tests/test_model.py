@@ -12,6 +12,7 @@ from finitejj.model import (
     BoseHubbardParams,
     CircuitParams,
     MaterialProps,
+    ValidityReport,
     cooper_pair_density,
     gate_voltage,
     invert_bose_hubbard,
@@ -190,10 +191,16 @@ class TestGateVoltage:
     def test_unit_definition(self):
         # n_g = 1 at C_g = 2e/mV is one millivolt by construction.
         assert gate_voltage(1.0) == pytest.approx(1e-3, rel=1e-12)
+        for c_g in (0.0, -1e-15):
+            with pytest.raises(ValueError, match="gate capacitance must be positive"):
+                gate_voltage(1.0, c_g)
 
     def test_report_carries_device_numbers(self):
         report = validity_min_pairs(ALUMINUM, n_half=2.5e8, n_g=1e6)
         assert report.gate_voltage == pytest.approx(1000.0, rel=1e-12)
+        for n_min in (0.0, -1.0):
+            with pytest.raises(ValueError, match="n_min must be positive"):
+                ValidityReport(n_min, 1e28)
 
 
 class TestMaterialFile:

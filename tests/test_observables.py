@@ -23,6 +23,7 @@ from finitejj.eigensolve import dense_all
 from finitejj.hamiltonian import build
 from finitejj.model import CircuitParams
 from finitejj.observables import (
+    SweepTable,
     WindowPolicy,
     band_sweep,
     charge_susceptibility,
@@ -54,6 +55,21 @@ class TestWindowPolicy:
             WindowPolicy(mode="fixed")
         with pytest.raises(ValueError):
             WindowPolicy(mode="adaptive", w_initial=2)
+        for w_initial, w_max in ((None, 3), (32, 16)):
+            with pytest.raises(ValueError, match=f"w_max {w_max} must be at least 4 and"):
+                WindowPolicy.adaptive(w_initial=w_initial, w_max=w_max)
+
+    def test_adaptive_builds_no_window_past_its_cap(self, monkeypatch):
+        # The default start at 2N = 5e8, E_J/E_C = 50 is half-width 16; a cap of 8 or 4
+        # starts the walk there instead, and the walk raises at the cap.
+        widths, real, p = [], observables.build, params(500_000_000, 50.0, ng=0.3)
+        monkeypatch.setattr(observables, "build",
+                            lambda params, w: widths.append(w) or real(params, w))
+        for w_max in (8, 4):
+            del widths[:]
+            with pytest.raises(WindowConvergenceError, match=f"cap {w_max}"):
+                qubit_frequency(p, WindowPolicy.adaptive(w_max=w_max))
+            assert widths == [w_max]
 
     def test_initial_half_width_rule(self):
         assert initial_half_width(params(10, 50.0)) == 16
@@ -393,6 +409,8 @@ class TestBandSweep:
             band_sweep(params(10, 0.2), [0.0, 0.0], levels=1, policy=FULL)
         with pytest.raises(ValueError):
             band_sweep(params(10, 0.2), [0.0, 1.0], levels=0, policy=FULL)
+        with pytest.raises(ValueError, match="column 'E0' length does not match grid"):
+            SweepTable(grid=[0.0, 1.0], columns={"E0": [1.0]}, meta={})
         # A fixed window clipped at the basis edge: 2 states at n_g = 4.5.
         with pytest.raises(ValueError, match="levels 3 exceeds the 2 charge states"):
             band_sweep(params(10, 1.0), [4.5], levels=3, policy=WindowPolicy.fixed(1))
